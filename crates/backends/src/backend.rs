@@ -498,41 +498,41 @@ impl CompiledTest for SimBinary {
         self.run_with(input, opts, &mut ExecScratch::new())
     }
 
+    /// A one-input batch: the scalar path shares [`SimBinary::run_batch`]'s
+    /// crash check, outcome memo and post-processing, so a caller that
+    /// threads one scratch through every vendor binary of a program
+    /// interprets it once per execution semantics, not once per vendor.
     fn run_with(
         &self,
         input: &TestInput,
         opts: &RunOptions,
         scratch: &mut ExecScratch,
     ) -> RunResult {
-        // 1. Modelled compile-bug crash (before any output).
-        if self.crash_triggered(input) {
-            return self.crash_result();
-        }
-
-        // 2. Interpret under this backend's semantics, on the engine the
-        //    run options select (flat bytecode by default).
-        let exec_opts = self.exec_options(opts);
-        match self.code.run_with(input, &exec_opts, scratch) {
-            Ok(outcome) => self.post_process(outcome, input, opts),
-            Err(e) => self.error_result(&e, opts),
-        }
+        self.run_batch(std::slice::from_ref(input), opts, scratch)
+            .pop()
+            .expect("one result per input")
     }
 
     /// All inputs of a test in one VM pass per group of `batch_width`
     /// lanes: one instruction fetch serves the whole group
-    /// ([`ompfuzz_exec::vm::run_batch`]). Crash-triggered lanes still run
-    /// in the batch (their interpreter outcome is discarded, exactly as
-    /// the scalar path never starts one) — the check is pre-execution
-    /// metadata, so dropping the lane would only complicate the layout.
+    /// ([`ompfuzz_exec::vm::run_batch`]). Crash-triggered lanes of a mixed
+    /// batch still run (their interpreter outcome is discarded) — the
+    /// check is pre-execution metadata, so dropping the lane would only
+    /// complicate the layout. A batch whose every input crashes (a
+    /// crash-triggered one-input run) never starts the interpreter.
     fn run_batch(
         &self,
         inputs: &[TestInput],
         opts: &RunOptions,
         scratch: &mut ExecScratch,
     ) -> Vec<RunResult> {
-        if inputs.is_empty() {
-            return Vec::new();
+        // 1. Modelled compile-bug crash (before any output).
+        let crashed: Vec<bool> = inputs.iter().map(|i| self.crash_triggered(i)).collect();
+        if crashed.iter().all(|&c| c) {
+            return crashed.iter().map(|_| self.crash_result()).collect();
         }
+        // 2. Interpret under this backend's semantics, on the engine the
+        //    run options select (flat bytecode by default).
         let exec_opts = self.exec_options(opts);
         // The three vendor binaries of one program share their compiled
         // kernel; whenever two of them also agree on execution semantics
@@ -559,18 +559,15 @@ impl CompiledTest for SimBinary {
                 outcomes
             }
         };
+        // 3.–5. Everything downstream of the interpretation.
         inputs
             .iter()
+            .zip(crashed)
             .zip(outcomes)
-            .map(|(input, outcome)| {
-                if self.crash_triggered(input) {
-                    self.crash_result()
-                } else {
-                    match outcome {
-                        Ok(o) => self.post_process(o, input, opts),
-                        Err(e) => self.error_result(&e, opts),
-                    }
-                }
+            .map(|((input, crashed), outcome)| match outcome {
+                _ if crashed => self.crash_result(),
+                Ok(o) => self.post_process(o, input, opts),
+                Err(e) => self.error_result(&e, opts),
             })
             .collect()
     }
@@ -802,10 +799,10 @@ mod tests {
         assert!(run_on(&healthy, &p, &one_input()).status.is_ok());
     }
 
-    #[test]
-    fn gcc_nan_folding_changes_result_and_work() {
+    /// `if (var_1 != var_1) { comp += heavy loop }`: with a NaN input, the
+    /// NaN-absorbing GCC binary skips the loop the IEEE binaries run.
+    fn nanfold_program() -> Program {
         use ompfuzz_ast::{BoolExpr, BoolOp, IfBlock};
-        // if (var_1 != var_1) { comp += heavy loop } — var_1 = NaN input.
         let mut p = Program::new(
             vec![Param::fp(FpType::F64, "var_1")],
             Block::of_stmts(vec![
@@ -826,10 +823,67 @@ mod tests {
             ]),
         );
         p.name = "nanfold".into();
-        let input = TestInput {
+        p
+    }
+
+    fn nan_input() -> TestInput {
+        TestInput {
             comp_init: 0.0,
             values: vec![InputValue::Fp(f64::NAN)],
-        };
+        }
+    }
+
+    /// A reduction region over a division-dense body: the static features
+    /// the modelled GCC crash needs (region, reduction, three divisions).
+    fn crash_prone_program() -> Program {
+        use ompfuzz_ast::BinOp;
+        let quotient = [2.0, 3.0, 5.0]
+            .into_iter()
+            .fold(Expr::var("var_1"), |e, d| {
+                Expr::binary(e, BinOp::Div, Expr::fp_const(d))
+            });
+        let mut p = Program::new(
+            vec![Param::fp(FpType::F64, "var_1")],
+            Block::of_stmts(vec![Stmt::OmpParallel(OmpParallel {
+                clauses: OmpClauses {
+                    reduction: Some(ReductionOp::Add),
+                    num_threads: Some(4),
+                    ..OmpClauses::default()
+                },
+                prelude: vec![Stmt::DeclAssign {
+                    ty: FpType::F64,
+                    name: "t".into(),
+                    value: Expr::fp_const(0.0),
+                }],
+                body_loop: ForLoop {
+                    omp_for: true,
+                    var: "i".into(),
+                    bound: LoopBound::Const(16),
+                    body: Block::of_stmts(vec![comp_add(quotient)]),
+                },
+            })]),
+        );
+        p.name = "crashy".into();
+        p
+    }
+
+    /// Field-for-field equality (`RunResult` has no `PartialEq`; `comp`
+    /// compares by bits so NaN results match).
+    fn assert_same_run(a: &RunResult, b: &RunResult) {
+        assert_eq!(a.status, b.status);
+        assert_eq!(a.comp.map(f64::to_bits), b.comp.map(f64::to_bits));
+        assert_eq!(a.time_us, b.time_us);
+        assert_eq!(a.counters, b.counters);
+        assert_eq!(a.profile, b.profile);
+        assert_eq!(a.threads, b.threads);
+        assert_eq!(a.exec, b.exec);
+        assert_eq!(a.races, b.races);
+    }
+
+    #[test]
+    fn gcc_nan_folding_changes_result_and_work() {
+        let p = nanfold_program();
+        let input = nan_input();
         let gcc = run_on(&SimBackend::gcc(), &p, &input);
         let intel = run_on(&SimBackend::intel(), &p, &input);
         // Different numerical results…
@@ -873,6 +927,64 @@ mod tests {
         }
         assert!(runs >= 180);
         assert!(crashes <= 6, "too many crashes: {crashes}/{runs}");
+    }
+
+    #[test]
+    fn shared_scratch_runs_match_fresh_scratch_runs() {
+        // The three vendor binaries of a program share one compiled kernel.
+        // Threaded through one scratch, a binary whose execution semantics
+        // match the previous run's replays its memoized outcome; whichever
+        // runs replay, every result must equal a fresh-scratch run's.
+        let crashy = crash_prone_program();
+        let probe = SimBackend::gcc()
+            .compile_sim(&crashy, &CompileOptions::default())
+            .unwrap();
+        let crash_input = (0..10_000)
+            .map(|k| TestInput {
+                comp_init: f64::from(k),
+                values: vec![InputValue::Fp(1.5)],
+            })
+            .find(|input| probe.crash_triggered(input))
+            .expect("some input triggers the modelled GCC crash");
+        let cases = [
+            (nanfold_program(), nan_input()),
+            (crashy, crash_input),
+            (cs2_program(3, 50, 8), one_input()),
+        ];
+        let opts = RunOptions::default();
+        for (program, input) in &cases {
+            let prepared = PreparedKernel::new(lower(program).unwrap());
+            let bins: Vec<SimBinary> = standard_backends()
+                .iter()
+                .map(|b| b.compile_sim_lowered(program, &prepared, &CompileOptions::default()))
+                .collect();
+            let fresh: Vec<RunResult> = bins
+                .iter()
+                .map(|bin| bin.run_with(input, &opts, &mut ExecScratch::new()))
+                .collect();
+            // Every order: an IEEE run after an IEEE run replays, the
+            // NaN-absorbing GCC run after an IEEE run (and back) must not.
+            for order in [[0, 1, 2], [2, 0, 1], [0, 2, 1], [1, 2, 0]] {
+                let mut scratch = ExecScratch::new();
+                for i in order {
+                    let shared = bins[i].run_with(input, &opts, &mut scratch);
+                    assert_same_run(&shared, &fresh[i]);
+                }
+            }
+            match program.name.as_str() {
+                // Premise: GCC diverges from the IEEE binaries it follows.
+                "nanfold" => {
+                    assert_eq!(fresh[1].comp, Some(20_000.5));
+                    assert_eq!(fresh[2].comp, Some(0.5));
+                }
+                // Premise: the input crashes GCC only.
+                "crashy" => {
+                    assert!(matches!(fresh[2].status, RunStatus::Crash { .. }));
+                    assert!(fresh[0].status.is_ok() && fresh[1].status.is_ok());
+                }
+                _ => {}
+            }
+        }
     }
 
     #[test]
@@ -961,13 +1073,7 @@ mod tests {
                 let batched = bin.run_batch(&inputs, &opts, &mut scratch);
                 assert_eq!(batched.len(), inputs.len());
                 for (input, b) in inputs.iter().zip(&batched) {
-                    let s = bin.run_with(input, &opts, &mut ExecScratch::new());
-                    assert_eq!(s.status, b.status);
-                    assert_eq!(s.comp.map(f64::to_bits), b.comp.map(f64::to_bits));
-                    assert_eq!(s.time_us, b.time_us);
-                    assert_eq!(s.counters, b.counters);
-                    assert_eq!(s.exec, b.exec);
-                    assert_eq!(s.races, b.races);
+                    assert_same_run(&bin.run_with(input, &opts, &mut ExecScratch::new()), b);
                 }
             }
         }

@@ -250,20 +250,30 @@ mod tests {
     use super::*;
     use std::sync::atomic::{AtomicUsize, Ordering};
 
-    fn scratch(tag: &str) -> PathBuf {
+    /// A test's temp directory, removed when the test ends — on unwind
+    /// too, so a failing test leaves nothing behind either.
+    struct Scratch(PathBuf);
+
+    impl Drop for Scratch {
+        fn drop(&mut self) {
+            let _ = fs::remove_dir_all(&self.0);
+        }
+    }
+
+    fn scratch(tag: &str) -> Scratch {
         static DIR_ID: AtomicUsize = AtomicUsize::new(0);
         let id = DIR_ID.fetch_add(1, Ordering::Relaxed);
         let dir =
             std::env::temp_dir().join(format!("ompfuzz-fault-{}-{tag}-{id}", std::process::id()));
         let _ = fs::remove_dir_all(&dir);
         fs::create_dir_all(&dir).unwrap();
-        dir
+        Scratch(dir)
     }
 
     #[test]
     fn real_fs_round_trips_and_reports_absence() {
         let dir = scratch("realfs");
-        let path = dir.join("nested/artifact.txt");
+        let path = dir.0.join("nested/artifact.txt");
         assert_eq!(RealFs.read(&path).unwrap(), None);
         RealFs.write_atomic(&path, "payload\n").unwrap();
         assert_eq!(RealFs.read(&path).unwrap().as_deref(), Some("payload\n"));
@@ -313,7 +323,7 @@ mod tests {
             abort_permille: 0,
         };
         let dir = scratch("transient");
-        let path = dir.join("artifact.txt");
+        let path = dir.0.join("artifact.txt");
         let fs_handle = FaultyFs::new(plan);
         let mut wrote = false;
         for _ in 0..64 {
@@ -343,7 +353,7 @@ mod tests {
             abort_permille: 0,
         };
         let dir = scratch("torn");
-        let path = dir.join("artifact.txt");
+        let path = dir.0.join("artifact.txt");
         let fs_handle = FaultyFs::new(plan);
         let full = "0123456789abcdef\n";
         fs_handle.write_atomic(&path, full).unwrap();
@@ -364,7 +374,7 @@ mod tests {
         let dir = scratch("abort");
         let fs_handle = FaultyFs::new(plan);
         let err = fs_handle
-            .write_atomic(&dir.join("artifact.txt"), "payload\n")
+            .write_atomic(&dir.0.join("artifact.txt"), "payload\n")
             .unwrap_err();
         assert!(is_fault_abort(&err), "{err}");
         assert!(!is_fault_abort(&io::Error::other("plain failure")));

@@ -51,8 +51,17 @@ fn reference_catalog() -> &'static String {
 }
 
 /// A unique scratch directory per invocation (no tempfile crate in the
-/// offline workspace).
-fn scratch(tag: &str) -> PathBuf {
+/// offline workspace), removed on drop: when the campaign finishes, and
+/// when an assertion unwinds out of it.
+struct Scratch(PathBuf);
+
+impl Drop for Scratch {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_dir_all(&self.0);
+    }
+}
+
+fn scratch(tag: &str) -> Scratch {
     static DIR_ID: AtomicUsize = AtomicUsize::new(0);
     let dir = std::env::temp_dir().join(format!(
         "ompfuzz-fault-recovery-{tag}-{}-{}",
@@ -60,7 +69,7 @@ fn scratch(tag: &str) -> PathBuf {
         DIR_ID.fetch_add(1, Ordering::SeqCst)
     ));
     let _ = std::fs::remove_dir_all(&dir);
-    dir
+    Scratch(dir)
 }
 
 /// Drive one campaign to completion under `plan`: every `Err` from the
@@ -82,15 +91,12 @@ fn run_with_faults(tag: &str, plan: FaultPlan) -> (String, usize) {
             &config,
             &dyns,
             TriggerCatalog::new(),
-            Some(&dir),
+            Some(&dir.0),
             &Obs::off(),
             &ProfileCollector::off(),
             fs.clone(),
         ) {
-            Ok(result) => {
-                let _ = std::fs::remove_dir_all(&dir);
-                return (result.evolution.catalog.save_to_string(), crashes);
-            }
+            Ok(result) => return (result.evolution.catalog.save_to_string(), crashes),
             Err(_) => {
                 crashes += 1;
                 assert!(

@@ -28,14 +28,49 @@ use std::process::{Command, Stdio};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
 
-/// A real host OpenMP toolchain.
+/// A real host OpenMP toolchain. The binaries it compiles live in its work
+/// dir, which is removed when the backend drops, so they run only while
+/// the backend lives.
 #[derive(Debug)]
 pub struct ProcessBackend {
     info: BackendInfo,
     compiler: PathBuf,
     openmp_flag: &'static str,
-    work_dir: PathBuf,
+    work_dir: WorkDir,
     counter: AtomicUsize,
+}
+
+/// A backend's private temp directory (probe files, emitted sources,
+/// compiled binaries), removed with everything in it on drop — also when
+/// a probe gives up half way.
+#[derive(Debug)]
+struct WorkDir(PathBuf);
+
+impl WorkDir {
+    /// A fresh directory for `compiler_name`. The name carries the pid and
+    /// a process-wide sequence number, so concurrent probes of the same
+    /// compiler in one process never share files.
+    fn create(compiler_name: &str) -> Option<WorkDir> {
+        static DIR_ID: AtomicUsize = AtomicUsize::new(0);
+        let path = std::env::temp_dir().join(format!(
+            "ompfuzz-proc-{}-{}-{}",
+            compiler_name.replace('+', "p"),
+            std::process::id(),
+            DIR_ID.fetch_add(1, Ordering::Relaxed)
+        ));
+        fs::create_dir_all(&path).ok()?;
+        Some(WorkDir(path))
+    }
+
+    fn join(&self, name: impl AsRef<Path>) -> PathBuf {
+        self.0.join(name)
+    }
+}
+
+impl Drop for WorkDir {
+    fn drop(&mut self) {
+        let _ = fs::remove_dir_all(&self.0);
+    }
 }
 
 impl ProcessBackend {
@@ -49,12 +84,7 @@ impl ProcessBackend {
             _ => return None,
         };
         let compiler = which(compiler_name)?;
-        let work_dir = std::env::temp_dir().join(format!(
-            "ompfuzz-proc-{}-{}",
-            compiler_name.replace("+", "p"),
-            std::process::id()
-        ));
-        fs::create_dir_all(&work_dir).ok()?;
+        let work_dir = WorkDir::create(compiler_name)?;
 
         // Smoke-test: compile and run a one-liner with a parallel region.
         let src = work_dir.join("probe.cpp");

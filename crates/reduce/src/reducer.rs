@@ -1,11 +1,14 @@
 //! The fixpoint reduction loop and its parallel oracle.
 //!
-//! Every pass enumerates candidate edits against the *current* program,
-//! evaluates the whole batch on the worker pool, and accepts the
-//! lowest-index candidate whose oracle check still reproduces the target
-//! verdict. Evaluating the full batch (instead of stopping at the first
-//! success a worker happens to finish) is what makes the result — and the
-//! reported oracle-check count — identical for every worker count.
+//! Every pass enumerates candidate edits against the *current* program and
+//! accepts the lowest-index candidate whose oracle check still reproduces
+//! the target verdict. Candidates are evaluated in waves of one per worker,
+//! in index order, and a pass stops at the first wave with a success: the
+//! lowest reproducing index of that wave is the lowest of the whole batch,
+//! so the accepted edit does not depend on the worker count. Neither does
+//! the reported check count, which is *logical* — the accepted index + 1,
+//! or the batch length when nothing reproduces — whatever a wave evaluated
+//! past the winner.
 
 use crate::target::{ReductionTarget, Verdict};
 use ompfuzz_ast::rewrite::{self, ClauseEdit, ExprSide};
@@ -139,10 +142,10 @@ impl<'b> Reducer<'b> {
         }
     }
 
-    /// Attach a telemetry handle: every oracle check is counted live
-    /// (candidate checks, compiles, differential runs, VM ops, budget
-    /// aborts) as the reduction progresses. Telemetry never influences
-    /// which candidates are accepted.
+    /// Attach a telemetry handle: the oracle's work is counted as the
+    /// reduction progresses — compiles, differential runs, VM ops and
+    /// budget aborts as they run, logical candidate checks as each pass
+    /// settles. Telemetry never influences which candidates are accepted.
     pub fn observed(mut self, obs: Obs) -> Reducer<'b> {
         self.obs = obs;
         self
@@ -231,6 +234,10 @@ impl<'b> Reducer<'b> {
             }
         }
 
+        // Pass checks were counted as each pass settled; the entry and exit
+        // checks complete the tally, so the counter equals `oracle_checks`.
+        self.obs
+            .count(Counter::ReducerCandidateChecks, sanity_checks as u64);
         let oracle_checks = sanity_checks + passes.iter().map(|p| p.checks).sum::<usize>();
         ReductionOutcome {
             reduced_stmts: current.body.stmt_count(),
@@ -252,23 +259,16 @@ impl<'b> Reducer<'b> {
     /// neither do candidates the campaign's dynamic race detector would
     /// have excluded from analysis.
     fn reproduces(&self, program: &Program, input: &TestInput, ctx: &OracleCtx) -> bool {
-        // One oracle check per call: pass batches plus the entry/exit
-        // sanity checks, so the counter matches `oracle_checks` exactly.
-        self.obs.count(Counter::ReducerCandidateChecks, 1);
         let Ok(kernel) = ompfuzz_exec::lower(program) else {
             return false;
         };
-        // One compilation per candidate: the race gate and every backend
-        // run the same prepared bytecode — and one scratch per candidate:
-        // the race-gate run and every backend run reuse its buffers.
+        // One compilation per candidate: every backend run and the race
+        // gate share the same prepared bytecode — and one scratch per
+        // candidate: they reuse its buffers, and a vendor binary whose
+        // execution semantics match an earlier one's replays its outcome
+        // from the scratch's memo instead of re-interpreting.
         let prepared = PreparedKernel::new(kernel);
         let mut scratch = ExecScratch::new();
-        if self.config.filter_races
-            && !ctx.allow_races
-            && candidate_races(&prepared, input, &self.config.run, &mut scratch)
-        {
-            return false;
-        }
         let Ok(observations) = oracle::observe_with_obs(
             program,
             input,
@@ -281,28 +281,44 @@ impl<'b> Reducer<'b> {
         ) else {
             return false;
         };
+        // The race gate runs last: both checks are pure functions of
+        // (candidate, input), and most candidates already fail the verdict.
         analyze(&observations, &self.config.outlier).primary_outlier()
             == Some((ctx.verdict.kind, ctx.verdict.backend))
+            && !(self.config.filter_races
+                && !ctx.allow_races
+                && candidate_races(&prepared, input, &self.config.run, &mut scratch))
     }
 
-    /// Evaluate a candidate batch on the worker pool and return the index
-    /// of the *first* (lowest-index) reproducing candidate. Every candidate
-    /// is evaluated ([`pool::map_parallel`] has no early exit), so the
-    /// result and the check count are independent of worker count and
-    /// scheduling.
+    /// Return the index of the *first* (lowest-index) reproducing
+    /// candidate. Candidates run on the worker pool in index-order waves
+    /// of one per worker, stopping after the first wave with a success —
+    /// so the winner is the batch's lowest reproducing index for every
+    /// worker count. The check count is the logical one (winner + 1, or
+    /// the batch length), equally worker-count independent.
     fn first_reproducing(
         &self,
         candidates: &[Candidate],
         ctx: &OracleCtx,
         stat: &mut PassStat,
     ) -> Option<usize> {
-        stat.checks += candidates.len();
         let workers = pool::resolve_workers(self.config.workers);
-        pool::map_parallel(workers, candidates, |(program, input)| {
-            self.reproduces(program, input, ctx)
-        })
-        .into_iter()
-        .position(|reproduced| reproduced)
+        let first = candidates
+            .chunks(workers)
+            .enumerate()
+            .find_map(|(wave, chunk)| {
+                pool::map_parallel(workers, chunk, |(program, input)| {
+                    self.reproduces(program, input, ctx)
+                })
+                .into_iter()
+                .position(|reproduced| reproduced)
+                .map(|i| wave * workers + i)
+            });
+        let checks = first.map_or(candidates.len(), |i| i + 1);
+        stat.checks += checks;
+        self.obs
+            .count(Counter::ReducerCandidateChecks, checks as u64);
+        first
     }
 
     // -- passes ------------------------------------------------------------
@@ -519,6 +535,71 @@ fn shrink_ladder(trip: u32) -> Vec<u32> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ompfuzz_ast::{AssignOp, Assignment, BlockItem, Expr, FpType, LValue, Param, Stmt, VarRef};
+    use ompfuzz_backends::standard_backends;
+    use ompfuzz_harness::caselib;
+    use ompfuzz_outlier::OutlierKind;
+
+    #[test]
+    fn racy_edit_that_keeps_the_verdict_is_rejected() {
+        // Case study 3 plus a private scalar every thread writes outside
+        // the critical section. Dropping `private(var_9)` leaves the hang
+        // (the lock pressure is unchanged) but turns the write into a
+        // shared-scalar race: the verdict reproduces, so only the race gate
+        // that runs after it can reject the edit.
+        let mut program = caselib::case_study_3(6000, 32);
+        program.params.push(Param::fp(FpType::F64, "var_9"));
+        let BlockItem::Stmt(Stmt::OmpParallel(par)) = &mut program.body.0[0] else {
+            panic!("case study 3 opens with its parallel region");
+        };
+        par.clauses.private.push("var_9".into());
+        par.body_loop.body.0.insert(
+            0,
+            BlockItem::Stmt(Stmt::Assign(Assignment {
+                target: LValue::Var(VarRef::Scalar("var_9".into())),
+                op: AssignOp::Assign,
+                value: Expr::fp_const(1.0),
+            })),
+        );
+        let input = caselib::case_study_input(&program);
+        let racy = rewrite::apply_clause_edit(
+            &program,
+            &ClauseEdit::DropPrivate {
+                region: 0,
+                index: 0,
+            },
+        )
+        .unwrap();
+
+        let backends = standard_backends();
+        let dyns: Vec<&dyn OmpBackend> = backends.iter().map(|b| b as &dyn OmpBackend).collect();
+        let reducer = Reducer::new(&dyns, ReduceConfig::default());
+        let gated = OracleCtx {
+            verdict: Verdict::new(OutlierKind::Hang, 0),
+            allow_races: false,
+        };
+        let waived = OracleCtx {
+            allow_races: true,
+            ..gated
+        };
+        // Premises: the witness is race-free and hangs Intel; the edit
+        // races on the pinned input and still hangs Intel.
+        let races = |p: &Program| {
+            candidate_races(
+                &PreparedKernel::new(ompfuzz_exec::lower(p).unwrap()),
+                &input,
+                &reducer.config.run,
+                &mut ExecScratch::new(),
+            )
+        };
+        assert!(!races(&program) && races(&racy));
+        assert!(reducer.reproduces(&program, &input, &gated));
+        assert!(reducer.reproduces(&racy, &input, &waived));
+        assert!(
+            !reducer.reproduces(&racy, &input, &gated),
+            "a race-free witness must not accept a racy edit"
+        );
+    }
 
     #[test]
     fn shrink_ladder_is_ascending_and_strict() {

@@ -1,10 +1,11 @@
 //! Reducer behaviour on the crafted case-study kernels: oracle
-//! preservation, worker-count determinism, idempotence, and the ddmin
-//! non-empty guarantee.
+//! preservation, worker-count determinism (of the result and of the
+//! logical check count), idempotence, and the ddmin non-empty guarantee.
 
 use ompfuzz_ast::rewrite;
 use ompfuzz_backends::{oracle, standard_backends, CompileOptions, OmpBackend, RunOptions};
 use ompfuzz_harness::caselib;
+use ompfuzz_obs::{Counter, Obs};
 use ompfuzz_outlier::{analyze, OutlierConfig, OutlierKind};
 use ompfuzz_reduce::{ReduceConfig, Reducer, ReductionOutcome, ReductionTarget, Verdict};
 
@@ -21,13 +22,23 @@ fn hang_target() -> ReductionTarget {
 }
 
 fn reduce_with_workers(target: &ReductionTarget, workers: usize) -> ReductionOutcome {
+    reduce_counted(target, workers).0
+}
+
+/// Reduce with telemetry on; also returns the `reducer_candidate_checks`
+/// counter.
+fn reduce_counted(target: &ReductionTarget, workers: usize) -> (ReductionOutcome, u64) {
     let backends = standard_backends();
     let dyns = dyns(&backends);
     let config = ReduceConfig {
         workers,
         ..ReduceConfig::default()
     };
-    Reducer::new(&dyns, config).reduce(target)
+    let obs = Obs::metrics_only();
+    let out = Reducer::new(&dyns, config)
+        .observed(obs.clone())
+        .reduce(target);
+    (out, obs.counters().get(Counter::ReducerCandidateChecks))
 }
 
 #[test]
@@ -57,14 +68,24 @@ fn oracle_is_preserved_by_reduction() {
 
 #[test]
 fn reduction_is_deterministic_across_worker_counts() {
+    // Waves of one candidate per worker stop at the first wave with a
+    // success, so wider waves evaluate candidates past the winner. Neither
+    // the accepted edits nor the logical check count may notice — with
+    // wave sizes that divide the batches differently (2, 3) or not at all
+    // (8 covers whole passes).
     let target = hang_target();
-    let a = reduce_with_workers(&target, 1);
-    let b = reduce_with_workers(&target, 8);
-    assert_eq!(a.reduced, b.reduced);
-    assert_eq!(a.input, b.input);
-    assert_eq!(a.oracle_checks, b.oracle_checks);
-    assert_eq!(a.rounds, b.rounds);
-    assert_eq!(a.passes, b.passes);
+    let (seq, seq_counted) = reduce_counted(&target, 1);
+    assert_eq!(seq_counted, seq.oracle_checks as u64);
+    for workers in [2, 3, 8] {
+        let (par, counted) = reduce_counted(&target, workers);
+        assert_eq!(seq.reduced, par.reduced, "{workers} workers");
+        assert_eq!(seq.input, par.input, "{workers} workers");
+        assert_eq!(seq.oracle_checks, par.oracle_checks, "{workers} workers");
+        assert_eq!(seq.rounds, par.rounds, "{workers} workers");
+        assert_eq!(seq.passes, par.passes, "{workers} workers");
+        // The counter is the logical count too, not the physical one.
+        assert_eq!(counted, par.oracle_checks as u64, "{workers} workers");
+    }
 }
 
 #[test]

@@ -446,7 +446,7 @@ pub fn render_error(message: &str) -> String {
 }
 
 /// Validate one watch-stream line: either a serve event from the tables
-/// above or a forwarded telemetry-v2 line. Returns the event kind.
+/// above or a forwarded telemetry-v3 line. Returns the event kind.
 pub fn validate_stream_line(line: &str) -> Result<String, String> {
     let value = Value::parse(line)?;
     let kind = value
