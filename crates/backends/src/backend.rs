@@ -53,7 +53,9 @@ pub trait OmpBackend: Send + Sync {
     }
 }
 
-/// A compiled test, ready to run on inputs.
+/// A compiled test, ready to run on inputs. Every call runs one input; a
+/// driver with several inputs calls [`CompiledTest::run_with`] once per
+/// input through one scratch.
 pub trait CompiledTest: Send + Sync {
     /// Execute with one input under the run options.
     fn run(&self, input: &TestInput, opts: &RunOptions) -> RunResult;
@@ -72,24 +74,6 @@ pub trait CompiledTest: Send + Sync {
     ) -> RunResult {
         let _ = scratch;
         self.run(input, opts)
-    }
-    /// Execute every input of a test case, returning one result per input
-    /// in order. Backends that can amortize per-program work across inputs
-    /// override this — the simulated backends run all inputs through the
-    /// VM's lane-batched engine, one instruction fetch per batch
-    /// ([`ompfuzz_exec::vm::run_batch`]) — with results bit-identical to
-    /// calling [`CompiledTest::run_with`] once per input, which is exactly
-    /// what this default does.
-    fn run_batch(
-        &self,
-        inputs: &[TestInput],
-        opts: &RunOptions,
-        scratch: &mut ExecScratch,
-    ) -> Vec<RunResult> {
-        inputs
-            .iter()
-            .map(|input| self.run_with(input, opts, scratch))
-            .collect()
     }
     /// Label of the producing implementation (for reports).
     fn backend_label(&self) -> String;
@@ -427,9 +411,9 @@ impl SimBinary {
     }
 
     /// Everything downstream of a completed interpretation: time model,
-    /// modelled livelock, counters, profile, jitter. Shared by the scalar
-    /// and batched paths — the outcome fully determines the result, so
-    /// batching cannot change what a driver observes.
+    /// modelled livelock, counters, profile, jitter. The outcome fully
+    /// determines the result, so a memo replay cannot change what a
+    /// driver observes.
     fn post_process(
         &self,
         outcome: ExecOutcome,
@@ -498,78 +482,48 @@ impl CompiledTest for SimBinary {
         self.run_with(input, opts, &mut ExecScratch::new())
     }
 
-    /// A one-input batch: the scalar path shares [`SimBinary::run_batch`]'s
-    /// crash check, outcome memo and post-processing, so a caller that
-    /// threads one scratch through every vendor binary of a program
-    /// interprets it once per execution semantics, not once per vendor.
+    /// Crash check, one interpretation under this backend's semantics
+    /// (or a memo replay), then the time model. A caller that threads one
+    /// scratch through every vendor binary of a program, input by input,
+    /// interprets each input once per execution semantics, not once per
+    /// vendor.
     fn run_with(
         &self,
         input: &TestInput,
         opts: &RunOptions,
         scratch: &mut ExecScratch,
     ) -> RunResult {
-        self.run_batch(std::slice::from_ref(input), opts, scratch)
-            .pop()
-            .expect("one result per input")
-    }
-
-    /// All inputs of a test in one VM pass per group of `batch_width`
-    /// lanes: one instruction fetch serves the whole group
-    /// ([`ompfuzz_exec::vm::run_batch`]). Crash-triggered lanes of a mixed
-    /// batch still run (their interpreter outcome is discarded) — the
-    /// check is pre-execution metadata, so dropping the lane would only
-    /// complicate the layout. A batch whose every input crashes (a
-    /// crash-triggered one-input run) never starts the interpreter.
-    fn run_batch(
-        &self,
-        inputs: &[TestInput],
-        opts: &RunOptions,
-        scratch: &mut ExecScratch,
-    ) -> Vec<RunResult> {
         // 1. Modelled compile-bug crash (before any output).
-        let crashed: Vec<bool> = inputs.iter().map(|i| self.crash_triggered(i)).collect();
-        if crashed.iter().all(|&c| c) {
-            return crashed.iter().map(|_| self.crash_result()).collect();
+        if self.crash_triggered(input) {
+            return self.crash_result();
         }
         // 2. Interpret under this backend's semantics, on the engine the
         //    run options select (flat bytecode by default).
         let exec_opts = self.exec_options(opts);
         // The three vendor binaries of one program share their compiled
-        // kernel; whenever two of them also agree on execution semantics
-        // (Intel- and Clang-like both evaluate branches under IEEE
-        // comparison), the second differential run replays the first
-        // one's memoized outcomes instead of re-interpreting.
-        let outcomes = match scratch.memoized_batch(&self.code, inputs, &exec_opts) {
-            Some(outcomes) => outcomes,
+        // kernel; whenever the previous run on this scratch was the same
+        // input under the same execution semantics (Intel- and Clang-like
+        // both evaluate branches under IEEE comparison), this run replays
+        // its memoized outcome instead of re-interpreting.
+        let inputs = std::slice::from_ref(input);
+        let outcome = match scratch.memoized_batch(&self.code, inputs, &exec_opts) {
+            Some(mut outcomes) => outcomes.pop().expect("one outcome per input"),
             None => {
-                let scalar = inputs.len() <= 1
-                    || opts.batch_width <= 1
-                    || opts.engine == ompfuzz_exec::ExecEngine::Tree;
-                let mut outcomes = Vec::with_capacity(inputs.len());
-                if scalar {
-                    for input in inputs {
-                        outcomes.push(self.code.run_with(input, &exec_opts, scratch));
-                    }
-                } else {
-                    for chunk in inputs.chunks(opts.batch_width.max(1)) {
-                        outcomes.extend(self.code.run_batch_with(chunk, &exec_opts, scratch));
-                    }
-                }
-                scratch.memoize_batch(&self.code, inputs, &exec_opts, &outcomes);
-                outcomes
+                let outcome = self.code.run_with(input, &exec_opts, scratch);
+                scratch.memoize_batch(
+                    &self.code,
+                    inputs,
+                    &exec_opts,
+                    std::slice::from_ref(&outcome),
+                );
+                outcome
             }
         };
         // 3.–5. Everything downstream of the interpretation.
-        inputs
-            .iter()
-            .zip(crashed)
-            .zip(outcomes)
-            .map(|((input, crashed), outcome)| match outcome {
-                _ if crashed => self.crash_result(),
-                Ok(o) => self.post_process(o, input, opts),
-                Err(e) => self.error_result(&e, opts),
-            })
-            .collect()
+        match outcome {
+            Ok(o) => self.post_process(o, input, opts),
+            Err(e) => self.error_result(&e, opts),
+        }
     }
 
     fn backend_label(&self) -> String {
@@ -1041,59 +995,6 @@ mod tests {
                 "{lib} missing from profile"
             );
         }
-    }
-
-    #[test]
-    fn batched_runs_match_scalar_runs_exactly() {
-        // Every modelled behaviour — NaN folding (GCC), livelock pressure
-        // (Intel), races, budget hangs — must survive batching untouched:
-        // run_batch is run_with, N times, in one VM pass.
-        let p = cs2_program(3, 50, 8);
-        let inputs: Vec<TestInput> = [1.0, -0.5, f64::NAN, 1e308, 0.0, 2.5, -3.0]
-            .iter()
-            .map(|&v| TestInput {
-                comp_init: 0.5,
-                values: vec![InputValue::Fp(v)],
-            })
-            .collect();
-        for backend in standard_backends() {
-            let bin = backend.compile_sim(&p, &CompileOptions::default()).unwrap();
-            for opts in [
-                RunOptions::default(),
-                RunOptions {
-                    detect_races: true,
-                    ..RunOptions::default()
-                },
-                RunOptions {
-                    batch_width: 3, // force mid-test chunk boundaries
-                    ..RunOptions::default()
-                },
-            ] {
-                let mut scratch = ExecScratch::new();
-                let batched = bin.run_batch(&inputs, &opts, &mut scratch);
-                assert_eq!(batched.len(), inputs.len());
-                for (input, b) in inputs.iter().zip(&batched) {
-                    assert_same_run(&bin.run_with(input, &opts, &mut ExecScratch::new()), b);
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn batch_width_one_falls_back_to_scalar() {
-        let p = cs1_program(100, 4);
-        let bin = SimBackend::intel()
-            .compile_sim(&p, &CompileOptions::default())
-            .unwrap();
-        let inputs = vec![one_input(), one_input()];
-        let opts = RunOptions {
-            batch_width: 1,
-            ..RunOptions::default()
-        };
-        let mut scratch = ExecScratch::new();
-        let results = bin.run_batch(&inputs, &opts, &mut scratch);
-        assert_eq!(results.len(), 2);
-        assert_eq!(results[0].comp, results[1].comp);
     }
 
     #[test]

@@ -98,12 +98,6 @@ pub struct RunOptions {
     /// Execution engine (flat bytecode by default; the tree interpreter is
     /// the reference — results are bit-identical either way).
     pub engine: ompfuzz_exec::ExecEngine,
-    /// Maximum lane count of batched execution
-    /// ([`crate::backend::CompiledTest::run_batch`]): inputs of one test
-    /// run through the VM in groups of up to this many lanes, one
-    /// instruction fetch per group. `1` disables batching (every input
-    /// takes the scalar path); results are bit-identical at any width.
-    pub batch_width: usize,
 }
 
 impl Default for RunOptions {
@@ -113,7 +107,6 @@ impl Default for RunOptions {
             max_ops: 200_000_000,
             detect_races: false,
             engine: ompfuzz_exec::ExecEngine::default(),
-            batch_width: 16,
         }
     }
 }

@@ -2,11 +2,12 @@
 //! of implementations and return the per-implementation observations that
 //! `ompfuzz_outlier::analyze` consumes.
 //!
-//! The campaign driver batches this over whole corpora; the test-case
-//! reducer calls it hundreds of times on *one* program's candidates, so it
-//! is deliberately free of corpus bookkeeping: compile each backend, run
-//! once, observe. A pre-lowered kernel can be supplied to skip re-lowering
-//! per backend (the reducer lowers each candidate exactly once).
+//! The campaign driver runs the same steps over whole corpora; the
+//! test-case reducer calls it hundreds of times on *one* program's
+//! candidates, so it is deliberately free of corpus bookkeeping: compile
+//! each backend, run once, observe. A pre-lowered kernel can be supplied
+//! to skip re-lowering per backend (the reducer lowers each candidate
+//! exactly once).
 
 use crate::backend::{CompiledTest, OmpBackend};
 use crate::model::{CompileError, CompileOptions, RunOptions, RunResult, RunStatus};
@@ -98,31 +99,6 @@ pub fn observe(
     compile_opts: &CompileOptions,
     run_opts: &RunOptions,
 ) -> Result<Vec<RunObservation>, CompileError> {
-    observe_with(
-        program,
-        input,
-        backends,
-        prepared,
-        compile_opts,
-        run_opts,
-        &mut ExecScratch::new(),
-    )
-}
-
-/// [`observe`] reusing a caller-held [`ExecScratch`] across the
-/// per-backend runs (and across whatever other executions the caller
-/// threads through the same scratch — the reducer shares one per
-/// candidate between the race gate and all three backend runs).
-#[allow(clippy::too_many_arguments)]
-pub fn observe_with(
-    program: &Program,
-    input: &TestInput,
-    backends: &[&dyn OmpBackend],
-    prepared: Option<&PreparedKernel>,
-    compile_opts: &CompileOptions,
-    run_opts: &RunOptions,
-    scratch: &mut ExecScratch,
-) -> Result<Vec<RunObservation>, CompileError> {
     observe_with_obs(
         program,
         input,
@@ -130,15 +106,17 @@ pub fn observe_with(
         prepared,
         compile_opts,
         run_opts,
-        scratch,
+        &mut ExecScratch::new(),
         &Obs::off(),
     )
 }
 
-/// [`observe_with`] reporting per-run telemetry (compiles, differential
-/// runs, VM ops, budget aborts) through `obs` — the reducer threads its
-/// campaign handle down here so candidate checks appear in the same
-/// counters as campaign runs.
+/// [`observe`] reusing a caller-held [`ExecScratch`] across the
+/// per-backend runs (the reducer shares one per candidate between the race
+/// gate and all three backend runs) and reporting per-run telemetry
+/// (compiles, differential runs, VM ops, budget aborts) through `obs` — the
+/// reducer threads its campaign handle down here so candidate checks
+/// appear in the same counters as campaign runs.
 #[allow(clippy::too_many_arguments)]
 pub fn observe_with_obs(
     program: &Program,
@@ -170,50 +148,6 @@ pub fn observe_with_obs(
             to_observation(&result)
         })
         .collect())
-}
-
-/// The whole-test oracle: compile `program` once per backend and run every
-/// input through each binary's batched entry point
-/// ([`CompiledTest::run_batch`] — one VM pass per simulated vendor with
-/// the bytecode engine). Returns observations indexed `[input][backend]`,
-/// element-for-element what [`observe_with_obs`] would produce input by
-/// input, in the same backend order.
-#[allow(clippy::too_many_arguments)]
-pub fn observe_batch_with_obs(
-    program: &Program,
-    inputs: &[TestInput],
-    backends: &[&dyn OmpBackend],
-    prepared: Option<&PreparedKernel>,
-    compile_opts: &CompileOptions,
-    run_opts: &RunOptions,
-    scratch: &mut ExecScratch,
-    obs: &Obs,
-) -> Result<Vec<Vec<RunObservation>>, CompileError> {
-    obs.count(Counter::Compiles, backends.len() as u64);
-    let binaries: Result<Vec<Box<dyn CompiledTest>>, CompileError> = backends
-        .iter()
-        .map(|b| b.compile_lowered(program, prepared, compile_opts))
-        .collect();
-    let binaries = match binaries {
-        Ok(binaries) => binaries,
-        Err(e) => {
-            obs.count(Counter::CompileFailures, 1);
-            return Err(e);
-        }
-    };
-    let mut per_input: Vec<Vec<RunObservation>> = (0..inputs.len())
-        .map(|_| Vec::with_capacity(binaries.len()))
-        .collect();
-    for bin in &binaries {
-        for (row, result) in per_input
-            .iter_mut()
-            .zip(bin.run_batch(inputs, run_opts, scratch))
-        {
-            record_run_metrics(obs, &result);
-            row.push(to_observation(&result));
-        }
-    }
-    Ok(per_input)
 }
 
 #[cfg(test)]
@@ -348,53 +282,6 @@ mod tests {
         )
         .unwrap();
         assert_eq!(out, plain);
-    }
-
-    #[test]
-    fn batched_oracle_matches_per_input_observations() {
-        let program = tiny_program();
-        let inputs: Vec<TestInput> = [0.5, -2.0, f64::NAN, 1e300, 0.0, 3.25]
-            .iter()
-            .map(|&v| TestInput {
-                comp_init: 0.125,
-                values: vec![InputValue::Fp(v)],
-            })
-            .collect();
-        let backends = standard_backends();
-        let obs = Obs::metrics_only();
-        let batched = observe_batch_with_obs(
-            &program,
-            &inputs,
-            &dyns(&backends),
-            None,
-            &CompileOptions::default(),
-            &RunOptions::default(),
-            &mut ExecScratch::new(),
-            &obs,
-        )
-        .unwrap();
-        assert_eq!(batched.len(), inputs.len());
-        for (input, row) in inputs.iter().zip(&batched) {
-            let scalar = observe(
-                &program,
-                input,
-                &dyns(&backends),
-                None,
-                &CompileOptions::default(),
-                &RunOptions::default(),
-            )
-            .unwrap();
-            assert_eq!(row.len(), scalar.len());
-            for (b, s) in row.iter().zip(&scalar) {
-                assert_eq!(b.status, s.status);
-                assert_eq!(b.time_us, s.time_us);
-                // NaN-safe: compare result bits, not values.
-                assert_eq!(b.result.map(f64::to_bits), s.result.map(f64::to_bits));
-            }
-        }
-        let snap = obs.counters();
-        assert_eq!(snap.get(Counter::Compiles), 3);
-        assert_eq!(snap.get(Counter::DifferentialRuns), 18);
     }
 
     #[test]

@@ -263,29 +263,6 @@ impl CompiledKernel {
         }
     }
 
-    /// Execute one kernel over a whole batch of inputs, dispatching on
-    /// `opts.engine`: the lane-batched bytecode VM fetches/decodes each
-    /// instruction once and applies it across all lanes
-    /// ([`crate::vm::run_batch`]); the tree engine runs each input
-    /// scalar as the reference. Either way the returned outcomes are
-    /// bit-identical to running each input alone, in input order.
-    pub fn run_batch_with(
-        &self,
-        inputs: &[ompfuzz_inputs::TestInput],
-        opts: &crate::interp::ExecOptions,
-        scratch: &mut ExecScratch,
-    ) -> Vec<Result<crate::interp::ExecOutcome, crate::interp::ExecError>> {
-        match opts.engine {
-            crate::interp::ExecEngine::Tree => inputs
-                .iter()
-                .map(|input| crate::interp::run_with(&self.kernel, input, opts, scratch))
-                .collect(),
-            crate::interp::ExecEngine::Bytecode => {
-                crate::vm::run_batch(self, inputs, opts, scratch)
-            }
-        }
-    }
-
     /// Number of instructions in the stream (diagnostics/tests).
     pub fn instr_count(&self) -> usize {
         self.instrs.len()

@@ -104,22 +104,11 @@ impl ExecProfile {
     /// Fold one finished run's block hit counts against its kernel's
     /// block costs (the VM's end-of-run hook).
     pub(crate) fn note_blocks(&mut self, hits: &[u64], costs: &[BlockCost]) {
-        self.note_blocks_scaled(hits, costs, 1);
-    }
-
-    /// Fold one finished *batched* run's block hit counts, scaled by the
-    /// number of lanes that ran to completion. Block hits/ops/cycles count
-    /// per-lane applies (each lane really did that work) while `runs`
-    /// advances by the lane count, so per-run averages stay truthful.
-    /// Dispatch counts are *not* scaled — the batch loop notes each opcode
-    /// once per fetch, which is the whole point of batching.
-    pub(crate) fn note_blocks_scaled(&mut self, hits: &[u64], costs: &[BlockCost], lanes: u64) {
-        self.runs += lanes;
+        self.runs += 1;
         if self.blocks.len() < hits.len() {
             self.blocks.resize(hits.len(), BlockProfile::default());
         }
-        for (slot, (n, cost)) in self.blocks.iter_mut().zip(hits.iter().zip(costs)) {
-            let n = n.saturating_mul(lanes);
+        for (slot, (&n, cost)) in self.blocks.iter_mut().zip(hits.iter().zip(costs)) {
             if n == 0 {
                 continue;
             }
@@ -171,7 +160,10 @@ impl ExecProfile {
         &self.blocks
     }
 
-    /// Number of runs folded into this profile.
+    /// Number of VM runs folded into this profile. Only runs that
+    /// complete count: a budget-aborted run leaves its dispatches in the
+    /// opcode counts but adds no run, and an outcome replayed from the
+    /// scratch memo never reaches the VM at all.
     pub fn runs(&self) -> u64 {
         self.runs
     }

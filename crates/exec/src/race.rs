@@ -214,23 +214,6 @@ impl RaceDetector {
     pub fn into_reports(self) -> Vec<RaceReport> {
         self.reports
     }
-
-    /// Take the reports out of a reusable detector, leaving it empty.
-    /// The batched VM keeps one detector per lane alive across batches;
-    /// this is its per-run harvest (the access map keeps its allocation).
-    pub fn take_reports(&mut self) -> Vec<RaceReport> {
-        self.active_region = None;
-        self.accesses.clear();
-        std::mem::take(&mut self.reports)
-    }
-
-    /// Clear every trace of prior runs (reports included), keeping
-    /// allocations — a fresh-detector state for lane reuse.
-    pub fn reset(&mut self) {
-        self.accesses.clear();
-        self.reports.clear();
-        self.active_region = None;
-    }
 }
 
 #[cfg(test)]

@@ -17,6 +17,12 @@
 //! either way — the reset restores exactly the state a fresh allocation
 //! would have — which the `scratch_reuse` differential suite pins over
 //! random program/input sequences.
+//!
+//! The scratch also carries a one-entry outcome memo
+//! ([`ExecScratch::memoized_batch`]): the simulated vendor binaries of one
+//! program share their compiled kernel, so when two of them run the same
+//! input back to back under the same execution semantics, the second
+//! replays the first one's outcome instead of interpreting again.
 
 use crate::bytecode::CompiledKernel;
 use crate::interp::{ExecError, ExecOptions, ExecOutcome};
@@ -69,10 +75,6 @@ pub struct ExecScratch {
     /// the VM on its unprofiled dispatch loop; results are bit-identical
     /// either way.
     pub profile: Option<Box<crate::profile::ExecProfile>>,
-    /// Lane-batched execution state ([`crate::vm::run_batch`]), created on
-    /// first batched run and reused from then on, so scalar-only callers
-    /// never pay for it.
-    pub(crate) batch: Option<Box<BatchScratch>>,
     /// Most recent memoized batch of outcomes ([`ExecScratch::memoized_batch`]).
     memo: Option<BatchMemo>,
 }
@@ -207,100 +209,5 @@ impl ExecScratch {
     pub(crate) fn reset_blocks(&mut self, blocks: usize) {
         self.block_hits.clear();
         self.block_hits.resize(blocks, 0);
-    }
-}
-
-/// Reusable state of the lane-batched VM ([`crate::vm::run_batch`]): every
-/// per-run value the scalar VM keeps once is held once *per lane*, in
-/// structure-of-arrays layout. Rows are slot-major — lane `l` of slot `s`
-/// lives at `[s * width + l]` — so one instruction's applies sweep one
-/// contiguous row of `width` values.
-#[derive(Debug, Default)]
-pub(crate) struct BatchScratch {
-    /// Live lane count of the current batch (row stride).
-    pub(crate) width: usize,
-    /// Floating-point slot file, one row per slot.
-    pub(crate) scalars: Vec<f64>,
-    /// Integer slot file, one row per slot. Loop-counter rows stay uniform
-    /// (control flow is shared); int-parameter rows are genuinely per-lane.
-    pub(crate) ints: Vec<i64>,
-    /// One buffer per array parameter, element-major rows of `width`.
-    pub(crate) arrays: Vec<Vec<f64>>,
-    /// The evaluation stack, pushed and popped in whole rows.
-    pub(crate) stack: Vec<f64>,
-    /// The `comp` accumulator, per lane.
-    pub(crate) comp: Vec<f64>,
-    /// `comp` at region entry (reduction fold base), per lane.
-    pub(crate) comp_before: Vec<f64>,
-    /// Lanes still executing in the batch. A demoted (`false`) lane keeps
-    /// computing garbage mask-free — its state is abandoned and the input
-    /// re-runs on the scalar path when the batch finishes.
-    pub(crate) active: Vec<bool>,
-    /// NaN productions, per lane (the only per-lane [`crate::ExecStats`]
-    /// fields, with `inf`).
-    pub(crate) nan: Vec<u64>,
-    /// Infinity productions, per lane.
-    pub(crate) inf: Vec<u64>,
-    /// One race detector per lane: `LIndex::LoopMod` indices read per-lane
-    /// int slots, so raced element locations differ by lane.
-    pub(crate) races: Vec<crate::race::RaceDetector>,
-    /// Slots privatized by the active region (private then firstprivate).
-    pub(crate) saved_slots: Vec<SlotId>,
-    /// Pre-region values of `saved_slots`, one row per saved slot.
-    pub(crate) saved_vals: Vec<f64>,
-    /// Per-thread reduction partials, one row per finished thread.
-    pub(crate) partials: Vec<f64>,
-    /// Per-block execution counters (uniform: one count per batch fetch).
-    pub(crate) block_hits: Vec<u64>,
-    /// Spilled outer loop frames (uniform).
-    pub(crate) loops: Vec<LoopFrame>,
-    /// Regions whose first entry has been race-analyzed.
-    pub(crate) region_analyzed: Vec<bool>,
-    /// Two operand rows (lhs/rhs) the dispatch loop materializes into.
-    pub(crate) tmp: Vec<f64>,
-}
-
-impl BatchScratch {
-    /// Size and zero every row for one batch of `width` lanes over `k`,
-    /// exactly as `width` fresh scalar scratches would start.
-    pub(crate) fn reset_for(&mut self, k: &Kernel, blocks: usize, width: usize) {
-        self.width = width;
-        self.scalars.clear();
-        self.scalars.resize(k.scalars.len() * width, 0.0);
-        self.ints.clear();
-        self.ints.resize(k.ints.len() * width, 0);
-        self.arrays.resize_with(k.arrays.len(), Vec::new);
-        for (buf, a) in self.arrays.iter_mut().zip(&k.arrays) {
-            buf.clear();
-            buf.resize(a.len as usize * width, 0.0);
-        }
-        self.stack.clear();
-        self.comp.clear();
-        self.comp.resize(width, 0.0);
-        self.comp_before.clear();
-        self.comp_before.resize(width, 0.0);
-        self.active.clear();
-        self.active.resize(width, true);
-        self.nan.clear();
-        self.nan.resize(width, 0);
-        self.inf.clear();
-        self.inf.resize(width, 0);
-        if self.races.len() < width {
-            self.races
-                .resize_with(width, crate::race::RaceDetector::new);
-        }
-        for d in self.races.iter_mut().take(width) {
-            d.reset();
-        }
-        self.saved_slots.clear();
-        self.saved_vals.clear();
-        self.partials.clear();
-        self.block_hits.clear();
-        self.block_hits.resize(blocks, 0);
-        self.loops.clear();
-        self.region_analyzed.clear();
-        self.region_analyzed.resize(k.region_count as usize, false);
-        self.tmp.clear();
-        self.tmp.resize(2 * width, 0.0);
     }
 }

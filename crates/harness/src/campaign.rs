@@ -432,24 +432,23 @@ fn run_one_case_with(
     let program_name: Arc<str> = Arc::from(tc.program.name.as_str());
     let mut records = Vec::with_capacity(tc.inputs.len());
     let mut run_metrics = oracle::RunMetricsBatch::new();
-    // Lane-batched differential loop: each vendor binary executes ALL of
-    // the test's inputs in one batched pass (one instruction fetch per
-    // batch, [`CompiledTest::run_batch`]), then the per-input records are
-    // assembled across backends. Results — and therefore records — are
-    // bit-identical to the input-by-input loop this replaces.
-    let mut per_input: Vec<Vec<RunObservation>> = (0..tc.inputs.len())
-        .map(|_| Vec::with_capacity(binaries.len()))
-        .collect();
-    for bin in &binaries {
-        for (row, result) in per_input
-            .iter_mut()
-            .zip(bin.run_batch(&tc.inputs, &run_opts, scratch))
-        {
-            run_metrics.observe(&result);
-            row.push(oracle::to_observation(&result));
-        }
-    }
-    for (input_index, observations) in per_input.into_iter().enumerate() {
+    // Input-major differential loop: every vendor binary runs input `i`
+    // before any binary runs input `i + 1`, all through the worker's one
+    // scratch. Its outcome memo holds one entry, so a binary replays the
+    // previous binary's interpretation of the same input whenever the two
+    // share execution semantics (Intel- and Clang-like always; GCC-like
+    // too below `-O2`, where it stops absorbing NaN branches). In the
+    // `standard_backends()` order (Intel, Clang, GCC) a program therefore
+    // costs one interpretation per input and distinct semantics.
+    for (input_index, input) in tc.inputs.iter().enumerate() {
+        let observations: Vec<RunObservation> = binaries
+            .iter()
+            .map(|bin| {
+                let result = bin.run_with(input, &run_opts, scratch);
+                run_metrics.observe(&result);
+                oracle::to_observation(&result)
+            })
+            .collect();
         let analysis = analyze(&observations, &config.outlier);
         if analysis.correctness.is_some() || analysis.performance.is_some() {
             obs.count(Counter::OutlierRecords, 1);
@@ -726,6 +725,70 @@ mod tests {
                 assert_eq!(ot.time_us, ob.time_us);
                 assert_eq!(ot.result.map(f64::to_bits), ob.result.map(f64::to_bits));
             }
+        }
+    }
+
+    /// The differential loop is input-major, so the scratch's one-entry
+    /// outcome memo hands the Intel-like binary's interpretation of each
+    /// input to the Clang-like binary right after it. `ExecProfile::runs`
+    /// counts VM runs that completed, and a memo replay adds nothing. At
+    /// the paper config (`-O3`) the GCC-like binary absorbs NaN branches
+    /// and interprets on its own: two runs per input. At `-O0` all three
+    /// binaries share IEEE semantics: one run per input. A backend-major
+    /// loop would miss the memo every time and make it three.
+    #[test]
+    fn differential_unit_replays_the_memo_input_by_input() {
+        use ompfuzz_backends::OptLevel;
+        use ompfuzz_outlier::ExecStatus;
+        let backends = standard_backends();
+        let dyns = as_dyn(&backends);
+        for (opt_level, runs_per_input) in [(OptLevel::O3, 2), (OptLevel::O0, 1)] {
+            let mut cfg = CampaignConfig::paper();
+            cfg.opt_level = opt_level;
+            // The race filter's own VM run is not part of the differential
+            // loop under test.
+            cfg.filter_races = false;
+            let mut checked = 0;
+            for index in 0..8 {
+                let tc = generate_case(&cfg, index);
+                let mut scratch = ExecScratch::new();
+                scratch.profile = Some(Box::default());
+                let obs = Obs::off();
+                let outcome = run_one_case_with(
+                    index,
+                    &tc,
+                    &cfg,
+                    &dyns,
+                    &mut scratch,
+                    &obs,
+                    &mut obs.stopwatch(),
+                );
+                let CaseOutcome::Ran { records, .. } = outcome else {
+                    panic!("program {index} skipped the differential loop");
+                };
+                assert_eq!(records.len(), tc.inputs.len());
+                // Only runs that all completed pin the count: a modelled
+                // crash never starts the VM, and a budget abort is not a
+                // completed run.
+                let all_ok = records
+                    .iter()
+                    .flat_map(|r| &r.observations)
+                    .all(|o| o.status == ExecStatus::Ok);
+                if !all_ok {
+                    continue;
+                }
+                let runs = scratch.profile.as_ref().unwrap().runs();
+                assert_eq!(
+                    runs,
+                    runs_per_input * tc.inputs.len() as u64,
+                    "program {index} at {opt_level:?}"
+                );
+                checked += 1;
+            }
+            assert!(
+                checked >= 2,
+                "only {checked} fully-ok programs at {opt_level:?}"
+            );
         }
     }
 

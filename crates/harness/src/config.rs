@@ -98,7 +98,6 @@ impl CampaignConfig {
         kv("workers", self.workers.to_string());
         kv("filter_races", self.filter_races.to_string());
         kv("engine", self.run.engine.label().to_string());
-        kv("batch_width", self.run.batch_width.to_string());
         kv("alpha", self.outlier.alpha.to_string());
         kv("beta", self.outlier.beta.to_string());
         kv("min_time_us", self.outlier.min_time_us.to_string());
@@ -152,7 +151,6 @@ impl CampaignConfig {
                 "workers" => cfg.workers = value.parse().map_err(|_| bad("usize"))?,
                 "filter_races" => cfg.filter_races = value.parse().map_err(|_| bad("bool"))?,
                 "engine" => cfg.run.engine = value.parse().map_err(|_| bad("tree|bytecode"))?,
-                "batch_width" => cfg.run.batch_width = value.parse().map_err(|_| bad("usize"))?,
                 "alpha" => cfg.outlier.alpha = value.parse().map_err(|_| bad("f64"))?,
                 "beta" => cfg.outlier.beta = value.parse().map_err(|_| bad("f64"))?,
                 "min_time_us" => cfg.outlier.min_time_us = value.parse().map_err(|_| bad("f64"))?,
@@ -300,16 +298,6 @@ mod tests {
         assert!(c.to_config_file().contains("engine = tree"));
         let err = CampaignConfig::from_config_file("engine = jit\n").unwrap_err();
         assert!(err.0.contains("engine"));
-    }
-
-    #[test]
-    fn batch_width_round_trips() {
-        assert_eq!(CampaignConfig::paper().run.batch_width, 16);
-        let c = CampaignConfig::from_config_file("batch_width = 4\n").unwrap();
-        assert_eq!(c.run.batch_width, 4);
-        assert!(c.to_config_file().contains("batch_width = 4"));
-        let err = CampaignConfig::from_config_file("batch_width = wide\n").unwrap_err();
-        assert!(err.0.contains("batch_width"));
     }
 
     #[test]

@@ -4,7 +4,7 @@
 //! executes — generate / compile / race-filter / differential / reduce /
 //! catalog-merge — into per-phase atomics. Summed across workers the
 //! nanoseconds are *CPU time per phase*, which is the quantity that tells
-//! us what to attack next (e.g. whether batched execution is worth it).
+//! us what to attack next (e.g. whether an execution engine earns its code).
 //!
 //! Unlike [`crate::metrics`], these numbers are real `Instant` readings
 //! and therefore **not** deterministic. They flow only into events and the

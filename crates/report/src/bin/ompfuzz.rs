@@ -4,14 +4,12 @@
 //! ompfuzz list-experiments
 //! ompfuzz reproduce -e table1 [--quick]
 //! ompfuzz campaign [--programs N] [--inputs K] [--seed S] [--config FILE] [--csv OUT]
-//!                  [--engine tree|bytecode] [--batch-width N]
+//!                  [--engine tree|bytecode]
 //! ompfuzz reduce [--all] [--programs N] [--seed S] [--kind hang] [--target IDX]
 //!                [--workers W] [--catalog FILE] [--emit] [--engine tree|bytecode]
-//!                [--batch-width N]
 //! ompfuzz evolve [--rounds N] [--seed S] [--programs N] [--config FILE] [--quick]
 //!                [--mutation-fraction F] [--bias S] [--catalog FILE] [--resume FILE]
 //!                [--shards N] [--checkpoint-dir DIR] [--engine tree|bytecode]
-//!                [--batch-width N]
 //!                [--progress human|jsonl|none] [--metrics-out FILE]
 //!                [--trace-out FILE] [--profile-out FILE]
 //! ompfuzz shard --round R --shard I/N --checkpoint-dir DIR [evolve options]
@@ -103,15 +101,14 @@ fn print_usage() {
          \x20 list-experiments           list every reproducible table/figure\n\
          \x20 reproduce -e <id> [--quick]  regenerate one experiment (e.g. table1, fig9)\n\
          \x20 campaign [--programs N] [--inputs K] [--seed S] [--config FILE] [--csv OUT]\n\
-         \x20          [--engine tree|bytecode] [--batch-width N]\n\
+         \x20          [--engine tree|bytecode]\n\
          \x20                            run a differential campaign and print Table I\n\
          \x20                            (--engine picks the interpreter; results are\n\
-         \x20                            bit-identical, bytecode is the fast default;\n\
-         \x20                            --batch-width caps the VM's input lanes per\n\
-         \x20                            pass, 1 forces the scalar path)\n\
+         \x20                            bit-identical, the bytecode VM is the fast\n\
+         \x20                            default, the tree walk the reference)\n\
          \x20 reduce [--all] [--programs N] [--seed S] [--kind slow|fast|crash|hang]\n\
          \x20        [--target IDX] [--workers W] [--catalog FILE] [--emit]\n\
-         \x20        [--engine tree|bytecode] [--batch-width N]\n\
+         \x20        [--engine tree|bytecode]\n\
          \x20                            run a campaign, then delta-debug its worst\n\
          \x20                            outlier (or program IDX's) to a minimal kernel;\n\
          \x20                            --all batch-reduces every outlier into a\n\
@@ -119,7 +116,6 @@ fn print_usage() {
          \x20 evolve [--rounds N] [--seed S] [--programs N] [--config FILE] [--quick]\n\
          \x20        [--mutation-fraction F] [--bias S] [--catalog FILE] [--resume FILE]\n\
          \x20        [--shards N] [--checkpoint-dir DIR] [--engine tree|bytecode]\n\
-         \x20        [--batch-width N]\n\
          \x20        [--progress human|jsonl|none] [--metrics-out FILE]\n\
          \x20        [--trace-out FILE] [--profile-out FILE]\n\
          \x20                            corpus-guided evolutionary loop: campaign ->\n\
@@ -263,21 +259,12 @@ fn build_config(opts: &Opts) -> Result<CampaignConfig, String> {
     Ok(cfg)
 }
 
-/// Apply `--engine tree|bytecode` and `--batch-width N` (results are
-/// bit-identical for any engine/width combination; the tree interpreter
-/// is the reference for differential self-testing, `--batch-width 1`
-/// forces the scalar bytecode path).
+/// Apply `--engine tree|bytecode` (results are bit-identical on either
+/// engine; the tree interpreter is the reference for differential
+/// self-testing).
 fn apply_engine(opts: &Opts, cfg: &mut CampaignConfig) -> Result<(), String> {
     if let Some(e) = opts.value_of("--engine", None) {
         cfg.run.engine = e.parse()?;
-    }
-    if let Some(w) = opts.value_of("--batch-width", None) {
-        cfg.run.batch_width = w
-            .parse()
-            .map_err(|_| format!("--batch-width expects a positive integer, got {w:?}"))?;
-        if cfg.run.batch_width == 0 {
-            return Err("--batch-width must be at least 1".to_string());
-        }
     }
     Ok(())
 }
