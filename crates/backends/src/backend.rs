@@ -6,6 +6,7 @@ use crate::hang::ThreadSnapshot;
 use crate::model::{
     BackendInfo, CompileError, CompileOptions, OptLevel, RunOptions, RunResult, RunStatus, Vendor,
 };
+use crate::oracle::Interpretations;
 use crate::profile::{self, ProfileMode};
 use crate::rtmodel::{runtime_model, BugModels, RuntimeModel};
 use crate::sched::{fnv1a, jitter, time_breakdown, TimeBreakdown};
@@ -53,26 +54,23 @@ pub trait OmpBackend: Send + Sync {
     }
 }
 
-/// A compiled test, ready to run on inputs. Every call runs one input; a
-/// driver with several inputs calls [`CompiledTest::run_with`] once per
-/// input through one scratch.
+/// A compiled test, ready to run on inputs. Every call runs one input.
 pub trait CompiledTest: Send + Sync {
     /// Execute with one input under the run options.
     fn run(&self, input: &TestInput, opts: &RunOptions) -> RunResult;
-    /// Execute reusing a caller-held [`ExecScratch`]: the campaign driver
-    /// shares one scratch across a test case's race-filter run and every
-    /// (input × backend) run, the reducer one per candidate across the
-    /// race gate and all backend runs — so those executions stop
-    /// reallocating their state vectors. The default ignores the scratch —
-    /// process-based backends execute real binaries and have no
+    /// Execute as one binary of an oracle step
+    /// ([`crate::oracle::CompiledSet::step`]): interpret through the
+    /// step's scratch, or reuse the interpretation an earlier binary of the
+    /// step made under the same branch semantics. The default ignores the
+    /// step — process-based backends execute real binaries and have no
     /// interpreter state.
-    fn run_with(
+    fn run_in_step(
         &self,
         input: &TestInput,
         opts: &RunOptions,
-        scratch: &mut ExecScratch,
+        step: &mut Interpretations<'_>,
     ) -> RunResult {
-        let _ = scratch;
+        let _ = step;
         self.run(input, opts)
     }
     /// Label of the producing implementation (for reports).
@@ -412,11 +410,11 @@ impl SimBinary {
 
     /// Everything downstream of a completed interpretation: time model,
     /// modelled livelock, counters, profile, jitter. The outcome fully
-    /// determines the result, so a memo replay cannot change what a
-    /// driver observes.
+    /// determines the result, so binaries that share an interpretation
+    /// observe exactly what their own would have produced.
     fn post_process(
         &self,
-        outcome: ExecOutcome,
+        outcome: &ExecOutcome,
         input: &TestInput,
         opts: &RunOptions,
     ) -> RunResult {
@@ -448,8 +446,8 @@ impl SimBinary {
                 counters,
                 profile,
                 threads: Some(snapshot),
-                exec: Some(outcome.stats),
-                races: outcome.races,
+                exec: Some(outcome.stats.clone()),
+                races: outcome.races.clone(),
             };
         }
 
@@ -471,27 +469,29 @@ impl SimBinary {
             counters,
             profile,
             threads: None,
-            exec: Some(outcome.stats),
-            races: outcome.races,
+            exec: Some(outcome.stats.clone()),
+            races: outcome.races.clone(),
         }
     }
 }
 
 impl CompiledTest for SimBinary {
     fn run(&self, input: &TestInput, opts: &RunOptions) -> RunResult {
-        self.run_with(input, opts, &mut ExecScratch::new())
+        self.run_in_step(
+            input,
+            opts,
+            &mut Interpretations::new(&mut ExecScratch::new()),
+        )
     }
 
-    /// Crash check, one interpretation under this backend's semantics
-    /// (or a memo replay), then the time model. A caller that threads one
-    /// scratch through every vendor binary of a program, input by input,
-    /// interprets each input once per execution semantics, not once per
-    /// vendor.
-    fn run_with(
+    /// Crash check, this binary's interpretation (its own, or the one the
+    /// step already made under the same branch semantics), then the time
+    /// model.
+    fn run_in_step(
         &self,
         input: &TestInput,
         opts: &RunOptions,
-        scratch: &mut ExecScratch,
+        step: &mut Interpretations<'_>,
     ) -> RunResult {
         // 1. Modelled compile-bug crash (before any output).
         if self.crash_triggered(input) {
@@ -500,29 +500,13 @@ impl CompiledTest for SimBinary {
         // 2. Interpret under this backend's semantics, on the engine the
         //    run options select (flat bytecode by default).
         let exec_opts = self.exec_options(opts);
-        // The three vendor binaries of one program share their compiled
-        // kernel; whenever the previous run on this scratch was the same
-        // input under the same execution semantics (Intel- and Clang-like
-        // both evaluate branches under IEEE comparison), this run replays
-        // its memoized outcome instead of re-interpreting.
-        let inputs = std::slice::from_ref(input);
-        let outcome = match scratch.memoized_batch(&self.code, inputs, &exec_opts) {
-            Some(mut outcomes) => outcomes.pop().expect("one outcome per input"),
-            None => {
-                let outcome = self.code.run_with(input, &exec_opts, scratch);
-                scratch.memoize_batch(
-                    &self.code,
-                    inputs,
-                    &exec_opts,
-                    std::slice::from_ref(&outcome),
-                );
-                outcome
-            }
-        };
+        let outcome = step.get_or_run(exec_opts.bool_semantics, |scratch| {
+            self.code.run_with(input, &exec_opts, scratch)
+        });
         // 3.–5. Everything downstream of the interpretation.
         match outcome {
             Ok(o) => self.post_process(o, input, opts),
-            Err(e) => self.error_result(&e, opts),
+            Err(e) => self.error_result(e, opts),
         }
     }
 
@@ -885,10 +869,13 @@ mod tests {
 
     #[test]
     fn shared_scratch_runs_match_fresh_scratch_runs() {
-        // The three vendor binaries of a program share one compiled kernel.
-        // Threaded through one scratch, a binary whose execution semantics
-        // match the previous run's replays its memoized outcome; whichever
-        // runs replay, every result must equal a fresh-scratch run's.
+        // The vendor binaries of a program share one compiled kernel. An
+        // oracle step runs them through one scratch, and a binary whose
+        // branch semantics an earlier binary of the step already
+        // interpreted reuses that outcome. Whichever binaries share, every
+        // result must equal a standalone run's on fresh state.
+        use crate::oracle::{self, RunMetricsBatch};
+        use ompfuzz_obs::Obs;
         let crashy = crash_prone_program();
         let probe = SimBackend::gcc()
             .compile_sim(&crashy, &CompileOptions::default())
@@ -900,30 +887,56 @@ mod tests {
             })
             .find(|input| probe.crash_triggered(input))
             .expect("some input triggers the modelled GCC crash");
+        let tiny_budget = RunOptions {
+            max_ops: 10,
+            ..RunOptions::default()
+        };
+        // (program, input, run options, VM runs per step that complete).
         let cases = [
-            (nanfold_program(), nan_input()),
-            (crashy, crash_input),
-            (cs2_program(3, 50, 8), one_input()),
+            // NaN-absorbing GCC diverges from the IEEE pair: two runs.
+            (nanfold_program(), nan_input(), RunOptions::default(), 2),
+            // GCC crashes before interpreting: the IEEE pair's one run.
+            (crashy, crash_input, RunOptions::default(), 1),
+            (cs2_program(3, 50, 8), one_input(), RunOptions::default(), 2),
+            // Budget aborts are shared like completed runs (and complete
+            // no run).
+            (cs2_program(3, 50, 8), one_input(), tiny_budget, 0),
         ];
-        let opts = RunOptions::default();
-        for (program, input) in &cases {
+        let backends = standard_backends();
+        for (program, input, opts, runs_per_step) in &cases {
             let prepared = PreparedKernel::new(lower(program).unwrap());
-            let bins: Vec<SimBinary> = standard_backends()
+            let fresh: Vec<RunResult> = backends
                 .iter()
-                .map(|b| b.compile_sim_lowered(program, &prepared, &CompileOptions::default()))
+                .map(|b| {
+                    b.compile_sim_lowered(program, &prepared, &CompileOptions::default())
+                        .run(input, opts)
+                })
                 .collect();
-            let fresh: Vec<RunResult> = bins
-                .iter()
-                .map(|bin| bin.run_with(input, &opts, &mut ExecScratch::new()))
-                .collect();
-            // Every order: an IEEE run after an IEEE run replays, the
-            // NaN-absorbing GCC run after an IEEE run (and back) must not.
+            // Every order: the IEEE binaries share one interpretation and
+            // the NaN-absorbing GCC binary never takes theirs, whichever
+            // runs first. One scratch serves every step.
+            let mut scratch = ExecScratch::new();
+            scratch.profile = Some(Box::default());
             for order in [[0, 1, 2], [2, 0, 1], [0, 2, 1], [1, 2, 0]] {
-                let mut scratch = ExecScratch::new();
-                for i in order {
-                    let shared = bins[i].run_with(input, &opts, &mut scratch);
-                    assert_same_run(&shared, &fresh[i]);
+                let dyns: Vec<&dyn OmpBackend> = order
+                    .iter()
+                    .map(|&i| &backends[i] as &dyn OmpBackend)
+                    .collect();
+                let set = oracle::compile(
+                    program,
+                    &dyns,
+                    Some(&prepared),
+                    &CompileOptions::default(),
+                    &Obs::off(),
+                )
+                .unwrap();
+                let before = scratch.profile.as_ref().unwrap().runs();
+                let shared = set.step(input, opts, &mut scratch, &mut RunMetricsBatch::new());
+                for (&i, result) in order.iter().zip(&shared) {
+                    assert_same_run(result, &fresh[i]);
                 }
+                let runs = scratch.profile.as_ref().unwrap().runs() - before;
+                assert_eq!(runs, *runs_per_step, "{} in order {order:?}", program.name);
             }
             match program.name.as_str() {
                 // Premise: GCC diverges from the IEEE binaries it follows.
@@ -935,6 +948,10 @@ mod tests {
                 "crashy" => {
                     assert!(matches!(fresh[2].status, RunStatus::Crash { .. }));
                     assert!(fresh[0].status.is_ok() && fresh[1].status.is_ok());
+                }
+                // Premise: the tiny budget aborts every binary.
+                _ if opts.max_ops == 10 => {
+                    assert!(fresh.iter().all(RunResult::is_budget_abort));
                 }
                 _ => {}
             }

@@ -1,41 +1,31 @@
-//! Cheap single-case oracle: run one `(program, input)` pair across a set
-//! of implementations and return the per-implementation observations that
-//! `ompfuzz_outlier::analyze` consumes.
+//! The differential oracle: compile one program with every backend, run
+//! every binary on one input, and hand the outlier detector one
+//! observation per backend.
 //!
-//! The campaign driver runs the same steps over whole corpora; the
-//! test-case reducer calls it hundreds of times on *one* program's
-//! candidates, so it is deliberately free of corpus bookkeeping: compile
-//! each backend, run once, observe. A pre-lowered kernel can be supplied
-//! to skip re-lowering per backend (the reducer lowers each candidate
-//! exactly once).
+//! The campaign's per-program unit and the test-case reducer's candidate
+//! checks both run through here, so the policy for sharing work between
+//! vendor binaries lives in one place. The binaries of one program share
+//! their compiled kernel and interpret it differently only in their branch
+//! semantics ([`BoolSemantics`]): the Intel- and Clang-like binaries always
+//! compare under IEEE rules, and the GCC-like one absorbs NaN comparisons
+//! at `-O2` and above. One [`CompiledSet::step`] therefore interprets each
+//! branch semantics at most once, and every binary with that semantics
+//! post-processes the same outcome. The shared outcome lives only for that
+//! step, so it needs no cache key, nothing invalidates it, and it does not
+//! depend on the order of the caller's loops.
 
 use crate::backend::{CompiledTest, OmpBackend};
 use crate::model::{CompileError, CompileOptions, RunOptions, RunResult, RunStatus};
 use ompfuzz_ast::Program;
-use ompfuzz_exec::{ExecScratch, PreparedKernel};
+use ompfuzz_exec::{BoolSemantics, ExecError, ExecOutcome, ExecScratch, PreparedKernel};
 use ompfuzz_inputs::TestInput;
 use ompfuzz_obs::{Counter, Obs};
 use ompfuzz_outlier::{ExecStatus, RunObservation};
 
-/// Telemetry hook shared by every differential execution site (the
-/// campaign's fused per-program unit and the reducer's candidate checks):
-/// count the run, its VM ops, and whether the op budget stopped it. A
-/// no-op on an [`Obs::off`] handle.
-pub fn record_run_metrics(obs: &Obs, result: &RunResult) {
-    if !obs.enabled() {
-        return;
-    }
-    obs.count(Counter::DifferentialRuns, 1);
-    obs.count(Counter::VmOps, result.vm_ops());
-    if result.is_budget_abort() {
-        obs.count(Counter::BudgetAborts, 1);
-    }
-}
-
-/// Locally accumulated run metrics for hot differential loops: observe
-/// each run into plain integers, flush to the registry once per program —
-/// one set of counter updates instead of one per `(input × backend)` run.
-/// Flushing produces exactly the totals the per-run hook would have.
+/// Run metrics of a differential loop, tallied into plain integers and
+/// flushed to the registry once per program (campaign) or per candidate
+/// check (reducer): one set of counter updates instead of one per
+/// `(input × backend)` run, with the same totals.
 #[derive(Debug, Default)]
 pub struct RunMetricsBatch {
     runs: u64,
@@ -57,7 +47,8 @@ impl RunMetricsBatch {
         self.budget_aborts += u64::from(result.is_budget_abort());
     }
 
-    /// Push the batch into the registry.
+    /// Push the batch into the registry: differential runs, VM ops and
+    /// budget aborts. A no-op on an [`Obs::off`] handle.
     pub fn flush(&self, obs: &Obs) {
         if self.runs == 0 || !obs.enabled() {
             return;
@@ -83,42 +74,115 @@ pub fn to_observation(result: &RunResult) -> RunObservation {
     }
 }
 
-/// Compile `program` with every backend and run it once on `input`,
-/// returning one observation per backend (in backend order).
+/// Every binary of one program, compiled by [`compile`] with one
+/// [`CompileOptions`], in backend order. Only [`compile`] builds one, so
+/// the binaries a [`CompiledSet::step`] groups always share their program
+/// and optimization level.
+pub struct CompiledSet {
+    binaries: Vec<Box<dyn CompiledTest>>,
+}
+
+/// Compile `program` with every backend, in backend order.
 ///
 /// `prepared` optionally carries the program's pre-lowered, pre-compiled
 /// form so simulated backends skip redundant lowering *and* share one
-/// bytecode compilation (see [`OmpBackend::compile_lowered`]). Any compile
-/// failure aborts the whole observation — a program that does not compile
-/// everywhere cannot be compared differentially.
-pub fn observe(
+/// bytecode compilation (see [`OmpBackend::compile_lowered`]). Counts one
+/// compile per backend and one failure per backend that fails. A program
+/// that does not compile everywhere cannot be compared differentially, so
+/// any failure returns the first backend's error.
+pub fn compile(
     program: &Program,
-    input: &TestInput,
     backends: &[&dyn OmpBackend],
     prepared: Option<&PreparedKernel>,
-    compile_opts: &CompileOptions,
-    run_opts: &RunOptions,
-) -> Result<Vec<RunObservation>, CompileError> {
-    observe_with_obs(
-        program,
-        input,
-        backends,
-        prepared,
-        compile_opts,
-        run_opts,
-        &mut ExecScratch::new(),
-        &Obs::off(),
-    )
+    opts: &CompileOptions,
+    obs: &Obs,
+) -> Result<CompiledSet, CompileError> {
+    obs.count(Counter::Compiles, backends.len() as u64);
+    let compiled: Vec<_> = backends
+        .iter()
+        .map(|backend| backend.compile_lowered(program, prepared, opts))
+        .collect();
+    let failures = compiled.iter().filter(|c| c.is_err()).count();
+    obs.count(Counter::CompileFailures, failures as u64);
+    let binaries = compiled.into_iter().collect::<Result<_, _>>()?;
+    Ok(CompiledSet { binaries })
 }
 
-/// [`observe`] reusing a caller-held [`ExecScratch`] across the
-/// per-backend runs (the reducer shares one per candidate between the race
-/// gate and all three backend runs) and reporting per-run telemetry
-/// (compiles, differential runs, VM ops, budget aborts) through `obs` — the
-/// reducer threads its campaign handle down here so candidate checks
-/// appear in the same counters as campaign runs.
+impl CompiledSet {
+    /// Run every binary on `input` under `run_opts`, in backend order,
+    /// through the caller's scratch, and tally each run into `metrics`.
+    ///
+    /// Binaries with the same branch semantics share one interpretation,
+    /// so a step interprets the input once per distinct semantics: twice
+    /// for the standard backends at `-O2` and above, once below. A binary
+    /// whose modelled crash triggers interprets nothing, and an op-budget
+    /// abort is shared like a completed run. Every result equals the
+    /// binary's standalone [`CompiledTest::run`].
+    pub fn step(
+        &self,
+        input: &TestInput,
+        run_opts: &RunOptions,
+        scratch: &mut ExecScratch,
+        metrics: &mut RunMetricsBatch,
+    ) -> Vec<RunResult> {
+        let mut shared = Interpretations::new(scratch);
+        self.binaries
+            .iter()
+            .map(|binary| {
+                let result = binary.run_in_step(input, run_opts, &mut shared);
+                metrics.observe(&result);
+                result
+            })
+            .collect()
+    }
+}
+
+/// The interpretations one [`CompiledSet::step`] has made, at most one per
+/// branch semantics, and the caller's scratch they run through. The step
+/// creates it and drops it when it returns, so an outcome is only ever
+/// shared between binaries of one program running one input under one
+/// [`RunOptions`].
+pub struct Interpretations<'s> {
+    scratch: &'s mut ExecScratch,
+    ieee: Option<Result<ExecOutcome, ExecError>>,
+    nan_absorbing: Option<Result<ExecOutcome, ExecError>>,
+}
+
+impl<'s> Interpretations<'s> {
+    /// No interpretations yet; runs go through `scratch`.
+    pub(crate) fn new(scratch: &'s mut ExecScratch) -> Interpretations<'s> {
+        Interpretations {
+            scratch,
+            ieee: None,
+            nan_absorbing: None,
+        }
+    }
+
+    /// The step's interpretation under `semantics`: the first binary that
+    /// asks runs `interpret` on the step's scratch, and every later binary
+    /// with the same semantics reads that outcome.
+    pub(crate) fn get_or_run(
+        &mut self,
+        semantics: BoolSemantics,
+        interpret: impl FnOnce(&mut ExecScratch) -> Result<ExecOutcome, ExecError>,
+    ) -> &Result<ExecOutcome, ExecError> {
+        let slot = match semantics {
+            BoolSemantics::Ieee => &mut self.ieee,
+            BoolSemantics::NanAbsorbing => &mut self.nan_absorbing,
+        };
+        slot.get_or_insert_with(|| interpret(self.scratch))
+    }
+}
+
+/// Compile `program` with every backend and run it once on `input`,
+/// returning one observation per backend (in backend order): [`compile`]
+/// followed by one [`CompiledSet::step`] through `scratch`. Compiles,
+/// compile failures, differential runs, VM ops and budget aborts are
+/// counted through `obs` (nothing on an [`Obs::off`] handle), so the
+/// reducer's candidate checks appear in the same counters as campaign
+/// runs.
 #[allow(clippy::too_many_arguments)]
-pub fn observe_with_obs(
+pub fn observe(
     program: &Program,
     input: &TestInput,
     backends: &[&dyn OmpBackend],
@@ -128,26 +192,11 @@ pub fn observe_with_obs(
     scratch: &mut ExecScratch,
     obs: &Obs,
 ) -> Result<Vec<RunObservation>, CompileError> {
-    obs.count(Counter::Compiles, backends.len() as u64);
-    let binaries: Result<Vec<Box<dyn CompiledTest>>, CompileError> = backends
-        .iter()
-        .map(|b| b.compile_lowered(program, prepared, compile_opts))
-        .collect();
-    let binaries = match binaries {
-        Ok(binaries) => binaries,
-        Err(e) => {
-            obs.count(Counter::CompileFailures, 1);
-            return Err(e);
-        }
-    };
-    Ok(binaries
-        .iter()
-        .map(|bin| {
-            let result = bin.run_with(input, run_opts, scratch);
-            record_run_metrics(obs, &result);
-            to_observation(&result)
-        })
-        .collect())
+    let set = compile(program, backends, prepared, compile_opts, obs)?;
+    let mut metrics = RunMetricsBatch::new();
+    let results = set.step(input, run_opts, scratch, &mut metrics);
+    metrics.flush(obs);
+    Ok(results.iter().map(to_observation).collect())
 }
 
 #[cfg(test)]
@@ -207,6 +256,8 @@ mod tests {
             None,
             &CompileOptions::default(),
             &RunOptions::default(),
+            &mut ExecScratch::new(),
+            &Obs::off(),
         )
         .unwrap();
         assert_eq!(obs.len(), 3);
@@ -230,6 +281,8 @@ mod tests {
             None,
             &CompileOptions::default(),
             &RunOptions::default(),
+            &mut ExecScratch::new(),
+            &Obs::off(),
         )
         .unwrap();
         let cached = observe(
@@ -239,6 +292,8 @@ mod tests {
             Some(&prepared),
             &CompileOptions::default(),
             &RunOptions::default(),
+            &mut ExecScratch::new(),
+            &Obs::off(),
         )
         .unwrap();
         assert_eq!(fresh, cached);
@@ -253,7 +308,7 @@ mod tests {
         };
         let backends = standard_backends();
         let obs = Obs::metrics_only();
-        let out = observe_with_obs(
+        let out = observe(
             &program,
             &input,
             &dyns(&backends),
@@ -270,8 +325,7 @@ mod tests {
         assert_eq!(snap.get(Counter::DifferentialRuns), 3);
         assert_eq!(snap.get(Counter::BudgetAborts), 0);
         assert!(snap.get(Counter::VmOps) > 0, "runs execute ops");
-        // The plain entry point is the obs-off special case: identical
-        // observations, no counters.
+        // Telemetry is out of band: an off handle observes the same.
         let plain = observe(
             &program,
             &input,
@@ -279,6 +333,8 @@ mod tests {
             None,
             &CompileOptions::default(),
             &RunOptions::default(),
+            &mut ExecScratch::new(),
+            &Obs::off(),
         )
         .unwrap();
         assert_eq!(out, plain);
@@ -306,6 +362,8 @@ mod tests {
             None,
             &CompileOptions::default(),
             &RunOptions::default(),
+            &mut ExecScratch::new(),
+            &Obs::off(),
         )
         .unwrap_err();
         assert!(err.0.contains("ghost"), "{err}");

@@ -1,52 +1,36 @@
 //! End-to-end campaign throughput: programs/second through the full
 //! front half (generate → lower/compile → §IV-E race filter → differential
-//! runs), comparing two architectures over identical work:
+//! runs) of a sharded round, as the pipelined driver runs it: each shard
+//! generates only its O(slice) of the index-addressed corpus on the pool,
+//! and generation, the race filter and every differential run execute as
+//! one fused per-program worker closure through a reused `ExecScratch`.
 //!
-//! * **serial-front-half baseline** — the pre-pipelining driver: every
-//!   shard worker rebuilds the *whole* round corpus on one thread
-//!   (O(corpus) serial work per shard), race-filters its slice serially,
-//!   and only then fans the differential runs over the pool, each run on
-//!   freshly allocated interpreter state;
-//! * **pipelined** — the current driver: each shard generates only its
-//!   O(slice) of the index-addressed corpus on the pool, and generation,
-//!   the race filter and every differential run execute as one fused
-//!   per-program worker closure through a reused `ExecScratch`.
-//!
-//! Both architectures produce the same records/racy/outlier counts
-//! (asserted). The comparison is written to `BENCH_campaign.json` at the
-//! repository root and the run **fails** if the pipelined architecture is
-//! not faster. `OMPFUZZ_BENCH_QUICK=1` shortens the measurement for the CI
-//! smoke step.
-//!
-//! The pipelined side is additionally measured with **full telemetry**
+//! The same fused campaign is then measured with **full telemetry**
 //! installed (counters + phase timers + latency histograms + a JSONL sink
 //! over a null writer) — the observability guard: the run fails if
 //! telemetry costs more than [`MAX_TELEMETRY_OVERHEAD_PCT`] of throughput.
 //! A third configuration stacks the **VM hot-path profiler** on top of full
 //! telemetry (the everything-on introspection mode behind
-//! `--profile-out`); its guard is [`MAX_INTROSPECTION_OVERHEAD_PCT`].
+//! `--profile-out`); its guard is [`MAX_INTROSPECTION_OVERHEAD_PCT`]. Both
+//! instrumented runs must produce the records/racy/outlier counts of the
+//! uninstrumented one (asserted). Results are written to
+//! `BENCH_campaign.json` at the repository root. `OMPFUZZ_BENCH_QUICK=1`
+//! shortens the measurement for the CI smoke step.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
-use ompfuzz_backends::{oracle, standard_backends, CompileOptions, OmpBackend, RunOptions};
+use ompfuzz_backends::{standard_backends, OmpBackend};
 use ompfuzz_corpus::plan_shards;
-use ompfuzz_exec::{ExecScratch, ProfileCollector};
-use ompfuzz_harness::{
-    detect_kernel_races, generate_case, generate_corpus, pool, run_campaign_generated,
-    run_campaign_generated_with, CampaignConfig, TestCase,
-};
+use ompfuzz_exec::ProfileCollector;
+use ompfuzz_harness::{generate_case, run_campaign_generated_with, CampaignConfig};
 use ompfuzz_obs::{JsonlSink, Obs};
-use ompfuzz_outlier::analyze;
 use std::hint::black_box;
 use std::sync::Arc;
 use std::time::Instant;
 
-/// Shards per measured round — the paper's cluster-scale knob. The
-/// baseline pays O(corpus) generation *per shard*, the pipelined side
-/// O(corpus) in total, so its advantage grows with the shard count; 16
-/// shards over 8 workers models two rounds of oversubscribed cluster
-/// workers.
+/// Shards per measured round — the paper's cluster-scale knob; 16 shards
+/// over 8 workers models two rounds of oversubscribed cluster workers.
 const SHARDS: usize = 16;
-/// Worker threads for both architectures (the acceptance point).
+/// Worker threads of the sharded measurement.
 const WORKERS: usize = 8;
 /// Largest tolerated throughput cost of full telemetry (counters, phase
 /// timers, latency histograms, JSONL sink), in percent of the
@@ -69,101 +53,28 @@ fn campaign_config() -> CampaignConfig {
     cfg
 }
 
-/// `(records, racy, outliers)` across all shards — the work signature both
-/// architectures must agree on.
+/// `(records, racy, outliers)` of a campaign — the work signature that
+/// instrumentation must leave unchanged.
 type Signature = (usize, usize, usize);
 
-/// The pre-pipelining architecture, reconstructed faithfully: full-corpus
-/// rebuild per shard on one thread, serial race-filter pre-pass, pooled
-/// differential runs on fresh per-run state.
-fn run_baseline(cfg: &CampaignConfig, backends: &[&dyn OmpBackend]) -> Signature {
-    let mut signature = (0usize, 0usize, 0usize);
-    for range in plan_shards(cfg.programs, SHARDS) {
-        // O(corpus) serial rebuild per shard — the old "every shard can
-        // rebuild the whole corpus and take its slice by index".
-        let mut serial_cfg = cfg.clone();
-        serial_cfg.workers = 1;
-        let corpus = generate_corpus(&serial_cfg);
-        let slice = &corpus[range.clone()];
-
-        // Serial §IV-E pre-pass, fresh detector state per program.
-        let mut active: Vec<(usize, &TestCase)> = Vec::with_capacity(slice.len());
-        for (i, tc) in slice.iter().enumerate() {
-            let prepared = tc.prepared().expect("generated programs lower");
-            let input = tc.inputs.first().expect("one input per program");
-            let reports = detect_kernel_races(
-                prepared.plain(),
-                input,
-                cfg.run.max_ops,
-                cfg.run.engine,
-                &mut ExecScratch::new(),
-            );
-            if reports.is_some_and(|r| !r.is_empty()) {
-                signature.1 += 1;
-                continue;
-            }
-            active.push((range.start + i, tc));
-        }
-
-        // Pooled differential runs, fresh interpreter state per run (the
-        // scratch-free `CompiledTest::run` path).
-        let compile_opts = CompileOptions {
-            opt_level: cfg.opt_level,
-        };
-        let run_opts = RunOptions {
-            detect_races: false,
-            ..cfg.run
-        };
-        let outcomes = pool::map_parallel(WORKERS, &active, |&(_index, tc)| {
-            let prepared = tc.prepared().ok();
-            let binaries: Vec<_> = backends
-                .iter()
-                .map(|b| {
-                    b.compile_lowered(&tc.program, prepared, &compile_opts)
-                        .expect("simulated compiles succeed")
-                })
-                .collect();
-            let mut analyses = Vec::with_capacity(tc.inputs.len());
-            for input in &tc.inputs {
-                let observations: Vec<_> = binaries
-                    .iter()
-                    .map(|bin| oracle::to_observation(&bin.run(input, &run_opts)))
-                    .collect();
-                analyses.push(analyze(&observations, &cfg.outlier));
-            }
-            analyses
-        });
-        for analysis in outcomes.iter().flatten() {
-            signature.0 += 1;
-            signature.2 += usize::from(analysis.primary_outlier().is_some());
-        }
-    }
-    signature
+fn signature(result: &ompfuzz_harness::CampaignResult) -> Signature {
+    let outliers = result
+        .records
+        .iter()
+        .filter(|r| r.outlier().is_some())
+        .count();
+    (result.records.len(), result.racy_programs.len(), outliers)
 }
 
-/// The pipelined architecture through the public API: each shard runs a
-/// fused campaign whose worker closures generate their own O(slice)
+/// The pipelined driver through the public API: each shard runs a fused
+/// campaign whose worker closures generate their own O(slice)
 /// index-addressed tests, race-filter and run them through one reused
 /// scratch — no pre-materialized corpus anywhere.
-fn run_pipelined(cfg: &CampaignConfig, backends: &[&dyn OmpBackend]) -> Signature {
-    let mut signature = (0usize, 0usize, 0usize);
-    for range in plan_shards(cfg.programs, SHARDS) {
-        let (result, _slice) = run_campaign_generated(
-            cfg,
-            backends,
-            range,
-            &|i| generate_case(cfg, i),
-            Instant::now(),
-        );
-        signature.0 += result.records.len();
-        signature.1 += result.racy_programs.len();
-        signature.2 += result
-            .records
-            .iter()
-            .filter(|r| r.outlier().is_some())
-            .count();
-    }
-    signature
+fn run_pipelined(cfg: &CampaignConfig, backends: &[&dyn OmpBackend]) -> usize {
+    plan_shards(cfg.programs, SHARDS)
+        .into_iter()
+        .map(|range| run_fused(cfg, backends, range, &Obs::off(), &ProfileCollector::off()).0)
+        .sum()
 }
 
 /// The telemetry-overhead workload: the same campaign shape but 10x the
@@ -181,57 +92,36 @@ fn overhead_config() -> CampaignConfig {
     cfg
 }
 
-/// One fused campaign over the whole program range, telemetry off.
-fn run_overhead_off(cfg: &CampaignConfig, backends: &[&dyn OmpBackend]) -> Signature {
-    let (result, _slice) = run_campaign_generated(
-        cfg,
-        backends,
-        0..cfg.programs,
-        &|i| generate_case(cfg, i),
-        Instant::now(),
-    );
-    let outliers = result
-        .records
-        .iter()
-        .filter(|r| r.outlier().is_some())
-        .count();
-    (result.records.len(), result.racy_programs.len(), outliers)
-}
-
-/// The same fused campaign with full telemetry installed: counters, phase
-/// timers, latency histograms and progress events through a JSONL sink
-/// over a null writer (serialization cost included, terminal I/O excluded
-/// — the part the pipeline is accountable for). Passing an enabled
-/// `profile` stacks the VM hot-path profiler on top (the everything-on
-/// introspection configuration).
-fn run_overhead_on(
+/// One fused campaign over `range` with the given telemetry and profiler
+/// handles. Passing an enabled `obs` installs full telemetry: counters,
+/// phase timers, latency histograms and progress events through a JSONL
+/// sink over a null writer (serialization cost included, terminal I/O
+/// excluded — the part the pipeline is accountable for). Passing an
+/// enabled `profile` stacks the VM hot-path profiler on top (the
+/// everything-on introspection configuration).
+fn run_fused(
     cfg: &CampaignConfig,
     backends: &[&dyn OmpBackend],
+    range: std::ops::Range<usize>,
     obs: &Obs,
     profile: &ProfileCollector,
 ) -> Signature {
     let (result, _slice) = run_campaign_generated_with(
         cfg,
         backends,
-        0..cfg.programs,
+        range,
         &|i| generate_case(cfg, i),
         Instant::now(),
         obs,
         profile,
     );
-    let outliers = result
-        .records
-        .iter()
-        .filter(|r| r.outlier().is_some())
-        .count();
-    (result.records.len(), result.racy_programs.len(), outliers)
+    signature(&result)
 }
 
 #[allow(clippy::too_many_arguments)]
 fn write_json(
     path: &std::path::Path,
     mode: &str,
-    baseline_pps: f64,
     pipelined_pps: f64,
     telemetry_off_pps: f64,
     telemetry_on_pps: f64,
@@ -243,10 +133,9 @@ fn write_json(
         "{{\n  \"bench\": \"campaign_throughput\",\n  \
          \"workload\": \"sharded_campaign_front_half\",\n  \
          \"mode\": \"{mode}\",\n  \"shards\": {SHARDS},\n  \"workers\": {WORKERS},\n  \
-         \"programs_per_round\": {},\n  \"architectures\": {{\n    \
-         \"serial_front_half\": {{ \"programs_per_sec\": {:.1} }},\n    \
-         \"pipelined\": {{ \"programs_per_sec\": {:.1} }}\n  }},\n  \
-         \"speedup\": {:.2},\n  \"telemetry_guard\": {{\n    \
+         \"programs_per_round\": {},\n  \
+         \"pipelined\": {{ \"programs_per_sec\": {:.1} }},\n  \
+         \"telemetry_guard\": {{\n    \
          \"workload_programs\": {},\n    \
          \"telemetry_off\": {{ \"programs_per_sec\": {:.1} }},\n    \
          \"telemetry_on\": {{ \"programs_per_sec\": {:.1} }},\n    \
@@ -258,9 +147,7 @@ fn write_json(
          \"overhead_pct\": {:.2},\n    \
          \"budget_pct\": {MAX_INTROSPECTION_OVERHEAD_PCT:.1}\n  }}\n}}\n",
         campaign_config().programs,
-        baseline_pps,
         pipelined_pps,
-        pipelined_pps / baseline_pps,
         overhead_config().programs,
         telemetry_off_pps,
         telemetry_on_pps,
@@ -278,10 +165,10 @@ fn bench_campaign(c: &mut Criterion) {
     let backends = standard_backends();
     let dyns: Vec<&dyn OmpBackend> = backends.iter().map(|b| b as &dyn OmpBackend).collect();
     let quick = std::env::var_os("OMPFUZZ_BENCH_QUICK").is_some();
-    // Baseline-vs-pipelined is a 2x gap — a few samples settle it. The
-    // telemetry guard needs many alternating rounds (see the noise
+    // The sharded rate is reported, not gated — a few samples settle it.
+    // The telemetry guard needs many alternating rounds (see the noise
     // discussion at its measurement loop below).
-    let (mode, base_rounds, ov_rounds) = if quick {
+    let (mode, pipe_rounds, ov_rounds) = if quick {
         ("quick", 3, 48)
     } else {
         ("full", 6, 64)
@@ -291,25 +178,22 @@ fn bench_campaign(c: &mut Criterion) {
     // histograms + a JSONL sink into the void. The introspection guard
     // stacks the VM profiler on top of the same Obs handle.
     let obs = Obs::with_sink(Arc::new(JsonlSink::new(std::io::sink())));
+    let off = Obs::off();
     let no_profile = ProfileCollector::off();
     let vm_profile = ProfileCollector::enabled();
     let ov_cfg = overhead_config();
+    let ov_range = || 0..ov_cfg.programs;
 
     // Identical work first (also warms all paths) — telemetry must be
     // strictly out-of-band.
-    let base_sig = run_baseline(&cfg, &dyns);
-    let pipe_sig = run_pipelined(&cfg, &dyns);
-    assert_eq!(
-        base_sig, pipe_sig,
-        "architectures disagree on the campaign's records/racy/outlier counts"
-    );
-    let off_sig = run_overhead_off(&ov_cfg, &dyns);
-    let on_sig = run_overhead_on(&ov_cfg, &dyns, &obs, &no_profile);
+    black_box(run_pipelined(&cfg, &dyns));
+    let off_sig = run_fused(&ov_cfg, &dyns, ov_range(), &off, &no_profile);
+    let on_sig = run_fused(&ov_cfg, &dyns, ov_range(), &obs, &no_profile);
     assert_eq!(
         off_sig, on_sig,
         "telemetry changed the campaign's records/racy/outlier counts"
     );
-    let prof_sig = run_overhead_on(&ov_cfg, &dyns, &obs, &vm_profile);
+    let prof_sig = run_fused(&ov_cfg, &dyns, ov_range(), &obs, &vm_profile);
     assert_eq!(
         off_sig, prof_sig,
         "the VM profiler changed the campaign's records/racy/outlier counts"
@@ -319,12 +203,8 @@ fn bench_campaign(c: &mut Criterion) {
         "the profiled warmup campaign left the VM profile empty"
     );
 
-    let mut best_base = 0f64;
     let mut best_pipe = 0f64;
-    for _ in 0..base_rounds {
-        let t = Instant::now();
-        black_box(run_baseline(&cfg, &dyns));
-        best_base = best_base.max(cfg.programs as f64 / t.elapsed().as_secs_f64());
+    for _ in 0..pipe_rounds {
         let t = Instant::now();
         black_box(run_pipelined(&cfg, &dyns));
         best_pipe = best_pipe.max(cfg.programs as f64 / t.elapsed().as_secs_f64());
@@ -359,7 +239,7 @@ fn bench_campaign(c: &mut Criterion) {
             let mut min_secs = f64::INFINITY;
             for _ in 0..INNER {
                 let t = Instant::now();
-                black_box(run_overhead_off(&ov_cfg, &dyns));
+                black_box(run_fused(&ov_cfg, &dyns, ov_range(), &off, &no_profile));
                 min_secs = min_secs.min(t.elapsed().as_secs_f64());
             }
             *best = best.max(ov_cfg.programs as f64 / min_secs);
@@ -369,7 +249,7 @@ fn bench_campaign(c: &mut Criterion) {
             let mut min_secs = f64::INFINITY;
             for _ in 0..INNER {
                 let t = Instant::now();
-                black_box(run_overhead_on(&ov_cfg, &dyns, &obs, profile));
+                black_box(run_fused(&ov_cfg, &dyns, ov_range(), &obs, profile));
                 min_secs = min_secs.min(t.elapsed().as_secs_f64());
             }
             *best = best.max(ov_cfg.programs as f64 / min_secs);
@@ -416,31 +296,22 @@ fn bench_campaign(c: &mut Criterion) {
     );
     println!(
         "campaign front half ({} programs, {SHARDS} shards, {WORKERS} workers): \
-         serial-front-half {best_base:.1} programs/s, pipelined {best_pipe:.1} programs/s \
-         ({:.2}x); telemetry guard ({} programs fused): off {best_off:.1} programs/s, \
-         on {best_on:.1} programs/s ({overhead_pct:.2}% overhead), \
+         pipelined {best_pipe:.1} programs/s; telemetry guard ({} programs fused): \
+         off {best_off:.1} programs/s, on {best_on:.1} programs/s ({overhead_pct:.2}% overhead), \
          with VM profiler {best_prof:.1} programs/s ({introspection_pct:.2}% overhead)",
-        cfg.programs,
-        best_pipe / best_base,
-        ov_cfg.programs,
+        cfg.programs, ov_cfg.programs,
     );
     let json_path =
         std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_campaign.json");
     write_json(
         &json_path,
         mode,
-        best_base,
         best_pipe,
         best_off,
         best_on,
         overhead_pct,
         best_prof,
         introspection_pct,
-    );
-    assert!(
-        best_pipe > best_base,
-        "pipelined campaign ({best_pipe:.1} programs/s) is not faster than the \
-         serial-front-half baseline ({best_base:.1} programs/s)"
     );
     assert!(
         overhead_pct <= MAX_TELEMETRY_OVERHEAD_PCT,

@@ -50,6 +50,8 @@ fn bench_reduction(c: &mut Criterion) {
                     max_ops: 40_000_000,
                     ..RunOptions::default()
                 },
+                &mut ompfuzz_exec::ExecScratch::new(),
+                &ompfuzz_obs::Obs::off(),
             ))
         })
     });

@@ -42,6 +42,7 @@ use ompfuzz_exec::ProfileCollector;
 use ompfuzz_obs::{Counter, CounterSnapshot, Event, Obs, Phase};
 use std::collections::BTreeSet;
 use std::fmt;
+use std::ops::Range;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::time::Instant;
@@ -642,22 +643,16 @@ pub fn run_sharded_evolution_io(
                 },
                 _ => None,
             };
+            let coords = ShardCoords {
+                round,
+                shard: index,
+                shards,
+            };
             let (outcome, status) = match cached {
-                Some((fp, outcome)) => {
-                    let s = &outcome.summary;
-                    if fp != fingerprint
-                        || s.round != round
-                        || s.shard != index
-                        || s.shards != shards
-                        || (s.start, s.end) != (range.start, range.end)
-                    {
-                        return err(format!(
-                            "shard checkpoint round-{round}/shard-{index} does not match \
-                             this campaign — remove the checkpoint directory",
-                        ));
-                    }
-                    (outcome, ShardStatus::Cached)
-                }
+                Some(loaded) => (
+                    check_shard_checkpoint(loaded, fingerprint, coords, range)?,
+                    ShardStatus::Cached,
+                ),
                 None => {
                     let outcome = run_planned_shard(
                         &campaign,
@@ -665,11 +660,7 @@ pub fn run_sharded_evolution_io(
                         &gen,
                         fresh,
                         range.clone(),
-                        ShardCoords {
-                            round,
-                            shard: index,
-                            shards,
-                        },
+                        coords,
                         obs,
                         profile,
                     );
@@ -773,6 +764,32 @@ pub fn run_sharded_evolution_io(
         evolution: Evolution { rounds, catalog },
         progress,
     })
+}
+
+/// Accept a loaded shard checkpoint (recorded fingerprint + outcome) only
+/// if this campaign wrote it for exactly this shard: fingerprint, round,
+/// shard index, shard count and program range must all match. A valid
+/// file of another shard sealed under this shard's name is an error, never
+/// a cached result. The coordinator loop and the standalone worker both
+/// check through here.
+fn check_shard_checkpoint(
+    (recorded, outcome): (u64, ShardOutcome),
+    fingerprint: u64,
+    coords: ShardCoords,
+    range: &Range<usize>,
+) -> Result<ShardOutcome, CoordError> {
+    let s = &outcome.summary;
+    if recorded != fingerprint
+        || (s.round, s.shard, s.shards) != (coords.round, coords.shard, coords.shards)
+        || (s.start, s.end) != (range.start, range.end)
+    {
+        return err(format!(
+            "shard checkpoint round-{}/shard-{} does not match this campaign — remove \
+             the checkpoint directory",
+            coords.round, coords.shard
+        ));
+    }
+    Ok(outcome)
 }
 
 /// Run exactly one shard of one round against a campaign directory — the
@@ -900,15 +917,15 @@ pub fn run_standalone_shard_with(
             metrics: outcome.metrics,
         }
     };
+    let coords = ShardCoords {
+        round,
+        shard,
+        shards,
+    };
     if manifest.completed.contains(&shard) {
         match ckpt.load_shard(round, shard)? {
-            Loaded::Present((fp, outcome)) => {
-                if fp != fingerprint {
-                    return err(format!(
-                        "shard checkpoint round-{round}/shard-{shard} was written by a \
-                         different campaign — remove the checkpoint directory"
-                    ));
-                }
+            Loaded::Present(loaded) => {
+                let outcome = check_shard_checkpoint(loaded, fingerprint, coords, &range)?;
                 return Ok(finish(outcome, ShardStatus::Cached));
             }
             Loaded::Corrupt(reason) => {
@@ -929,18 +946,7 @@ pub fn run_standalone_shard_with(
     // the whole round corpus.
     let (gen, fresh) = round_case_fn(&campaign, &catalog, &config.evolve);
     let outcome = run_planned_shard(
-        &campaign,
-        backends,
-        &gen,
-        fresh,
-        range,
-        ShardCoords {
-            round,
-            shard,
-            shards,
-        },
-        obs,
-        profile,
+        &campaign, backends, &gen, fresh, range, coords, obs, profile,
     );
     ckpt.store_shard(&outcome, fingerprint)?;
     ckpt.record_completed(&manifest, shard)?;
@@ -1089,6 +1095,29 @@ mod tests {
         let e = run_sharded_evolution(&sharded(3), &dyns, TriggerCatalog::new(), Some(&dir))
             .expect_err("mismatched shard count must be rejected");
         assert!(e.0.contains("different campaign"), "{e}");
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// A valid, sealed checkpoint of another shard under this shard's name
+    /// is rejected by the standalone worker and the coordinator alike —
+    /// never reported as this shard's cached result.
+    #[test]
+    fn another_shards_checkpoint_is_rejected() {
+        let backends = standard_backends();
+        let dyns = dyns(&backends);
+        let dir = scratch("swapped");
+        for shard in 0..2 {
+            run_standalone_shard(&sharded(2), &dyns, TriggerCatalog::new(), &dir, 0, shard)
+                .unwrap();
+        }
+        let round_dir = dir.join("round-0");
+        fs::copy(round_dir.join("shard-0.txt"), round_dir.join("shard-1.txt")).unwrap();
+        let e = run_standalone_shard(&sharded(2), &dyns, TriggerCatalog::new(), &dir, 0, 1)
+            .expect_err("shard 0's checkpoint must not pass as shard 1's");
+        assert!(e.0.contains("round-0/shard-1 does not match"), "{e}");
+        let e = run_sharded_evolution(&sharded(2), &dyns, TriggerCatalog::new(), Some(&dir))
+            .expect_err("the coordinator must refuse it too");
+        assert!(e.0.contains("round-0/shard-1 does not match"), "{e}");
         let _ = fs::remove_dir_all(&dir);
     }
 

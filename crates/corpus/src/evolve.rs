@@ -265,7 +265,7 @@ pub(crate) fn build_round_corpus(
 /// inputs from the index's split input stream — so any worker (or any
 /// shard) generates exactly the test a full front-to-back build would put
 /// at that index. This closure is what the coordinator hands to
-/// [`ompfuzz_harness::run_campaign_generated`], fusing round-corpus
+/// [`ompfuzz_harness::run_campaign_generated_with`], fusing round-corpus
 /// generation into the per-program campaign pipeline.
 pub(crate) fn round_case_fn<'a>(
     campaign: &'a CampaignConfig,

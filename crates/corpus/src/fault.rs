@@ -126,9 +126,20 @@ impl FaultPlan {
     }
 
     /// The deterministic per-site random stream: SplitMix64 seeded by the
-    /// plan seed XOR the FNV-1a hash of the site key.
+    /// plan seed XOR the FNV-1a hash of the site key. The key names the
+    /// file by its last two path components (`round-0/shard-1.txt`), not
+    /// by where the checkpoint directory lives, so a plan makes the same
+    /// decisions in every directory.
     fn stream(&self, op: &str, path: &Path, attempt: u64) -> u64 {
-        let key = format!("{op}:{}:{attempt}", path.display());
+        let name = |p: Option<&Path>| {
+            p.and_then(Path::file_name)
+                .map_or_else(String::new, |n| n.to_string_lossy().into_owned())
+        };
+        let key = format!(
+            "{op}:{}/{}:{attempt}",
+            name(path.parent()),
+            name(Some(path))
+        );
         splitmix64(self.seed ^ fnv1a_bytes(key.as_bytes()))
     }
 

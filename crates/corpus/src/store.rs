@@ -91,10 +91,9 @@ fn fpty(t: FpType) -> &'static str {
 }
 
 fn write_str(s: &str, out: &mut String) {
-    debug_assert!(
-        !s.contains(['"', '\\', '\n']),
-        "identifiers never contain quotes"
-    );
+    // The format has no escapes: a quote or a line break would end the
+    // string early, and the tokenizer never produces either.
+    debug_assert!(!s.contains(['"', '\n']), "identifiers never contain quotes");
     out.push('"');
     out.push_str(s);
     out.push('"');
@@ -359,6 +358,11 @@ impl Node {
     }
 }
 
+/// Deepest list nesting [`parse_nodes`] accepts; one level deeper is an
+/// error, not a stack overflow. Catalogs of the paper configuration nest
+/// 11 levels, and every reader recurses at most once per level.
+const MAX_DEPTH: usize = 256;
+
 /// Parse every top-level s-expression in `text`. Lines starting with `;`
 /// are comments.
 pub fn parse_nodes(text: &str) -> Result<Vec<Node>, StoreError> {
@@ -373,7 +377,7 @@ pub fn parse_nodes(text: &str) -> Result<Vec<Node>, StoreError> {
     let mut nodes = Vec::new();
     let mut pos = 0;
     while pos < tokens.len() {
-        nodes.push(parse_node(&tokens, &mut pos)?);
+        nodes.push(parse_node(&tokens, &mut pos, 0)?);
     }
     Ok(nodes)
 }
@@ -421,10 +425,14 @@ fn tokenize_line(line: &str, out: &mut Vec<Token>) -> Result<(), StoreError> {
     Ok(())
 }
 
-fn parse_node(tokens: &[Token], pos: &mut usize) -> Result<Node, StoreError> {
+/// Parse one node nested inside `depth` lists.
+fn parse_node(tokens: &[Token], pos: &mut usize, depth: usize) -> Result<Node, StoreError> {
     match tokens.get(*pos) {
         None => err("unexpected end of input"),
         Some(Token::Close) => err("unbalanced `)`"),
+        Some(Token::Open) if depth == MAX_DEPTH => {
+            err(format!("lists nested deeper than {MAX_DEPTH} levels"))
+        }
         Some(Token::Atom(a)) => {
             *pos += 1;
             Ok(Node::Atom(a.clone()))
@@ -443,7 +451,7 @@ fn parse_node(tokens: &[Token], pos: &mut usize) -> Result<Node, StoreError> {
                         *pos += 1;
                         return Ok(Node::List(items));
                     }
-                    _ => items.push(parse_node(tokens, pos)?),
+                    _ => items.push(parse_node(tokens, pos, depth + 1)?),
                 }
             }
         }
@@ -851,6 +859,18 @@ mod tests {
         let nodes = parse_nodes(text).unwrap();
         assert_eq!(nodes.len(), 1);
         assert_eq!(read_input(&nodes[0]).unwrap().values.len(), 1);
+    }
+
+    /// Pinned: 100,000 open parentheses used to overflow the main
+    /// thread's stack (and so abort `evolve --resume`). Nesting up to the
+    /// limit parses; one level more is an error.
+    #[test]
+    fn nesting_is_bounded() {
+        let nested = |depth: usize| format!("{}{}", "(".repeat(depth), ")".repeat(depth));
+        assert!(parse_nodes(&nested(MAX_DEPTH)).is_ok());
+        let e = parse_nodes(&nested(MAX_DEPTH + 1)).unwrap_err();
+        assert!(e.0.contains("nested deeper than"), "{e}");
+        assert!(parse_nodes(&"(".repeat(100_000)).is_err());
     }
 
     #[test]

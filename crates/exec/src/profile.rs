@@ -162,8 +162,8 @@ impl ExecProfile {
 
     /// Number of VM runs folded into this profile. Only runs that
     /// complete count: a budget-aborted run leaves its dispatches in the
-    /// opcode counts but adds no run, and an outcome replayed from the
-    /// scratch memo never reaches the VM at all.
+    /// opcode counts but adds no run, and a vendor binary that reuses
+    /// another binary's interpretation never reaches the VM at all.
     pub fn runs(&self) -> u64 {
         self.runs
     }

@@ -18,18 +18,12 @@
 //! would have — which the `scratch_reuse` differential suite pins over
 //! random program/input sequences.
 //!
-//! The scratch also carries a one-entry outcome memo
-//! ([`ExecScratch::memoized_batch`]): the simulated vendor binaries of one
-//! program share their compiled kernel, so when two of them run the same
-//! input back to back under the same execution semantics, the second
-//! replays the first one's outcome instead of interpreting again.
+//! A scratch holds buffers and the opt-in profiler, never outcomes: which
+//! runs may share an interpretation is the differential oracle's decision
+//! (`ompfuzz_backends::oracle`), made per step.
 
-use crate::bytecode::CompiledKernel;
-use crate::interp::{ExecError, ExecOptions, ExecOutcome};
 use crate::kernel::{IntSlotId, Kernel, SlotId};
 use ompfuzz_ast::FpType;
-use ompfuzz_inputs::{InputValue, TestInput};
-use std::sync::Arc;
 
 /// An active (serial or worksharing) loop of the bytecode VM.
 #[derive(Debug, Clone, Copy)]
@@ -75,49 +69,6 @@ pub struct ExecScratch {
     /// the VM on its unprofiled dispatch loop; results are bit-identical
     /// either way.
     pub profile: Option<Box<crate::profile::ExecProfile>>,
-    /// Most recent memoized batch of outcomes ([`ExecScratch::memoized_batch`]).
-    memo: Option<BatchMemo>,
-}
-
-/// One memoized `(kernel, options, inputs) -> outcomes` mapping.
-///
-/// Execution is a pure function of the compiled kernel, the run options
-/// and the input bits, so a caller that runs the *same* kernel on the
-/// *same* inputs under the *same* options more than once — the simulated
-/// vendor binaries of one program share one [`CompiledKernel`] and often
-/// agree on [`ExecOptions`] — can replay the outcomes instead of
-/// re-interpreting. Holding the `Arc` keeps the kernel alive, so the
-/// pointer identity used as the cache key can never be recycled by a
-/// later allocation.
-#[derive(Debug)]
-struct BatchMemo {
-    kernel: Arc<CompiledKernel>,
-    opts: ExecOptions,
-    inputs: Vec<TestInput>,
-    outcomes: Vec<Result<ExecOutcome, ExecError>>,
-}
-
-/// `ExecOptions` intentionally carries no `PartialEq` (it is a knob bag,
-/// not a value); the memo compares the fields that select semantics.
-fn same_opts(a: &ExecOptions, b: &ExecOptions) -> bool {
-    a.bool_semantics == b.bool_semantics
-        && a.limits == b.limits
-        && a.detect_races == b.detect_races
-        && a.engine == b.engine
-}
-
-/// Bitwise input equality: NaN payloads compare by representation, so two
-/// bit-identical inputs always match and anything else never does —
-/// exactly the granularity at which execution is deterministic.
-fn same_input(a: &TestInput, b: &TestInput) -> bool {
-    a.comp_init.to_bits() == b.comp_init.to_bits()
-        && a.values.len() == b.values.len()
-        && a.values.iter().zip(&b.values).all(|(x, y)| match (x, y) {
-            (InputValue::Int(x), InputValue::Int(y)) => x == y,
-            (InputValue::Fp(x), InputValue::Fp(y)) => x.to_bits() == y.to_bits(),
-            (InputValue::ArrayFill(x), InputValue::ArrayFill(y)) => x.to_bits() == y.to_bits(),
-            _ => false,
-        })
 }
 
 impl ExecScratch {
@@ -125,54 +76,6 @@ impl ExecScratch {
     /// are reused from then on.
     pub fn new() -> ExecScratch {
         ExecScratch::default()
-    }
-
-    /// The memoized outcomes of the most recent [`ExecScratch::memoize_batch`]
-    /// call, if it ran exactly this `(kernel, inputs, opts)` triple: the
-    /// kernel by `Arc` identity, the inputs bit-for-bit, the options
-    /// field-wise. Callers that execute one kernel under several labels —
-    /// the simulated vendor binaries of a test program share their
-    /// bytecode and often their semantics — use this to replay the
-    /// interpreter's outcomes instead of re-running it; the clone of the
-    /// stored outcomes is bit-identical to what a fresh run would return.
-    pub fn memoized_batch(
-        &self,
-        kernel: &Arc<CompiledKernel>,
-        inputs: &[TestInput],
-        opts: &ExecOptions,
-    ) -> Option<Vec<Result<ExecOutcome, ExecError>>> {
-        let memo = self.memo.as_ref()?;
-        if Arc::ptr_eq(&memo.kernel, kernel)
-            && same_opts(&memo.opts, opts)
-            && memo.inputs.len() == inputs.len()
-            && memo
-                .inputs
-                .iter()
-                .zip(inputs)
-                .all(|(a, b)| same_input(a, b))
-        {
-            return Some(memo.outcomes.clone());
-        }
-        None
-    }
-
-    /// Record `outcomes` as the result of running `kernel` on `inputs`
-    /// under `opts`, replacing whatever was memoized before (the cache
-    /// holds one entry — the access pattern it serves replays the same
-    /// triple back-to-back, not a working set).
-    pub fn memoize_batch(
-        &mut self,
-        kernel: &Arc<CompiledKernel>,
-        inputs: &[TestInput],
-        opts: &ExecOptions,
-        outcomes: &[Result<ExecOutcome, ExecError>],
-    ) {
-        self.memo = Some(BatchMemo {
-            kernel: Arc::clone(kernel),
-            opts: *opts,
-            inputs: inputs.to_vec(),
-            outcomes: outcomes.to_vec(),
-        });
     }
 
     /// Reset the kernel-shaped state for one run of `k`: every slot file

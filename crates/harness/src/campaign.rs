@@ -176,34 +176,16 @@ pub fn run_campaign(config: &CampaignConfig, backends: &[&dyn OmpBackend]) -> Ca
 /// exactly the slice they ran — O(slice) memory, never the whole corpus.
 /// (Whole-corpus callers that don't need the tests back use
 /// [`run_campaign`], which drops each test as its worker finishes.)
-pub fn run_campaign_generated(
-    config: &CampaignConfig,
-    backends: &[&dyn OmpBackend],
-    range: std::ops::Range<usize>,
-    gen: &(dyn Fn(usize) -> TestCase + Sync),
-    start: Instant,
-) -> (CampaignResult, Vec<TestCase>) {
-    run_campaign_generated_with(
-        config,
-        backends,
-        range,
-        gen,
-        start,
-        &Obs::off(),
-        &ProfileCollector::off(),
-    )
-}
-
-/// [`run_campaign_generated`] with introspection: each worker closure
-/// times its generate section, counts the generated program, and ticks the
-/// periodic progress stream; the per-program unit records its
-/// compile/race-filter/differential counters and timings through the same
-/// handle, and — when `profile` is on — harvests the VM hot-path profile
-/// of every program it runs into the shared collector. Telemetry and
-/// profiling are strictly out of band — [`Obs::off`] plus
-/// [`ProfileCollector::off`] reproduce `run_campaign_generated` exactly,
-/// and active handles never change any result (pinned by the corpus
-/// telemetry and introspection property suites).
+///
+/// Each worker closure times its generate section, counts the generated
+/// program, and ticks the periodic progress stream through `obs`; the
+/// per-program unit records its compile/race-filter/differential counters
+/// and timings through the same handle, and — when `profile` is on —
+/// harvests the VM hot-path profile of every program it runs into the
+/// shared collector. Telemetry and profiling are strictly out of band:
+/// active handles return exactly what [`Obs::off`] and
+/// [`ProfileCollector::off`] return (pinned by the corpus telemetry and
+/// introspection property suites).
 #[allow(clippy::too_many_arguments)]
 pub fn run_campaign_generated_with(
     config: &CampaignConfig,
@@ -285,11 +267,10 @@ pub fn run_campaign_slice(
 enum CaseOutcome {
     /// Excluded by the §IV-E race filter before any differential run.
     Racy(Arc<str>, Vec<RaceReport>),
-    /// Compiled and ran differentially.
-    Ran {
-        compile_failures: usize,
-        records: Vec<RunRecord>,
-    },
+    /// Failed to compile on some implementation, so not compared.
+    CompileFailed,
+    /// Compiled and ran differentially: one record per input.
+    Ran(Vec<RunRecord>),
 }
 
 /// Fold per-program outcomes (in corpus order) into the campaign result:
@@ -312,13 +293,8 @@ fn assemble_result(
     for o in outcomes {
         match o {
             CaseOutcome::Racy(name, reports) => racy_programs.push((name, reports)),
-            CaseOutcome::Ran {
-                compile_failures: cf,
-                records: r,
-            } => {
-                compile_failures += cf;
-                records.extend(r);
-            }
+            CaseOutcome::CompileFailed => compile_failures += 1,
+            CaseOutcome::Ran(r) => records.extend(r),
         }
     }
 
@@ -348,12 +324,13 @@ std::thread_local! {
         std::cell::RefCell::new(ExecScratch::new());
 }
 
-/// The fused per-program unit: shared compilation, §IV-E race filter, then
-/// every (input × backend) differential run — all inside one worker
-/// closure, through the worker's reused [`ExecScratch`]. When `profile`
-/// is on, the program's VM hot-path profile is harvested into the shared
-/// collector as the unit finishes (install also strips stale profiles left
-/// in the thread-local scratch by a previous profiled campaign).
+/// The fused per-program unit: §IV-E race filter, shared compilation, then
+/// one oracle step per input ([`oracle::CompiledSet::step`]) — all inside
+/// one worker closure, through the worker's reused [`ExecScratch`]. When
+/// `profile` is on, the program's VM hot-path profile is harvested into
+/// the shared collector as the unit finishes (install also strips stale
+/// profiles left in the thread-local scratch by a previous profiled
+/// campaign).
 fn run_one_case(
     index: usize,
     tc: &TestCase,
@@ -397,32 +374,24 @@ fn run_one_case_with(
         }
     }
 
-    let compile_opts = CompileOptions {
-        opt_level: config.opt_level,
-    };
     // One compilation per program: the cached prepared kernel (possibly
     // already filled by the race filter) feeds every simulated backend's
     // compile — the three vendor binaries share one flat bytecode.
-    let prepared = tc.prepared().ok();
-    let mut binaries = Vec::with_capacity(backends.len());
-    let mut compile_failures = 0u64;
-    for b in backends {
-        match b.compile_lowered(&tc.program, prepared, &compile_opts) {
-            Ok(bin) => binaries.push(bin),
-            Err(_) => compile_failures += 1,
-        }
-    }
+    let compile_opts = CompileOptions {
+        opt_level: config.opt_level,
+    };
+    let set = oracle::compile(
+        &tc.program,
+        backends,
+        tc.prepared().ok(),
+        &compile_opts,
+        obs,
+    );
     sw.lap(Phase::Compile);
-    obs.count(Counter::Compiles, backends.len() as u64);
-    obs.count(Counter::CompileFailures, compile_failures);
-    let compile_failures = compile_failures as usize;
-    if binaries.len() != backends.len() {
+    let Ok(set) = set else {
         // A program that does not compile everywhere cannot be compared.
-        return CaseOutcome::Ran {
-            compile_failures,
-            records: Vec::new(),
-        };
-    }
+        return CaseOutcome::CompileFailed;
+    };
 
     let run_opts = RunOptions {
         detect_races: false,
@@ -432,22 +401,13 @@ fn run_one_case_with(
     let program_name: Arc<str> = Arc::from(tc.program.name.as_str());
     let mut records = Vec::with_capacity(tc.inputs.len());
     let mut run_metrics = oracle::RunMetricsBatch::new();
-    // Input-major differential loop: every vendor binary runs input `i`
-    // before any binary runs input `i + 1`, all through the worker's one
-    // scratch. Its outcome memo holds one entry, so a binary replays the
-    // previous binary's interpretation of the same input whenever the two
-    // share execution semantics (Intel- and Clang-like always; GCC-like
-    // too below `-O2`, where it stops absorbing NaN branches). In the
-    // `standard_backends()` order (Intel, Clang, GCC) a program therefore
-    // costs one interpretation per input and distinct semantics.
+    // One oracle step per input, through the worker's one scratch: the
+    // step interprets the input once per distinct branch semantics.
     for (input_index, input) in tc.inputs.iter().enumerate() {
-        let observations: Vec<RunObservation> = binaries
+        let observations: Vec<RunObservation> = set
+            .step(input, &run_opts, scratch, &mut run_metrics)
             .iter()
-            .map(|bin| {
-                let result = bin.run_with(input, &run_opts, scratch);
-                run_metrics.observe(&result);
-                oracle::to_observation(&result)
-            })
+            .map(oracle::to_observation)
             .collect();
         let analysis = analyze(&observations, &config.outlier);
         if analysis.correctness.is_some() || analysis.performance.is_some() {
@@ -463,10 +423,7 @@ fn run_one_case_with(
     }
     sw.lap(Phase::Differential);
     run_metrics.flush(obs);
-    CaseOutcome::Ran {
-        compile_failures,
-        records,
-    }
+    CaseOutcome::Ran(records)
 }
 
 /// The core of the §IV-E race filter: run `code` on `input` with the
@@ -728,16 +685,16 @@ mod tests {
         }
     }
 
-    /// The differential loop is input-major, so the scratch's one-entry
-    /// outcome memo hands the Intel-like binary's interpretation of each
-    /// input to the Clang-like binary right after it. `ExecProfile::runs`
-    /// counts VM runs that completed, and a memo replay adds nothing. At
+    /// Each input is one oracle step, and the binaries of a step that
+    /// share branch semantics share one interpretation: the Clang-like
+    /// binary reuses the Intel-like one's. `ExecProfile::runs` counts VM
+    /// runs that completed, and a shared interpretation adds nothing. At
     /// the paper config (`-O3`) the GCC-like binary absorbs NaN branches
     /// and interprets on its own: two runs per input. At `-O0` all three
-    /// binaries share IEEE semantics: one run per input. A backend-major
-    /// loop would miss the memo every time and make it three.
+    /// binaries share IEEE semantics: one run per input. Interpreting per
+    /// binary would make it three.
     #[test]
-    fn differential_unit_replays_the_memo_input_by_input() {
+    fn differential_unit_interprets_once_per_branch_semantics() {
         use ompfuzz_backends::OptLevel;
         use ompfuzz_outlier::ExecStatus;
         let backends = standard_backends();
@@ -763,7 +720,7 @@ mod tests {
                     &obs,
                     &mut obs.stopwatch(),
                 );
-                let CaseOutcome::Ran { records, .. } = outcome else {
+                let CaseOutcome::Ran(records) = outcome else {
                     panic!("program {index} skipped the differential loop");
                 };
                 assert_eq!(records.len(), tc.inputs.len());

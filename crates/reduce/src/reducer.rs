@@ -264,12 +264,11 @@ impl<'b> Reducer<'b> {
         };
         // One compilation per candidate: every backend run and the race
         // gate share the same prepared bytecode — and one scratch per
-        // candidate: they reuse its buffers, and a vendor binary whose
-        // execution semantics match an earlier one's replays its outcome
-        // from the scratch's memo instead of re-interpreting.
+        // candidate, whose buffers they reuse. The check is one oracle
+        // step, which interprets the candidate once per branch semantics.
         let prepared = PreparedKernel::new(kernel);
         let mut scratch = ExecScratch::new();
-        let Ok(observations) = oracle::observe_with_obs(
+        let Ok(observations) = oracle::observe(
             program,
             input,
             self.backends,

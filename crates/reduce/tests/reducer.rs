@@ -4,6 +4,7 @@
 
 use ompfuzz_ast::rewrite;
 use ompfuzz_backends::{oracle, standard_backends, CompileOptions, OmpBackend, RunOptions};
+use ompfuzz_exec::ExecScratch;
 use ompfuzz_harness::caselib;
 use ompfuzz_obs::{Counter, Obs};
 use ompfuzz_outlier::{analyze, OutlierConfig, OutlierKind};
@@ -60,6 +61,8 @@ fn oracle_is_preserved_by_reduction() {
             max_ops: 40_000_000,
             ..RunOptions::default()
         },
+        &mut ExecScratch::new(),
+        &Obs::off(),
     )
     .expect("reduced program compiles everywhere");
     let verdict = analyze(&observations, &OutlierConfig::default()).primary_outlier();

@@ -790,6 +790,12 @@ mod tests {
         assert!(ask("not json").starts_with("{\"ok\":false"));
         assert!(ask("{\"cmd\":\"brunch\"}").contains("unknown command"));
         assert_eq!(ask("{\"cmd\":\"status\"}"), "{\"ok\":true,\"jobs\":[]}");
+        // A request nested far past the parser's depth limit gets an error
+        // reply instead of overflowing the connection thread's stack, and
+        // the daemon keeps answering.
+        let deep = format!("{{\"cmd\":\"status\",\"x\":{}", "[".repeat(50_000));
+        assert!(ask(&deep).starts_with("{\"ok\":false"));
+        assert_eq!(ask("{\"cmd\":\"status\"}"), "{\"ok\":true,\"jobs\":[]}");
         assert!(ask("{\"cmd\":\"watch\",\"job\":\"job-9\"}").contains("no such job"));
         assert!(ask("{\"cmd\":\"cancel\",\"job\":\"job-9\"}").contains("no such job"));
         assert_eq!(ask("{\"cmd\":\"shutdown\"}"), "{\"ok\":true}");

@@ -88,6 +88,8 @@ fn campaign_outlier_reduces_by_60_percent_deterministically() {
             opt_level: cfg.opt_level,
         },
         &cfg.run,
+        &mut ompfuzz::exec::ExecScratch::new(),
+        &ompfuzz_obs::Obs::off(),
     )
     .expect("reduced program compiles everywhere");
     let verdict = analyze(&observations, &cfg.outlier).primary_outlier();
