@@ -8,7 +8,12 @@
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use ompfuzz_backends::{standard_backends, OmpBackend};
-use ompfuzz_corpus::{run_sharded_evolution, EvolveConfig, ShardedEvolveConfig, TriggerCatalog};
+use ompfuzz_corpus::{
+    run_sharded_evolution, Checkpoint, EvolveConfig, ShardedEvolution, ShardedEvolveConfig,
+    TriggerCatalog,
+};
+use ompfuzz_exec::ProfileCollector;
+use ompfuzz_obs::Obs;
 use std::hint::black_box;
 
 fn config(shards: usize) -> ShardedEvolveConfig {
@@ -18,12 +23,29 @@ fn config(shards: usize) -> ShardedEvolveConfig {
     }
 }
 
+/// The coordinator from an empty catalog with telemetry off.
+fn evolve(
+    shards: usize,
+    dyns: &[&dyn OmpBackend],
+    checkpoint: Option<&Checkpoint>,
+) -> ShardedEvolution {
+    run_sharded_evolution(
+        &config(shards),
+        dyns,
+        TriggerCatalog::new(),
+        checkpoint,
+        &Obs::off(),
+        &ProfileCollector::off(),
+    )
+    .unwrap()
+}
+
 fn bench_sharded_evolution(c: &mut Criterion) {
     let backends = standard_backends();
     let dyns: Vec<&dyn OmpBackend> = backends.iter().map(|b| b as &dyn OmpBackend).collect();
 
-    let one = run_sharded_evolution(&config(1), &dyns, TriggerCatalog::new(), None).unwrap();
-    let four = run_sharded_evolution(&config(4), &dyns, TriggerCatalog::new(), None).unwrap();
+    let one = evolve(1, &dyns, None);
+    let four = evolve(4, &dyns, None);
     assert_eq!(
         one.evolution.catalog.save_to_string(),
         four.evolution.catalog.save_to_string(),
@@ -41,36 +63,19 @@ fn bench_sharded_evolution(c: &mut Criterion) {
     let mut group = c.benchmark_group("sharded_evolution");
     group.throughput(Throughput::Elements(programs));
     group.bench_function("coordinator_1_shard", |b| {
-        b.iter(|| {
-            black_box(run_sharded_evolution(
-                &config(1),
-                &dyns,
-                TriggerCatalog::new(),
-                None,
-            ))
-            .unwrap()
-        })
+        b.iter(|| black_box(evolve(1, &dyns, None)))
     });
     group.bench_function("coordinator_4_shards", |b| {
-        b.iter(|| {
-            black_box(run_sharded_evolution(
-                &config(4),
-                &dyns,
-                TriggerCatalog::new(),
-                None,
-            ))
-            .unwrap()
-        })
+        b.iter(|| black_box(evolve(4, &dyns, None)))
     });
 
     // Warm resume: every shard of every round loads from its checkpoint.
     let dir = std::env::temp_dir().join(format!("ompfuzz-bench-resume-{}", std::process::id()));
-    run_sharded_evolution(&config(4), &dyns, TriggerCatalog::new(), Some(&dir)).unwrap();
+    let ckpt = Checkpoint::open(&dir).unwrap();
+    evolve(4, &dyns, Some(&ckpt));
     group.bench_function("warm_resume_4_shards", |b| {
         b.iter(|| {
-            let resumed =
-                run_sharded_evolution(&config(4), &dyns, TriggerCatalog::new(), Some(&dir))
-                    .unwrap();
+            let resumed = evolve(4, &dyns, Some(&ckpt));
             assert!(resumed
                 .progress
                 .iter()

@@ -21,12 +21,19 @@
 //! seed, budget, shard count, or starting catalog) is rejected instead of
 //! silently merged.
 //!
-//! [`run_sharded_evolution`] is the coordinator loop; with one shard and no
-//! checkpoint directory it degenerates to exactly the in-memory
-//! [`run_evolution`](crate::run_evolution) (which delegates here, so every
-//! evolution — sharded or not — is one code path and the catalogs are
-//! byte-identical by construction). [`run_standalone_shard`] is the
-//! out-of-process worker entry (`ompfuzz shard --round R --shard I/N`).
+//! A round has one implementation, three plain functions that every
+//! control plane calls: the **shard step** (run one shard, or load it
+//! checked when the manifest marks it complete, then seal and record it),
+//! taken by the coordinator loop [`run_sharded_evolution`] for each shard
+//! and by the out-of-process worker [`run_standalone_shard`] (`ompfuzz
+//! shard --round R --shard I/N`) for its one; the **checked round reader**
+//! [`read_round_shards`], through which the `ompfuzz serve` daemon reads a
+//! finished round without a campaign config; and the **ordered merge**
+//! [`merge_round`], through which the coordinator and the daemon both fold
+//! shard catalogs onto the previous round's catalog. With one shard and no
+//! checkpoint directory the coordinator loop is exactly the in-memory
+//! [`run_evolution`](crate::run_evolution), so every evolution — sharded,
+//! served or not — writes the same catalog bytes by construction.
 
 use crate::catalog::TriggerCatalog;
 use crate::evolve::{round_campaign, round_case_fn, Evolution, EvolveConfig, RoundSummary};
@@ -39,6 +46,7 @@ use crate::shard::{
 use crate::store::{self, Node, StoreError};
 use ompfuzz_backends::OmpBackend;
 use ompfuzz_exec::ProfileCollector;
+use ompfuzz_harness::{CampaignConfig, TestCase};
 use ompfuzz_obs::{Counter, CounterSnapshot, Event, Obs, Phase};
 use std::collections::BTreeSet;
 use std::fmt;
@@ -117,16 +125,6 @@ pub enum Loaded<T> {
     Corrupt(String),
     /// No file on disk.
     Absent,
-}
-
-impl<T> Loaded<T> {
-    /// Collapse to an option, treating a corrupt artifact as missing.
-    pub fn into_option(self) -> Option<T> {
-        match self {
-            Loaded::Present(v) => Some(v),
-            Loaded::Corrupt(_) | Loaded::Absent => None,
-        }
-    }
 }
 
 /// One shard's accounting plus how it was obtained.
@@ -426,44 +424,69 @@ impl Checkpoint {
         self.write(&self.catalog_path(round), &catalog.save_to_string())
     }
 
-    /// Load-or-create a round manifest, rejecting one written under a
-    /// different configuration. A corrupt on-disk manifest is replaced by
-    /// a fresh one (its shards re-run and rewrite identical bytes); the
-    /// second element carries the corruption reason so callers can emit
-    /// the `checkpoint_corrupt` telemetry event.
-    fn round_manifest(
+    /// The catalog round `round` starts from: `initial` for round 0, the
+    /// previous round's sealed merge after that. A later round cannot start
+    /// without that checkpoint, because its corpus derives from the merge.
+    pub fn round_start_catalog(
         &self,
         round: usize,
-        seed: u64,
-        fingerprint: u64,
-        shards: usize,
-    ) -> Result<(RoundManifest, Option<String>), CoordError> {
-        match self.load_manifest(round)? {
-            Loaded::Absent => Ok((RoundManifest::new(round, seed, fingerprint, shards), None)),
-            Loaded::Corrupt(reason) => Ok((
-                RoundManifest::new(round, seed, fingerprint, shards),
-                Some(reason),
+        initial: TriggerCatalog,
+    ) -> Result<TriggerCatalog, CoordError> {
+        let Some(previous) = round.checked_sub(1) else {
+            return Ok(initial);
+        };
+        match self.load_round_catalog(previous)? {
+            Loaded::Present(catalog) => Ok(catalog),
+            Loaded::Corrupt(reason) => err(format!(
+                "round {previous} catalog checkpoint in {} is corrupt ({reason}) — a \
+                 standalone shard cannot recompute the previous round's merge; \
+                 rerun the coordinator",
+                self.dir.display()
             )),
-            Loaded::Present(m) => {
-                if m.fingerprint != fingerprint
-                    || m.seed != seed
-                    || m.shards != shards
-                    || m.round != round
-                {
-                    return err(format!(
-                        "checkpoint {} was written by a different campaign \
-                         (fingerprint {:016x}, seed {}, {} shards; this run: \
-                         {fingerprint:016x}, seed {seed}, {shards} shards) — \
-                         remove the directory or rerun with the original configuration",
-                        self.manifest_path(round).display(),
-                        m.fingerprint,
-                        m.seed,
-                        m.shards,
-                    ));
-                }
-                Ok((m, None))
-            }
+            Loaded::Absent => err(format!(
+                "round {previous} has no checkpointed catalog in {} — shards of round \
+                 {round} derive their corpus from the previous round's merge",
+                self.dir.display()
+            )),
         }
+    }
+
+    /// Load-or-create the manifest of `fresh.round`, rejecting one
+    /// written under a different configuration. A corrupt on-disk manifest
+    /// is replaced by `fresh` (its shards re-run and rewrite identical
+    /// bytes) and reported to `obs` as a `checkpoint_corrupt` event.
+    fn round_manifest(&self, fresh: RoundManifest, obs: &Obs) -> Result<RoundManifest, CoordError> {
+        let m = match self.load_manifest(fresh.round)? {
+            Loaded::Present(m) => m,
+            Loaded::Corrupt(reason) => {
+                obs.emit(Event::CheckpointCorrupt {
+                    round: fresh.round as u64,
+                    shard: fresh.shards as u64,
+                    file: format!("round-{}/manifest.txt", fresh.round),
+                    reason,
+                });
+                return Ok(fresh);
+            }
+            Loaded::Absent => return Ok(fresh),
+        };
+        if (m.fingerprint, m.seed, m.shards, m.round)
+            != (fresh.fingerprint, fresh.seed, fresh.shards, fresh.round)
+        {
+            return err(format!(
+                "checkpoint {} was written by a different campaign \
+                 (fingerprint {:016x}, seed {}, {} shards; this run: \
+                 {:016x}, seed {}, {} shards) — \
+                 remove the directory or rerun with the original configuration",
+                self.manifest_path(fresh.round).display(),
+                m.fingerprint,
+                m.seed,
+                m.shards,
+                fresh.fingerprint,
+                fresh.seed,
+                fresh.shards,
+            ));
+        }
+        Ok(m)
     }
 
     /// Mark `shard` complete. The manifest is re-read from disk and the
@@ -477,12 +500,7 @@ impl Checkpoint {
         current: &RoundManifest,
         shard: usize,
     ) -> Result<RoundManifest, CoordError> {
-        let (mut merged, _corrupt) = self.round_manifest(
-            current.round,
-            current.seed,
-            current.fingerprint,
-            current.shards,
-        )?;
+        let mut merged = self.round_manifest(current.clone(), &Obs::off())?;
         merged.completed.extend(current.completed.iter().copied());
         merged.completed.insert(shard);
         self.store_manifest(&merged)?;
@@ -491,85 +509,32 @@ impl Checkpoint {
 }
 
 // ---------------------------------------------------------------------------
-// The coordinator loop
+// The round: one shard step, one checked reader, one ordered merge
 // ---------------------------------------------------------------------------
 
-/// Run a full sharded evolution, optionally checkpointing to (and resuming
-/// from) a campaign directory.
+/// Run a full sharded evolution, checkpointing to (and resuming from)
+/// `checkpoint` when one is given. Per round: plan contiguous shards over
+/// the round corpus, take each shard's [`shard_step`], [`merge_round`] the
+/// shard catalogs in shard order, and derive the next round's bias from
+/// the merge. The catalog is byte-identical for every shard count and any
+/// kill/resume point: shard results are deterministic and merge order is
+/// fixed.
 ///
-/// Per round: plan contiguous shards over the round corpus, obtain each
-/// shard's result — from its checkpoint when the manifest marks it complete
-/// and the file validates, by running it otherwise — then merge the shard
-/// catalogs *in shard order* into the cumulative catalog, checkpoint the
-/// merge, and derive the next round's generator bias from it. The merged
-/// catalog is byte-identical for every shard count and for any
-/// kill/resume point, because shard results themselves are deterministic
-/// and merge order is fixed.
+/// Telemetry (lifecycle events, phase times, latency histograms, counter
+/// totals) goes through `obs`; a cached shard's counters come from its
+/// checkpoint, so totals do not depend on resumes. When `profile` is on,
+/// the shards' VM hot-path profiles merge into it. Both are strictly out
+/// of band — catalog bytes cannot depend on them.
 pub fn run_sharded_evolution(
     config: &ShardedEvolveConfig,
     backends: &[&dyn OmpBackend],
     initial: TriggerCatalog,
-    checkpoint: Option<&Path>,
-) -> Result<ShardedEvolution, CoordError> {
-    run_sharded_evolution_with(
-        config,
-        backends,
-        initial,
-        checkpoint,
-        &Obs::off(),
-        &ProfileCollector::off(),
-    )
-}
-
-/// [`run_sharded_evolution`] reporting telemetry through `obs`: lifecycle
-/// events (campaign/round/shard start and end, periodic progress), the
-/// per-phase time breakdown, latency histograms, and the campaign counter
-/// totals. Each shard runs on a fork of `obs`; its deterministic counter
-/// snapshot is absorbed whether the shard ran or was loaded from its
-/// checkpoint (the snapshot is embedded in the shard file), so merged
-/// totals are identical across shard counts and kill/resume points. When
-/// `profile` is on, every shard's workers harvest their VM hot-path
-/// profiles into it (campaign-wide merge; snapshot after the run).
-/// Telemetry and profiling are strictly out of band — catalog bytes
-/// cannot depend on them.
-pub fn run_sharded_evolution_with(
-    config: &ShardedEvolveConfig,
-    backends: &[&dyn OmpBackend],
-    initial: TriggerCatalog,
-    checkpoint: Option<&Path>,
+    checkpoint: Option<&Checkpoint>,
     obs: &Obs,
     profile: &ProfileCollector,
-) -> Result<ShardedEvolution, CoordError> {
-    run_sharded_evolution_io(
-        config,
-        backends,
-        initial,
-        checkpoint,
-        obs,
-        profile,
-        Arc::new(RealFs),
-    )
-}
-
-/// [`run_sharded_evolution_with`] with the checkpoint directory's durable
-/// I/O routed through `fs` — the recovery property tests drive this with a
-/// fault-injecting handle to prove the campaign survives torn writes,
-/// failed renames and mid-write aborts with byte-identical catalogs.
-#[allow(clippy::too_many_arguments)]
-pub fn run_sharded_evolution_io(
-    config: &ShardedEvolveConfig,
-    backends: &[&dyn OmpBackend],
-    initial: TriggerCatalog,
-    checkpoint: Option<&Path>,
-    obs: &Obs,
-    profile: &ProfileCollector,
-    fs_handle: Arc<dyn CheckpointFs>,
 ) -> Result<ShardedEvolution, CoordError> {
     let shards = config.shards.max(1);
     let fingerprint = campaign_fingerprint(&config.evolve, shards, &initial);
-    let ckpt = checkpoint
-        .map(|dir| Checkpoint::open_with(dir, fs_handle.clone()))
-        .transpose()?;
     let campaign_started = Instant::now();
     obs.emit(Event::CampaignStart {
         rounds: config.evolve.rounds as u64,
@@ -584,22 +549,10 @@ pub fn run_sharded_evolution_io(
     for round in 0..config.evolve.rounds {
         let round_started = Instant::now();
         let campaign = round_campaign(&config.evolve, &catalog, round);
-        let plan = plan_shards(campaign.programs, shards);
-        let mut manifest = match &ckpt {
-            Some(c) => {
-                let (manifest, corrupt) =
-                    c.round_manifest(round, campaign.seed, fingerprint, shards)?;
-                if let Some(reason) = corrupt {
-                    obs.emit(Event::CheckpointCorrupt {
-                        round: round as u64,
-                        shard: shards as u64,
-                        file: format!("round-{round}/manifest.txt"),
-                        reason,
-                    });
-                }
-                manifest
-            }
-            None => RoundManifest::new(round, campaign.seed, fingerprint, shards),
+        let fresh_manifest = RoundManifest::new(round, campaign.seed, fingerprint, shards);
+        let mut manifest = match checkpoint {
+            Some(ckpt) => ckpt.round_manifest(fresh_manifest, obs)?,
+            None => fresh_manifest,
         };
 
         // Every shard generates only its own slice — O(slice) work per
@@ -614,107 +567,31 @@ pub fn run_sharded_evolution_io(
             mutants: (campaign.programs - fresh) as u64,
         });
         let mut shard_rows: Vec<ShardProgress> = Vec::with_capacity(shards);
-        let mut outcomes: Vec<ShardOutcome> = Vec::with_capacity(shards);
-        for (index, range) in plan.iter().enumerate() {
-            let shard_started = Instant::now();
-            obs.emit(Event::ShardStart {
-                round: round as u64,
-                shard: index as u64,
-                shards: shards as u64,
-                start: range.start as u64,
-                end: range.end as u64,
-            });
-            // A corrupt checkpoint (torn write, bit flip) is treated as
-            // missing: the shard re-runs and rewrites identical bytes —
-            // the campaign never wedges or degrades on a bad file.
-            let cached = match (&ckpt, manifest.completed.contains(&index)) {
-                (Some(c), true) => match c.load_shard(round, index)? {
-                    Loaded::Present(v) => Some(v),
-                    Loaded::Corrupt(reason) => {
-                        obs.emit(Event::CheckpointCorrupt {
-                            round: round as u64,
-                            shard: index as u64,
-                            file: format!("round-{round}/shard-{index}.txt"),
-                            reason,
-                        });
-                        None
-                    }
-                    Loaded::Absent => None,
-                },
-                _ => None,
-            };
-            let coords = ShardCoords {
-                round,
-                shard: index,
-                shards,
-            };
-            let (outcome, status) = match cached {
-                Some(loaded) => (
-                    check_shard_checkpoint(loaded, fingerprint, coords, range)?,
-                    ShardStatus::Cached,
-                ),
-                None => {
-                    let outcome = run_planned_shard(
-                        &campaign,
-                        backends,
-                        &gen,
-                        fresh,
-                        range.clone(),
-                        coords,
-                        obs,
-                        profile,
-                    );
-                    if let Some(c) = &ckpt {
-                        // Shard file first, then the manifest: a kill
-                        // between the two re-runs the shard on resume and
-                        // rewrites identical bytes.
-                        c.store_shard(&outcome, fingerprint)?;
-                        manifest = c.record_completed(&manifest, index)?;
-                    }
-                    (outcome, ShardStatus::Ran)
-                }
-            };
-            // Absorb the shard's counters ran-or-cached: cached snapshots
-            // come from the checkpoint file, so resumed totals equal a
-            // fresh run's.
-            obs.absorb(&outcome.metrics);
-            let wall_us = shard_started.elapsed().as_micros() as u64;
-            let s = &outcome.summary;
-            obs.emit(Event::ShardEnd {
-                round: round as u64,
-                shard: index as u64,
-                shards: shards as u64,
-                programs: s.programs() as u64,
-                mutants: s.mutants as u64,
-                racy: s.racy as u64,
-                outliers: s.outlier_records as u64,
-                reduced: s.reduced as u64,
-                cached: status == ShardStatus::Cached,
-                wall_us,
-            });
-            shard_rows.push(ShardProgress {
-                summary: outcome.summary.clone(),
-                status,
-                wall_us,
-                metrics: outcome.metrics,
-            });
-            outcomes.push(outcome);
+        let mut shard_catalogs = Vec::with_capacity(shards);
+        for (shard, range) in plan_shards(campaign.programs, shards)
+            .into_iter()
+            .enumerate()
+        {
+            let (row, shard_catalog) = shard_step(
+                checkpoint,
+                &mut manifest,
+                &campaign,
+                backends,
+                &gen,
+                fresh,
+                range,
+                shard,
+                obs,
+                profile,
+            )?;
+            shard_rows.push(row);
+            shard_catalogs.push(shard_catalog);
         }
         // The round generator borrows the catalog; release it before the
-        // merge below mutates it.
+        // merge takes the catalog over.
         drop(gen);
-
-        let new_skeletons = obs.time(Phase::CatalogMerge, || {
-            let mut new_skeletons = 0;
-            for outcome in outcomes {
-                new_skeletons += catalog.merge(outcome.catalog);
-            }
-            new_skeletons
-        });
-        obs.count(Counter::NewSkeletons, new_skeletons as u64);
-        if let Some(c) = &ckpt {
-            c.store_round_catalog(round, &catalog)?;
-        }
+        let (merged, new_skeletons) = merge_round(checkpoint, round, catalog, shard_catalogs, obs)?;
+        catalog = merged;
         let round_wall_us = round_started.elapsed().as_micros() as u64;
         let programs: usize = shard_rows.iter().map(|s| s.summary.programs()).sum();
         // The round's catalog yield, normalized to a 1k-program budget —
@@ -766,12 +643,154 @@ pub fn run_sharded_evolution_io(
     })
 }
 
+/// Run exactly one shard of one round against a campaign directory — the
+/// out-of-process worker behind `ompfuzz shard --round R --shard I/N`.
+/// Round 0 starts from `initial` (the `--resume` catalog, or empty); later
+/// rounds start from the previous round's checkpointed merge. The shard
+/// takes the same [`shard_step`] as in the coordinator loop, so a shard
+/// already complete comes back [`ShardStatus::Cached`] without re-running.
+#[allow(clippy::too_many_arguments)]
+pub fn run_standalone_shard(
+    config: &ShardedEvolveConfig,
+    backends: &[&dyn OmpBackend],
+    initial: TriggerCatalog,
+    checkpoint: &Checkpoint,
+    round: usize,
+    shard: usize,
+    obs: &Obs,
+    profile: &ProfileCollector,
+) -> Result<ShardProgress, CoordError> {
+    let shards = config.shards.max(1);
+    if round >= config.evolve.rounds {
+        return err(format!(
+            "round {round} out of range (campaign has {} rounds)",
+            config.evolve.rounds
+        ));
+    }
+    if shard >= shards {
+        return err(format!("shard {shard} out of range (0..{shards})"));
+    }
+    let fingerprint = campaign_fingerprint(&config.evolve, shards, &initial);
+    let catalog = checkpoint.round_start_catalog(round, initial)?;
+    let campaign = round_campaign(&config.evolve, &catalog, round);
+    let fresh_manifest = RoundManifest::new(round, campaign.seed, fingerprint, shards);
+    let mut manifest = checkpoint.round_manifest(fresh_manifest, obs)?;
+    let range = plan_shards(campaign.programs, shards).swap_remove(shard);
+    let (gen, fresh) = round_case_fn(&campaign, &catalog, &config.evolve);
+    let (progress, _) = shard_step(
+        Some(checkpoint),
+        &mut manifest,
+        &campaign,
+        backends,
+        &gen,
+        fresh,
+        range,
+        shard,
+        obs,
+        profile,
+    )?;
+    obs.flush();
+    Ok(progress)
+}
+
+/// One shard of one round — the step the coordinator loop takes for each
+/// shard and the standalone worker for its one. A shard the manifest marks
+/// complete is loaded and checked ([`check_shard_checkpoint`]); a corrupt
+/// checkpoint is reported and treated as missing, so the shard re-runs
+/// into identical bytes. A run shard is sealed when there is a checkpoint
+/// directory: shard file first, then the manifest, so a kill between the
+/// two re-runs it on resume. Emits the shard's start and end events and
+/// absorbs its counters, ran or cached.
+#[allow(clippy::too_many_arguments)]
+fn shard_step(
+    checkpoint: Option<&Checkpoint>,
+    manifest: &mut RoundManifest,
+    campaign: &CampaignConfig,
+    backends: &[&dyn OmpBackend],
+    gen: &(dyn Fn(usize) -> TestCase + Sync),
+    fresh: usize,
+    range: Range<usize>,
+    shard: usize,
+    obs: &Obs,
+    profile: &ProfileCollector,
+) -> Result<(ShardProgress, TriggerCatalog), CoordError> {
+    let (round, shards) = (manifest.round, manifest.shards);
+    let started = Instant::now();
+    obs.emit(Event::ShardStart {
+        round: round as u64,
+        shard: shard as u64,
+        shards: shards as u64,
+        start: range.start as u64,
+        end: range.end as u64,
+    });
+    let coords = ShardCoords {
+        round,
+        shard,
+        shards,
+    };
+    let cached = match checkpoint.filter(|_| manifest.completed.contains(&shard)) {
+        Some(ckpt) => match ckpt.load_shard(round, shard)? {
+            Loaded::Present(file) => Some(check_shard_checkpoint(
+                file,
+                manifest.fingerprint,
+                coords,
+                &range,
+            )?),
+            Loaded::Corrupt(reason) => {
+                obs.emit(Event::CheckpointCorrupt {
+                    round: round as u64,
+                    shard: shard as u64,
+                    file: format!("round-{round}/shard-{shard}.txt"),
+                    reason,
+                });
+                None
+            }
+            Loaded::Absent => None,
+        },
+        None => None,
+    };
+    let (outcome, status) = match cached {
+        Some(outcome) => (outcome, ShardStatus::Cached),
+        None => {
+            let outcome =
+                run_planned_shard(campaign, backends, gen, fresh, range, coords, obs, profile);
+            if let Some(ckpt) = checkpoint {
+                ckpt.store_shard(&outcome, manifest.fingerprint)?;
+                *manifest = ckpt.record_completed(manifest, shard)?;
+            }
+            (outcome, ShardStatus::Ran)
+        }
+    };
+    obs.absorb(&outcome.metrics);
+    let wall_us = started.elapsed().as_micros() as u64;
+    let s = &outcome.summary;
+    obs.emit(Event::ShardEnd {
+        round: round as u64,
+        shard: shard as u64,
+        shards: shards as u64,
+        programs: s.programs() as u64,
+        mutants: s.mutants as u64,
+        racy: s.racy as u64,
+        outliers: s.outlier_records as u64,
+        reduced: s.reduced as u64,
+        cached: status == ShardStatus::Cached,
+        wall_us,
+    });
+    let progress = ShardProgress {
+        summary: outcome.summary,
+        status,
+        wall_us,
+        metrics: outcome.metrics,
+    };
+    Ok((progress, outcome.catalog))
+}
+
 /// Accept a loaded shard checkpoint (recorded fingerprint + outcome) only
 /// if this campaign wrote it for exactly this shard: fingerprint, round,
 /// shard index, shard count and program range must all match. A valid
-/// file of another shard sealed under this shard's name is an error, never
-/// a cached result. The coordinator loop and the standalone worker both
-/// check through here.
+/// file of another shard or another campaign sealed under this shard's
+/// name is an error, never a cached result. The shard step and the round
+/// reader both check through here.
 fn check_shard_checkpoint(
     (recorded, outcome): (u64, ShardOutcome),
     fingerprint: u64,
@@ -792,165 +811,83 @@ fn check_shard_checkpoint(
     Ok(outcome)
 }
 
-/// Run exactly one shard of one round against a campaign directory — the
-/// out-of-process worker behind `ompfuzz shard --round R --shard I/N`.
-///
-/// Round 0 starts from `initial` (the `--resume` catalog, or empty); later
-/// rounds need the previous round's merged catalog to be checkpointed
-/// already. Writes the shard checkpoint and marks it complete in the round
-/// manifest; a shard already marked complete is loaded and reported as
-/// [`ShardStatus::Cached`] without re-running.
-pub fn run_standalone_shard(
-    config: &ShardedEvolveConfig,
-    backends: &[&dyn OmpBackend],
-    initial: TriggerCatalog,
-    checkpoint: &Path,
+/// Read a finished round's shard files, each checked against the round's
+/// sealed manifest — for callers without the campaign config, such as the
+/// `ompfuzz serve` daemon at merge time and on restart. The manifest gives
+/// the fingerprint and shard count; the expected ranges are [`plan_shards`]
+/// over the last shard's recorded end (unchecked while that file is
+/// missing or corrupt). Without a readable manifest the outer verdict says
+/// why; inside, a shard is [`Loaded::Present`] only if it passed
+/// [`check_shard_checkpoint`], and missing or corrupt files come back as
+/// such, for the caller to re-run. A valid file of another shard or
+/// campaign is an error.
+pub fn read_round_shards(
+    checkpoint: &Checkpoint,
     round: usize,
-    shard: usize,
-) -> Result<ShardProgress, CoordError> {
-    run_standalone_shard_with(
-        config,
-        backends,
-        initial,
-        checkpoint,
-        round,
-        shard,
-        &Obs::off(),
-        &ProfileCollector::off(),
-    )
+) -> Result<Loaded<Vec<Loaded<ShardOutcome>>>, CoordError> {
+    let manifest = match checkpoint.load_manifest(round)? {
+        Loaded::Present(manifest) => manifest,
+        Loaded::Corrupt(reason) => return Ok(Loaded::Corrupt(reason)),
+        Loaded::Absent => return Ok(Loaded::Absent),
+    };
+    let files = (0..manifest.shards)
+        .map(|shard| checkpoint.load_shard(round, shard))
+        .collect::<Result<Vec<_>, _>>()?;
+    let plan = match files.last() {
+        Some(Loaded::Present((_, last))) => Some(plan_shards(last.summary.end, manifest.shards)),
+        _ => None,
+    };
+    // Last shard first: its file fixes the plan, so it must pass before
+    // the plan judges the others.
+    let mut checked = files
+        .into_iter()
+        .enumerate()
+        .rev()
+        .map(|(shard, file)| match file {
+            Loaded::Present(file) => {
+                let coords = ShardCoords {
+                    round,
+                    shard,
+                    shards: manifest.shards,
+                };
+                let s = &file.1.summary;
+                let range = plan
+                    .as_ref()
+                    .map_or(s.start..s.end, |plan| plan[shard].clone());
+                check_shard_checkpoint(file, manifest.fingerprint, coords, &range)
+                    .map(Loaded::Present)
+            }
+            Loaded::Corrupt(reason) => Ok(Loaded::Corrupt(reason)),
+            Loaded::Absent => Ok(Loaded::Absent),
+        })
+        .collect::<Result<Vec<_>, _>>()?;
+    checked.reverse();
+    Ok(Loaded::Present(checked))
 }
 
-/// [`run_standalone_shard`] reporting telemetry through `obs`: shard
-/// start/end events, per-phase timings, latency histograms and the shard's
-/// counter snapshot (absorbed into `obs` whether it ran or was loaded from
-/// checkpoint). When `profile` is on, the shard's workers harvest their
-/// VM hot-path profiles into it.
-#[allow(clippy::too_many_arguments)]
-pub fn run_standalone_shard_with(
-    config: &ShardedEvolveConfig,
-    backends: &[&dyn OmpBackend],
-    initial: TriggerCatalog,
-    checkpoint: &Path,
+/// Fold a round's shard catalogs in shard order onto `catalog`, the
+/// catalog the round started from — the unsharded run's first-witness-wins
+/// fold — and seal the result as the round's catalog checkpoint when there
+/// is a checkpoint directory. The coordinator and the daemon both merge
+/// here. Returns the merged catalog and its count of new skeletons.
+pub fn merge_round(
+    checkpoint: Option<&Checkpoint>,
     round: usize,
-    shard: usize,
+    mut catalog: TriggerCatalog,
+    shard_catalogs: Vec<TriggerCatalog>,
     obs: &Obs,
-    profile: &ProfileCollector,
-) -> Result<ShardProgress, CoordError> {
-    let shards = config.shards.max(1);
-    if round >= config.evolve.rounds {
-        return err(format!(
-            "round {round} out of range (campaign has {} rounds)",
-            config.evolve.rounds
-        ));
-    }
-    if shard >= shards {
-        return err(format!("shard {shard} out of range (0..{shards})"));
-    }
-    let fingerprint = campaign_fingerprint(&config.evolve, shards, &initial);
-    let ckpt = Checkpoint::open(checkpoint)?;
-    let catalog = if round == 0 {
-        initial
-    } else {
-        match ckpt.load_round_catalog(round - 1)? {
-            Loaded::Present(catalog) => catalog,
-            Loaded::Corrupt(reason) => {
-                return err(format!(
-                    "round {} catalog checkpoint in {} is corrupt ({reason}) — a \
-                     standalone shard cannot recompute the previous round's merge; \
-                     rerun the coordinator",
-                    round - 1,
-                    checkpoint.display()
-                ));
-            }
-            Loaded::Absent => {
-                return err(format!(
-                    "round {} has no checkpointed catalog in {} — shards of round \
-                     {round} derive their corpus from the previous round's merge",
-                    round - 1,
-                    checkpoint.display()
-                ));
-            }
-        }
-    };
-    let campaign = round_campaign(&config.evolve, &catalog, round);
-    let (manifest, manifest_corrupt) =
-        ckpt.round_manifest(round, campaign.seed, fingerprint, shards)?;
-    if let Some(reason) = manifest_corrupt {
-        obs.emit(Event::CheckpointCorrupt {
-            round: round as u64,
-            shard: shards as u64,
-            file: format!("round-{round}/manifest.txt"),
-            reason,
-        });
-    }
-    let started = Instant::now();
-    let plan = plan_shards(campaign.programs, shards);
-    let range = plan[shard].clone();
-    obs.emit(Event::ShardStart {
-        round: round as u64,
-        shard: shard as u64,
-        shards: shards as u64,
-        start: range.start as u64,
-        end: range.end as u64,
+) -> Result<(TriggerCatalog, usize), CoordError> {
+    let new_skeletons = obs.time(Phase::CatalogMerge, || {
+        shard_catalogs
+            .into_iter()
+            .map(|shard| catalog.merge(shard))
+            .sum::<usize>()
     });
-    let finish = |outcome: ShardOutcome, status: ShardStatus| {
-        obs.absorb(&outcome.metrics);
-        let wall_us = started.elapsed().as_micros() as u64;
-        let s = &outcome.summary;
-        obs.emit(Event::ShardEnd {
-            round: round as u64,
-            shard: shard as u64,
-            shards: shards as u64,
-            programs: s.programs() as u64,
-            mutants: s.mutants as u64,
-            racy: s.racy as u64,
-            outliers: s.outlier_records as u64,
-            reduced: s.reduced as u64,
-            cached: status == ShardStatus::Cached,
-            wall_us,
-        });
-        obs.flush();
-        ShardProgress {
-            summary: outcome.summary,
-            status,
-            wall_us,
-            metrics: outcome.metrics,
-        }
-    };
-    let coords = ShardCoords {
-        round,
-        shard,
-        shards,
-    };
-    if manifest.completed.contains(&shard) {
-        match ckpt.load_shard(round, shard)? {
-            Loaded::Present(loaded) => {
-                let outcome = check_shard_checkpoint(loaded, fingerprint, coords, &range)?;
-                return Ok(finish(outcome, ShardStatus::Cached));
-            }
-            Loaded::Corrupt(reason) => {
-                // Fall through to re-run: the corrupt checkpoint is
-                // overwritten with identical (now intact) bytes.
-                obs.emit(Event::CheckpointCorrupt {
-                    round: round as u64,
-                    shard: shard as u64,
-                    file: format!("round-{round}/shard-{shard}.txt"),
-                    reason,
-                });
-            }
-            Loaded::Absent => {}
-        }
+    obs.count(Counter::NewSkeletons, new_skeletons as u64);
+    if let Some(ckpt) = checkpoint {
+        ckpt.store_round_catalog(round, &catalog)?;
     }
-    // The out-of-process worker's headline saving: generate only this
-    // shard's slice — per program, inside the campaign closures — never
-    // the whole round corpus.
-    let (gen, fresh) = round_case_fn(&campaign, &catalog, &config.evolve);
-    let outcome = run_planned_shard(
-        &campaign, backends, &gen, fresh, range, coords, obs, profile,
-    );
-    ckpt.store_shard(&outcome, fingerprint)?;
-    ckpt.record_completed(&manifest, shard)?;
-    Ok(finish(outcome, ShardStatus::Ran))
+    Ok((catalog, new_skeletons))
 }
 
 #[cfg(test)]
@@ -979,6 +916,45 @@ mod tests {
         }
     }
 
+    /// The coordinator over `dir` (if any), from an empty catalog, with
+    /// telemetry off.
+    fn evolve(
+        config: &ShardedEvolveConfig,
+        dyns: &[&dyn OmpBackend],
+        dir: Option<&Path>,
+    ) -> Result<ShardedEvolution, CoordError> {
+        let ckpt = dir.map(|d| Checkpoint::open(d).unwrap());
+        run_sharded_evolution(
+            config,
+            dyns,
+            TriggerCatalog::new(),
+            ckpt.as_ref(),
+            &Obs::off(),
+            &ProfileCollector::off(),
+        )
+    }
+
+    /// The standalone worker for one shard of `dir`, from an empty catalog,
+    /// with telemetry off.
+    fn shard(
+        config: &ShardedEvolveConfig,
+        dyns: &[&dyn OmpBackend],
+        dir: &Path,
+        round: usize,
+        shard: usize,
+    ) -> Result<ShardProgress, CoordError> {
+        run_standalone_shard(
+            config,
+            dyns,
+            TriggerCatalog::new(),
+            &Checkpoint::open(dir).unwrap(),
+            round,
+            shard,
+            &Obs::off(),
+            &ProfileCollector::off(),
+        )
+    }
+
     static DIR_ID: AtomicUsize = AtomicUsize::new(0);
 
     /// A unique scratch directory per test invocation (no tempfile crate in
@@ -999,15 +975,14 @@ mod tests {
         let backends = standard_backends();
         let dyns = dyns(&backends);
         let baseline = crate::run_evolution(&test_config(), &dyns, TriggerCatalog::new());
-        let four = run_sharded_evolution(&sharded(4), &dyns, TriggerCatalog::new(), None).unwrap();
+        let four = evolve(&sharded(4), &dyns, None).unwrap();
         assert_eq!(baseline.rounds, four.evolution.rounds);
         assert_eq!(
             baseline.catalog.save_to_string(),
             four.evolution.catalog.save_to_string()
         );
         let dir = scratch("counts");
-        let three =
-            run_sharded_evolution(&sharded(3), &dyns, TriggerCatalog::new(), Some(&dir)).unwrap();
+        let three = evolve(&sharded(3), &dyns, Some(&dir)).unwrap();
         assert_eq!(baseline.rounds, three.evolution.rounds);
         assert_eq!(
             baseline.catalog.save_to_string(),
@@ -1015,11 +990,10 @@ mod tests {
         );
         // The between-rounds checkpoint of the last round IS the result.
         let ckpt = Checkpoint::open(&dir).unwrap();
-        let last = ckpt
-            .load_round_catalog(test_config().rounds - 1)
-            .unwrap()
-            .into_option()
-            .expect("final round checkpointed");
+        let Loaded::Present(last) = ckpt.load_round_catalog(test_config().rounds - 1).unwrap()
+        else {
+            panic!("final round checkpointed");
+        };
         assert_eq!(last.save_to_string(), baseline.catalog.save_to_string());
         let _ = fs::remove_dir_all(&dir);
     }
@@ -1035,18 +1009,15 @@ mod tests {
         let baseline = crate::run_evolution(&test_config(), &dyns, TriggerCatalog::new());
         let dir = scratch("resume");
 
-        let first =
-            run_standalone_shard(&sharded(3), &dyns, TriggerCatalog::new(), &dir, 0, 1).unwrap();
+        let first = shard(&sharded(3), &dyns, &dir, 0, 1).unwrap();
         assert_eq!(first.status, ShardStatus::Ran);
         assert_eq!(first.summary.shard, 1);
         // Running the same shard again is a no-op.
-        let again =
-            run_standalone_shard(&sharded(3), &dyns, TriggerCatalog::new(), &dir, 0, 1).unwrap();
+        let again = shard(&sharded(3), &dyns, &dir, 0, 1).unwrap();
         assert_eq!(again.status, ShardStatus::Cached);
         assert_eq!(again.summary, first.summary);
 
-        let resumed =
-            run_sharded_evolution(&sharded(3), &dyns, TriggerCatalog::new(), Some(&dir)).unwrap();
+        let resumed = evolve(&sharded(3), &dyns, Some(&dir)).unwrap();
         let statuses: Vec<ShardStatus> = resumed.progress[0]
             .shards
             .iter()
@@ -1063,8 +1034,7 @@ mod tests {
         assert_eq!(baseline.rounds, resumed.evolution.rounds);
 
         // A second coordinator pass finds every shard checkpointed.
-        let rerun =
-            run_sharded_evolution(&sharded(3), &dyns, TriggerCatalog::new(), Some(&dir)).unwrap();
+        let rerun = evolve(&sharded(3), &dyns, Some(&dir)).unwrap();
         assert!(rerun
             .progress
             .iter()
@@ -1084,15 +1054,14 @@ mod tests {
         let backends = standard_backends();
         let dyns = dyns(&backends);
         let dir = scratch("foreign");
-        run_standalone_shard(&sharded(2), &dyns, TriggerCatalog::new(), &dir, 0, 0).unwrap();
+        shard(&sharded(2), &dyns, &dir, 0, 0).unwrap();
         let mut other = sharded(2);
         other.evolve.base.seed += 1;
-        let e = run_sharded_evolution(&other, &dyns, TriggerCatalog::new(), Some(&dir))
-            .expect_err("mismatched seed must be rejected");
+        let e = evolve(&other, &dyns, Some(&dir)).expect_err("mismatched seed must be rejected");
         assert!(e.0.contains("different campaign"), "{e}");
         // Same config with a different shard count is also a different
         // campaign as far as the manifests are concerned.
-        let e = run_sharded_evolution(&sharded(3), &dyns, TriggerCatalog::new(), Some(&dir))
+        let e = evolve(&sharded(3), &dyns, Some(&dir))
             .expect_err("mismatched shard count must be rejected");
         assert!(e.0.contains("different campaign"), "{e}");
         let _ = fs::remove_dir_all(&dir);
@@ -1106,19 +1075,69 @@ mod tests {
         let backends = standard_backends();
         let dyns = dyns(&backends);
         let dir = scratch("swapped");
-        for shard in 0..2 {
-            run_standalone_shard(&sharded(2), &dyns, TriggerCatalog::new(), &dir, 0, shard)
-                .unwrap();
+        for index in 0..2 {
+            shard(&sharded(2), &dyns, &dir, 0, index).unwrap();
         }
         let round_dir = dir.join("round-0");
         fs::copy(round_dir.join("shard-0.txt"), round_dir.join("shard-1.txt")).unwrap();
-        let e = run_standalone_shard(&sharded(2), &dyns, TriggerCatalog::new(), &dir, 0, 1)
+        let e = shard(&sharded(2), &dyns, &dir, 0, 1)
             .expect_err("shard 0's checkpoint must not pass as shard 1's");
         assert!(e.0.contains("round-0/shard-1 does not match"), "{e}");
-        let e = run_sharded_evolution(&sharded(2), &dyns, TriggerCatalog::new(), Some(&dir))
-            .expect_err("the coordinator must refuse it too");
+        let e =
+            evolve(&sharded(2), &dyns, Some(&dir)).expect_err("the coordinator must refuse it too");
         assert!(e.0.contains("round-0/shard-1 does not match"), "{e}");
         let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// The round reader the daemon merges through checks every shard file
+    /// against the round's sealed manifest: intact files read back in shard
+    /// order, and a valid file of another shard or of another campaign is
+    /// refused.
+    #[test]
+    fn the_round_reader_refuses_foreign_shard_files() {
+        let backends = standard_backends();
+        let dyns = dyns(&backends);
+        let dir = scratch("reader");
+        for index in 0..2 {
+            shard(&sharded(2), &dyns, &dir, 0, index).unwrap();
+        }
+        let ckpt = Checkpoint::open(&dir).unwrap();
+        let Loaded::Present(files) = read_round_shards(&ckpt, 0).unwrap() else {
+            panic!("round 0 has a sealed manifest");
+        };
+        let order: Vec<usize> = files
+            .iter()
+            .map(|file| match file {
+                Loaded::Present(outcome) => outcome.summary.shard,
+                other => panic!("intact shard file read as {other:?}"),
+            })
+            .collect();
+        assert_eq!(order, vec![0, 1]);
+
+        let round_dir = dir.join("round-0");
+        let own = fs::read(round_dir.join("shard-1.txt")).unwrap();
+        fs::copy(round_dir.join("shard-0.txt"), round_dir.join("shard-1.txt")).unwrap();
+        let e = read_round_shards(&ckpt, 0).expect_err("shard 0's file must not pass as shard 1's");
+        assert!(e.0.contains("round-0/shard-1 does not match"), "{e}");
+
+        // Shard 1 over the same range, written by a campaign with another
+        // seed: only the fingerprint tells it apart.
+        let other_dir = scratch("reader-other");
+        let mut other = sharded(2);
+        other.evolve.base.seed += 1;
+        shard(&other, &dyns, &other_dir, 0, 1).unwrap();
+        let other_file = other_dir.join("round-0").join("shard-1.txt");
+        fs::copy(other_file, round_dir.join("shard-1.txt")).unwrap();
+        let e = read_round_shards(&ckpt, 0).expect_err("another campaign's file must be refused");
+        assert!(e.0.contains("round-0/shard-1 does not match"), "{e}");
+
+        fs::write(round_dir.join("shard-1.txt"), own).unwrap();
+        assert!(matches!(
+            read_round_shards(&ckpt, 0),
+            Ok(Loaded::Present(_))
+        ));
+        let _ = fs::remove_dir_all(&dir);
+        let _ = fs::remove_dir_all(&other_dir);
     }
 
     /// Standalone shards of a later round need the previous round's merged
@@ -1129,16 +1148,12 @@ mod tests {
         let backends = standard_backends();
         let dyns = dyns(&backends);
         let dir = scratch("later");
-        let e = run_standalone_shard(&sharded(2), &dyns, TriggerCatalog::new(), &dir, 1, 0)
-            .expect_err("round 1 without round 0 checkpoint");
+        let e =
+            shard(&sharded(2), &dyns, &dir, 1, 0).expect_err("round 1 without round 0 checkpoint");
         assert!(e.0.contains("no checkpointed catalog"), "{e}");
         // Out-of-range coordinates are rejected up front.
-        assert!(
-            run_standalone_shard(&sharded(2), &dyns, TriggerCatalog::new(), &dir, 9, 0).is_err()
-        );
-        assert!(
-            run_standalone_shard(&sharded(2), &dyns, TriggerCatalog::new(), &dir, 0, 2).is_err()
-        );
+        assert!(shard(&sharded(2), &dyns, &dir, 9, 0).is_err());
+        assert!(shard(&sharded(2), &dyns, &dir, 0, 2).is_err());
         let _ = fs::remove_dir_all(&dir);
     }
 
@@ -1230,7 +1245,7 @@ mod tests {
         let baseline = crate::run_evolution(&test_config(), &dyns, TriggerCatalog::new());
         for (tag, damage) in [("flip", flip_byte as fn(&Path)), ("tear", tear)] {
             let dir = scratch(&format!("corrupt-shard-{tag}"));
-            run_standalone_shard(&sharded(3), &dyns, TriggerCatalog::new(), &dir, 0, 1).unwrap();
+            shard(&sharded(3), &dyns, &dir, 0, 1).unwrap();
             damage(&dir.join("round-0").join("shard-1.txt"));
 
             let ckpt = Checkpoint::open(&dir).unwrap();
@@ -1241,11 +1256,11 @@ mod tests {
 
             let sink = std::sync::Arc::new(ompfuzz_obs::CaptureSink::new());
             let obs = Obs::with_sink(sink.clone());
-            let resumed = run_sharded_evolution_with(
+            let resumed = run_sharded_evolution(
                 &sharded(3),
                 &dyns,
                 TriggerCatalog::new(),
-                Some(&dir),
+                Some(&ckpt),
                 &obs,
                 &ProfileCollector::off(),
             )
@@ -1281,10 +1296,9 @@ mod tests {
         let dyns = dyns(&backends);
         let baseline = crate::run_evolution(&test_config(), &dyns, TriggerCatalog::new());
         let dir = scratch("corrupt-manifest");
-        run_standalone_shard(&sharded(2), &dyns, TriggerCatalog::new(), &dir, 0, 0).unwrap();
+        shard(&sharded(2), &dyns, &dir, 0, 0).unwrap();
         flip_byte(&dir.join("round-0").join("manifest.txt"));
-        let resumed =
-            run_sharded_evolution(&sharded(2), &dyns, TriggerCatalog::new(), Some(&dir)).unwrap();
+        let resumed = evolve(&sharded(2), &dyns, Some(&dir)).unwrap();
         assert_eq!(
             baseline.catalog.save_to_string(),
             resumed.evolution.catalog.save_to_string()
@@ -1300,13 +1314,13 @@ mod tests {
         let backends = standard_backends();
         let dyns = dyns(&backends);
         let dir = scratch("sealed-garbage");
-        run_standalone_shard(&sharded(2), &dyns, TriggerCatalog::new(), &dir, 0, 0).unwrap();
+        shard(&sharded(2), &dyns, &dir, 0, 0).unwrap();
         fs::write(
             dir.join("round-0").join("shard-0.txt"),
             crate::integrity::seal("(not a shard checkpoint)\n"),
         )
         .unwrap();
-        let e = run_sharded_evolution(&sharded(2), &dyns, TriggerCatalog::new(), Some(&dir))
+        let e = evolve(&sharded(2), &dyns, Some(&dir))
             .expect_err("sealed garbage must be rejected, not re-run");
         assert!(!e.0.is_empty());
         let _ = fs::remove_dir_all(&dir);

@@ -9,6 +9,11 @@
 //! ([`mutate_kernel`]). Round seeds, mutant seeds and the catalog are all
 //! pure functions of `(config, seed)`, so the whole evolution — including
 //! the saved catalog bytes — is reproducible and worker-count-independent.
+//!
+//! This module defines what a round computes: its campaign, its corpus
+//! slots and its summary. Running rounds — shard steps, the ordered merge,
+//! checkpoints — is the [`coordinator`](crate::coordinator)'s job;
+//! [`run_evolution`] is its in-memory shorthand.
 
 use crate::bias::GeneratorBias;
 use crate::catalog::TriggerCatalog;
@@ -134,34 +139,21 @@ pub fn round_seed(seed: u64, round: usize) -> u64 {
     seed.wrapping_add((round as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15))
 }
 
-/// Run a full evolution. Pass a pre-loaded `catalog` to resume from an
-/// earlier run's kernels (they seed round 0's mutants); start from
+/// Run a full evolution in memory. Pass a pre-loaded `catalog` to resume
+/// from an earlier run's kernels (they seed round 0's mutants); start from
 /// [`TriggerCatalog::new`] otherwise.
 ///
-/// This is the one-shard, in-memory face of the campaign coordinator: it
-/// delegates to [`run_sharded_evolution`](crate::run_sharded_evolution)
-/// with a single shard and no
-/// checkpoint directory, so sharded and unsharded runs share one code path
-/// — and one set of bytes in the saved catalog.
+/// This is shorthand for the campaign coordinator with one shard, no
+/// checkpoint directory, and telemetry and profiling off: it delegates to
+/// [`run_sharded_evolution`](crate::run_sharded_evolution), so sharded and
+/// unsharded runs share one code path — and one set of bytes in the saved
+/// catalog. Callers that want telemetry call the coordinator directly.
 pub fn run_evolution(
     config: &EvolveConfig,
     backends: &[&dyn OmpBackend],
     catalog: TriggerCatalog,
 ) -> Evolution {
-    run_evolution_with(config, backends, catalog, &ompfuzz_obs::Obs::off())
-}
-
-/// [`run_evolution`] reporting telemetry through `obs` — counters, phase
-/// timers and lifecycle events. Telemetry is strictly out of band: the
-/// returned evolution (and its catalog bytes) is identical whether `obs`
-/// is on or off, which the telemetry tests pin.
-pub fn run_evolution_with(
-    config: &EvolveConfig,
-    backends: &[&dyn OmpBackend],
-    catalog: TriggerCatalog,
-    obs: &ompfuzz_obs::Obs,
-) -> Evolution {
-    crate::coordinator::run_sharded_evolution_with(
+    crate::coordinator::run_sharded_evolution(
         &ShardedEvolveConfig {
             evolve: config.clone(),
             shards: 1,
@@ -169,7 +161,7 @@ pub fn run_evolution_with(
         backends,
         catalog,
         None,
-        obs,
+        &ompfuzz_obs::Obs::off(),
         &ompfuzz_exec::ProfileCollector::off(),
     )
     .expect("in-memory evolution performs no checkpoint I/O")

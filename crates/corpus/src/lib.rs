@@ -14,7 +14,7 @@
 //!    [`ProgramFeatures`](ompfuzz_ast::ProgramFeatures) steer the next
 //!    round's [`GeneratorConfig`](ompfuzz_gen::GeneratorConfig) toward the
 //!    structural neighborhood of known triggers.
-//! 3. **Kernel mutation seeding** ([`mutate`]) and the round driver
+//! 3. **Kernel mutation seeding** ([`mutate`]) and the evolution
 //!    ([`evolve`]): a fraction of each round's corpus is grow-mutated
 //!    catalog kernels, and [`run_evolution`] chains campaigns, reductions
 //!    and feedback into a deterministic, worker-count-independent loop
@@ -26,6 +26,11 @@
 //!    manifest, and the merged catalog to a campaign directory, so
 //!    `ompfuzz evolve --shards N --checkpoint-dir D` resumes mid-round
 //!    after a kill — with catalog bytes identical to the unsharded run.
+//!    The round has one implementation there — a shard step, a checked
+//!    round reader and an ordered merge — and `ompfuzz evolve`, `ompfuzz
+//!    shard` and the `ompfuzz serve` daemon all run rounds through it.
+//!    The entry points are [`run_sharded_evolution`],
+//!    [`run_standalone_shard`], and the in-memory [`run_evolution`].
 //!
 //! ```
 //! use ompfuzz_corpus::{run_evolution, EvolveConfig, TriggerCatalog};
@@ -59,14 +64,11 @@ pub use batch::{
 pub use bias::GeneratorBias;
 pub use catalog::{Provenance, TriggerCatalog, TriggerKernel};
 pub use coordinator::{
-    campaign_fingerprint, run_sharded_evolution, run_sharded_evolution_io,
-    run_sharded_evolution_with, run_standalone_shard, run_standalone_shard_with, Checkpoint,
-    CoordError, Loaded, RoundManifest, RoundProgress, ShardProgress, ShardStatus, ShardedEvolution,
-    ShardedEvolveConfig,
+    campaign_fingerprint, merge_round, read_round_shards, run_sharded_evolution,
+    run_standalone_shard, Checkpoint, CoordError, Loaded, RoundManifest, RoundProgress,
+    ShardProgress, ShardStatus, ShardedEvolution, ShardedEvolveConfig,
 };
-pub use evolve::{
-    round_seed, run_evolution, run_evolution_with, Evolution, EvolveConfig, RoundSummary,
-};
+pub use evolve::{round_seed, run_evolution, Evolution, EvolveConfig, RoundSummary};
 pub use fault::{is_fault_abort, CheckpointFs, Fault, FaultPlan, FaultyFs, RealFs};
 pub use integrity::{fnv1a_bytes, seal, unseal};
 pub use mutate::{grow_limits, mutant_seed, mutate_kernel};

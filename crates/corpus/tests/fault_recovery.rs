@@ -13,8 +13,8 @@
 
 use ompfuzz_backends::{standard_backends, OmpBackend};
 use ompfuzz_corpus::{
-    run_sharded_evolution, run_sharded_evolution_io, CheckpointFs, EvolveConfig, FaultPlan,
-    FaultyFs, ShardedEvolveConfig, TriggerCatalog,
+    run_sharded_evolution, Checkpoint, CheckpointFs, EvolveConfig, FaultPlan, FaultyFs,
+    ShardedEvolveConfig, TriggerCatalog,
 };
 use ompfuzz_exec::ProfileCollector;
 use ompfuzz_obs::Obs;
@@ -42,11 +42,18 @@ fn reference_catalog() -> &'static String {
     REFERENCE.get_or_init(|| {
         let backends = standard_backends();
         let dyns = backends_dyn(&backends);
-        run_sharded_evolution(&test_config(), &dyns, TriggerCatalog::new(), None)
-            .expect("fault-free run cannot fail")
-            .evolution
-            .catalog
-            .save_to_string()
+        run_sharded_evolution(
+            &test_config(),
+            &dyns,
+            TriggerCatalog::new(),
+            None,
+            &Obs::off(),
+            &ProfileCollector::off(),
+        )
+        .expect("fault-free run cannot fail")
+        .evolution
+        .catalog
+        .save_to_string()
     })
 }
 
@@ -85,16 +92,16 @@ fn run_with_faults(tag: &str, plan: FaultPlan) -> (String, usize) {
     let dyns = backends_dyn(&backends);
     let dir = scratch(tag);
     let fs: Arc<dyn CheckpointFs> = Arc::new(FaultyFs::new(plan));
+    let ckpt = Checkpoint::open_with(&dir.0, fs).expect("scratch dir is creatable");
     let mut crashes = 0;
     loop {
-        match run_sharded_evolution_io(
+        match run_sharded_evolution(
             &config,
             &dyns,
             TriggerCatalog::new(),
-            Some(&dir.0),
+            Some(&ckpt),
             &Obs::off(),
             &ProfileCollector::off(),
-            fs.clone(),
         ) {
             Ok(result) => return (result.evolution.catalog.save_to_string(), crashes),
             Err(_) => {

@@ -14,9 +14,7 @@
 //!    for observers.
 
 use ompfuzz_backends::{standard_backends, OmpBackend};
-use ompfuzz_corpus::{
-    run_sharded_evolution_with, EvolveConfig, ShardedEvolveConfig, TriggerCatalog,
-};
+use ompfuzz_corpus::{run_sharded_evolution, EvolveConfig, ShardedEvolveConfig, TriggerCatalog};
 use ompfuzz_exec::ProfileCollector;
 use ompfuzz_obs::{CaptureSink, Event, Obs, Phase, PhaseHists, TraceBuffer};
 use proptest::prelude::*;
@@ -130,7 +128,7 @@ fn catalog_and_rounds_are_identical_with_full_introspection_on() {
         shards: 2,
     };
 
-    let off = run_sharded_evolution_with(
+    let off = run_sharded_evolution(
         &config,
         &dyns,
         TriggerCatalog::new(),
@@ -144,9 +142,8 @@ fn catalog_and_rounds_are_identical_with_full_introspection_on() {
     let trace = Arc::new(TraceBuffer::new());
     let obs = Obs::with_sink_and_trace(Some(sink.clone()), Some(trace.clone()));
     let profile = ProfileCollector::enabled();
-    let on =
-        run_sharded_evolution_with(&config, &dyns, TriggerCatalog::new(), None, &obs, &profile)
-            .expect("in-memory run cannot fail");
+    let on = run_sharded_evolution(&config, &dyns, TriggerCatalog::new(), None, &obs, &profile)
+        .expect("in-memory run cannot fail");
 
     // Results: byte-identical catalog, identical round summaries
     // (RoundSummary's Eq covers the deterministic yield_per_1k counter).
@@ -201,7 +198,7 @@ fn off_introspection_stays_empty() {
     let backends = standard_backends();
     let dyns = backends_dyn(&backends);
     let profile = ProfileCollector::off();
-    let result = run_sharded_evolution_with(
+    let result = run_sharded_evolution(
         &ShardedEvolveConfig {
             evolve: test_config(),
             shards: 1,

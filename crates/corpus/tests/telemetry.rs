@@ -10,8 +10,7 @@
 
 use ompfuzz_backends::{standard_backends, OmpBackend};
 use ompfuzz_corpus::{
-    run_evolution, run_evolution_with, run_sharded_evolution_with, EvolveConfig,
-    ShardedEvolveConfig, TriggerCatalog,
+    run_evolution, run_sharded_evolution, EvolveConfig, ShardedEvolveConfig, TriggerCatalog,
 };
 use ompfuzz_obs::{CaptureSink, Counter, CounterSnapshot, Event, Obs};
 use proptest::prelude::*;
@@ -44,7 +43,7 @@ fn coordinated_run(shards: usize) -> Run {
     let backends = standard_backends();
     let dyns = backends_dyn(&backends);
     let obs = Obs::metrics_only();
-    let result = run_sharded_evolution_with(
+    let result = run_sharded_evolution(
         &ShardedEvolveConfig {
             evolve: test_config(),
             shards,
@@ -113,7 +112,19 @@ fn catalog_bytes_are_identical_with_telemetry_on_and_off() {
 
     let sink = Arc::new(CaptureSink::new());
     let obs = Obs::with_sink(sink.clone());
-    let on = run_evolution_with(&config, &dyns, TriggerCatalog::new(), &obs);
+    let on = run_sharded_evolution(
+        &ShardedEvolveConfig {
+            evolve: config,
+            shards: 1,
+        },
+        &dyns,
+        TriggerCatalog::new(),
+        None,
+        &obs,
+        &ompfuzz_exec::ProfileCollector::off(),
+    )
+    .expect("in-memory run cannot fail")
+    .evolution;
 
     assert_eq!(off.catalog.save_to_string(), on.catalog.save_to_string());
     assert_eq!(off.rounds, on.rounds);

@@ -31,8 +31,8 @@
 
 use ompfuzz_backends::{standard_backends, OmpBackend};
 use ompfuzz_corpus::{
-    fold_into_catalog, reduce_all, run_sharded_evolution_with, run_standalone_shard_with,
-    BatchConfig, EvolveConfig, ShardedEvolveConfig, TriggerCatalog,
+    fold_into_catalog, reduce_all, run_sharded_evolution, run_standalone_shard, BatchConfig,
+    Checkpoint, EvolveConfig, ShardedEvolveConfig, TriggerCatalog,
 };
 use ompfuzz_exec::ProfileCollector;
 use ompfuzz_harness::{
@@ -58,31 +58,16 @@ fn main() -> ExitCode {
         print_usage();
         return ExitCode::from(2);
     };
-    let result = match cmd.as_str() {
-        "list-experiments" => cmd_list(),
-        "reproduce" => cmd_reproduce(rest),
-        "campaign" => cmd_campaign(rest),
-        "reduce" => cmd_reduce(rest),
-        "evolve" => cmd_evolve(rest),
-        "shard" => cmd_shard(rest),
-        "serve" => cmd_serve(rest),
-        "submit" => cmd_submit(rest),
-        "watch" => cmd_watch(rest),
-        "status" => cmd_status(rest),
-        "cancel" => cmd_cancel(rest),
-        "shutdown" => cmd_shutdown(rest),
-        "report" => cmd_report(rest),
-        "generate" => cmd_generate(rest),
-        "emit" => cmd_emit(rest),
-        "config-template" => {
-            println!("{}", CampaignConfig::paper().to_config_file());
-            Ok(())
-        }
-        "help" | "--help" | "-h" => {
-            print_usage();
-            Ok(())
-        }
-        other => Err(format!("unknown command `{other}` (try `ompfuzz help`)")),
+    // Asking for help anywhere prints the usage and runs nothing.
+    if ["help", "--help", "-h"].contains(&cmd.as_str())
+        || rest.iter().any(|a| a == "--help" || a == "-h")
+    {
+        print_usage();
+        return ExitCode::SUCCESS;
+    }
+    let result = match COMMANDS.iter().find(|(name, ..)| name == cmd) {
+        Some(&(name, flags, run)) => Opts::parse(name, flags, rest).and_then(|opts| run(&opts)),
+        None => Err(format!("unknown command `{cmd}` (try `ompfuzz help`)")),
     };
     match result {
         Ok(()) => ExitCode::SUCCESS,
@@ -92,6 +77,141 @@ fn main() -> ExitCode {
         }
     }
 }
+
+/// A command's body, run on its parsed command line.
+type Command = fn(&Opts) -> Result<(), String>;
+
+/// A command's flags, declared once: the tables it shares with other
+/// commands plus its own.
+type Flags = &'static [&'static [Flag]];
+
+/// Every command with its flags and its body.
+const COMMANDS: &[(&str, Flags, Command)] = &[
+    ("list-experiments", &[], cmd_list),
+    (
+        "reproduce",
+        &[&[opt("--experiment", Some("-e")), switch("--quick")]],
+        cmd_reproduce,
+    ),
+    (
+        "campaign",
+        &[CONFIG_FLAGS, &[opt("--csv", None)]],
+        cmd_campaign,
+    ),
+    (
+        "reduce",
+        &[
+            CONFIG_FLAGS,
+            &[
+                switch("--all"),
+                opt("--kind", Some("-k")),
+                opt("--target", Some("-t")),
+                opt("--workers", Some("-w")),
+                opt("--catalog", None),
+                switch("--emit"),
+            ],
+        ],
+        cmd_reduce,
+    ),
+    (
+        "evolve",
+        &[CONFIG_FLAGS, EVOLVE_FLAGS, &[opt("--catalog", None)]],
+        cmd_evolve,
+    ),
+    (
+        "shard",
+        &[
+            CONFIG_FLAGS,
+            EVOLVE_FLAGS,
+            &[opt("--round", None), opt("--shard", None)],
+        ],
+        cmd_shard,
+    ),
+    (
+        "serve",
+        &[&[
+            opt("--socket", None),
+            opt("--state-dir", None),
+            opt("--slots", None),
+            opt("--max-retries", None),
+            opt("--backoff-ms", None),
+            opt("--backoff-cap-ms", None),
+            opt("--timeout-ms", None),
+            opt("--jitter-seed", None),
+            opt("--fault-kill", None),
+        ]],
+        cmd_serve,
+    ),
+    (
+        "submit",
+        &[&[
+            opt("--socket", None),
+            switch("--quick"),
+            opt("--seed", Some("-s")),
+            opt("--programs", Some("-n")),
+            opt("--inputs", Some("-i")),
+            opt("--rounds", Some("-r")),
+            opt("--shards", None),
+            opt("--priority", None),
+        ]],
+        cmd_submit,
+    ),
+    ("watch", &[JOB_FLAGS, &[opt("--retry", None)]], cmd_watch),
+    ("status", &[JOB_FLAGS, &[opt("--retry", None)]], cmd_status),
+    ("cancel", &[JOB_FLAGS], cmd_cancel),
+    (
+        "shutdown",
+        &[&[opt("--socket", None), switch("--drain")]],
+        cmd_shutdown,
+    ),
+    (
+        "report",
+        &[&[
+            opt("--metrics", Some("-m")),
+            opt("--schema", None),
+            opt("--profile", Some("-p")),
+            switch("--render-schema"),
+            switch("--render-serve-schema"),
+        ]],
+        cmd_report,
+    ),
+    (
+        "generate",
+        &[CONFIG_FLAGS, &[opt("--out", Some("-o"))]],
+        cmd_generate,
+    ),
+    ("emit", &[&[opt("--seed", Some("-s"))]], cmd_emit),
+    ("config-template", &[], cmd_config_template),
+];
+
+/// The campaign-config flags ([`build_config`]).
+const CONFIG_FLAGS: &[Flag] = &[
+    opt("--config", Some("-c")),
+    opt("--programs", Some("-n")),
+    opt("--inputs", Some("-i")),
+    opt("--seed", Some("-s")),
+    opt("--engine", None),
+];
+
+/// The flags `evolve` and `shard` share: the evolution knobs
+/// ([`build_evolve_config`]), the shard plan and checkpoint directory, and
+/// telemetry ([`build_obs`], [`build_profile`]).
+const EVOLVE_FLAGS: &[Flag] = &[
+    switch("--quick"),
+    opt("--rounds", Some("-r")),
+    opt("--mutation-fraction", None),
+    opt("--bias", None),
+    opt("--resume", None),
+    opt("--shards", None),
+    opt("--checkpoint-dir", None),
+    opt("--progress", None),
+    opt("--metrics-out", None),
+    opt("--trace-out", None),
+    opt("--profile-out", None),
+];
+
+/// The daemon socket and job of the serve clients.
+const JOB_FLAGS: &[Flag] = &[opt("--socket", None), opt("--job", Some("-j"))];
 
 fn print_usage() {
     println!(
@@ -177,32 +297,95 @@ fn print_usage() {
     );
 }
 
-/// Pull `--key value` / `-k value` style options out of `rest`.
+/// One command-line flag: its long name, an optional short alias, and
+/// whether it takes a value.
+struct Flag {
+    long: &'static str,
+    short: Option<&'static str>,
+    takes_value: bool,
+}
+
+/// A flag that takes a value.
+const fn opt(long: &'static str, short: Option<&'static str>) -> Flag {
+    Flag {
+        long,
+        short,
+        takes_value: true,
+    }
+}
+
+/// A flag that takes no value.
+const fn switch(long: &'static str) -> Flag {
+    Flag {
+        long,
+        short: None,
+        takes_value: false,
+    }
+}
+
+/// A command line parsed against its command's flags: every argument is a
+/// declared flag (long or short), each flag that takes a value has one,
+/// and nothing else is left over.
 struct Opts<'a> {
-    rest: &'a [String],
+    flags: Flags,
+    /// The flags given, by long name, with their values, in order.
+    given: Vec<(&'static str, Option<&'a str>)>,
 }
 
 impl<'a> Opts<'a> {
-    fn value_of(&self, long: &str, short: Option<&str>) -> Option<&'a str> {
-        let mut iter = self.rest.iter();
-        while let Some(a) = iter.next() {
-            if a == long || short.is_some_and(|s| a == s) {
-                return iter.next().map(|s| s.as_str());
-            }
+    fn parse(command: &str, flags: Flags, args: &'a [String]) -> Result<Opts<'a>, String> {
+        let find = |arg: &str| {
+            flags
+                .iter()
+                .flat_map(|table| table.iter())
+                .find(|f| f.long == arg || f.short == Some(arg))
+        };
+        let mut given = Vec::new();
+        let mut args = args.iter();
+        while let Some(arg) = args.next() {
+            let Some(flag) = find(arg) else {
+                return Err(if arg.starts_with('-') {
+                    format!("unknown flag `{arg}` for `{command}` (try `ompfuzz help`)")
+                } else {
+                    format!("unexpected argument `{arg}` for `{command}`")
+                });
+            };
+            let value = if flag.takes_value {
+                match args.next() {
+                    Some(value) if find(value).is_none() => Some(value.as_str()),
+                    _ => return Err(format!("flag `{}` needs a value", flag.long)),
+                }
+            } else {
+                None
+            };
+            given.push((flag.long, value));
         }
-        None
+        Ok(Opts { flags, given })
     }
 
-    fn has_flag(&self, flag: &str) -> bool {
-        self.rest.iter().any(|a| a == flag)
+    /// The flag's entry, if given. Debug builds check that the command
+    /// declared the flag, so a lookup cannot silently miss a typo.
+    fn given(&self, long: &str) -> Option<&(&'static str, Option<&'a str>)> {
+        debug_assert!(
+            self.flags
+                .iter()
+                .flat_map(|t| t.iter())
+                .any(|f| f.long == long),
+            "`{long}` is not in this command's flag table"
+        );
+        self.given.iter().find(|(l, _)| *l == long)
     }
 
-    fn parsed<T: std::str::FromStr>(
-        &self,
-        long: &str,
-        short: Option<&str>,
-    ) -> Result<Option<T>, String> {
-        match self.value_of(long, short) {
+    fn value_of(&self, long: &str) -> Option<&'a str> {
+        self.given(long).and_then(|(_, value)| *value)
+    }
+
+    fn has_flag(&self, long: &str) -> bool {
+        self.given(long).is_some()
+    }
+
+    fn parsed<T: std::str::FromStr>(&self, long: &str) -> Result<Option<T>, String> {
+        match self.value_of(long) {
             None => Ok(None),
             Some(v) => v
                 .parse()
@@ -212,7 +395,7 @@ impl<'a> Opts<'a> {
     }
 }
 
-fn cmd_list() -> Result<(), String> {
+fn cmd_list(_opts: &Opts) -> Result<(), String> {
     println!("{:<10} {:<22} title", "id", "paper reference");
     println!("{}", "-".repeat(72));
     for e in experiments() {
@@ -221,10 +404,9 @@ fn cmd_list() -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_reproduce(rest: &[String]) -> Result<(), String> {
-    let opts = Opts { rest };
+fn cmd_reproduce(opts: &Opts) -> Result<(), String> {
     let id = opts
-        .value_of("--experiment", Some("-e"))
+        .value_of("--experiment")
         .ok_or("reproduce requires --experiment <id>")?;
     let scale = if opts.has_flag("--quick") {
         Scale::Quick
@@ -238,7 +420,7 @@ fn cmd_reproduce(rest: &[String]) -> Result<(), String> {
 }
 
 fn build_config(opts: &Opts) -> Result<CampaignConfig, String> {
-    let mut cfg = match opts.value_of("--config", Some("-c")) {
+    let mut cfg = match opts.value_of("--config") {
         Some(path) => {
             let text = std::fs::read_to_string(path)
                 .map_err(|e| format!("cannot read config {path}: {e}"))?;
@@ -246,13 +428,13 @@ fn build_config(opts: &Opts) -> Result<CampaignConfig, String> {
         }
         None => CampaignConfig::paper(),
     };
-    if let Some(n) = opts.parsed::<usize>("--programs", Some("-n"))? {
+    if let Some(n) = opts.parsed::<usize>("--programs")? {
         cfg.programs = n;
     }
-    if let Some(k) = opts.parsed::<usize>("--inputs", Some("-i"))? {
+    if let Some(k) = opts.parsed::<usize>("--inputs")? {
         cfg.inputs_per_program = k;
     }
-    if let Some(s) = opts.parsed::<u64>("--seed", Some("-s"))? {
+    if let Some(s) = opts.parsed::<u64>("--seed")? {
         cfg.seed = s;
     }
     apply_engine(opts, &mut cfg)?;
@@ -263,15 +445,14 @@ fn build_config(opts: &Opts) -> Result<CampaignConfig, String> {
 /// engine; the tree interpreter is the reference for differential
 /// self-testing).
 fn apply_engine(opts: &Opts, cfg: &mut CampaignConfig) -> Result<(), String> {
-    if let Some(e) = opts.value_of("--engine", None) {
+    if let Some(e) = opts.value_of("--engine") {
         cfg.run.engine = e.parse()?;
     }
     Ok(())
 }
 
-fn cmd_campaign(rest: &[String]) -> Result<(), String> {
-    let opts = Opts { rest };
-    let cfg = build_config(&opts)?;
+fn cmd_campaign(opts: &Opts) -> Result<(), String> {
+    let cfg = build_config(opts)?;
     eprintln!(
         "running campaign: {} programs × {} inputs × 3 implementations ...",
         cfg.programs, cfg.inputs_per_program
@@ -281,7 +462,7 @@ fn cmd_campaign(rest: &[String]) -> Result<(), String> {
     let result = run_campaign(&cfg, &dyns);
     println!("{}", render_table1(&result));
     eprintln!("campaign wall time: {:.2?}", result.wall_time);
-    if let Some(csv_path) = opts.value_of("--csv", None) {
+    if let Some(csv_path) = opts.value_of("--csv") {
         std::fs::write(csv_path, campaign_to_csv(&result))
             .map_err(|e| format!("cannot write {csv_path}: {e}"))?;
         eprintln!("records written to {csv_path}");
@@ -289,10 +470,9 @@ fn cmd_campaign(rest: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_reduce(rest: &[String]) -> Result<(), String> {
-    let opts = Opts { rest };
-    let cfg = build_config(&opts)?;
-    let kind = match opts.value_of("--kind", Some("-k")) {
+fn cmd_reduce(opts: &Opts) -> Result<(), String> {
+    let cfg = build_config(opts)?;
+    let kind = match opts.value_of("--kind") {
         None => None,
         Some("slow") => Some(OutlierKind::Slow),
         Some("fast") => Some(OutlierKind::Fast),
@@ -300,7 +480,7 @@ fn cmd_reduce(rest: &[String]) -> Result<(), String> {
         Some("hang") => Some(OutlierKind::Hang),
         Some(other) => return Err(format!("invalid --kind {other} (slow|fast|crash|hang)")),
     };
-    let program_index = opts.parsed::<usize>("--target", Some("-t"))?;
+    let program_index = opts.parsed::<usize>("--target")?;
 
     eprintln!(
         "running campaign: {} programs × {} inputs × 3 implementations ...",
@@ -335,7 +515,7 @@ fn cmd_reduce(rest: &[String]) -> Result<(), String> {
                 .retain(|r| r.outlier().is_some_and(|(rk, _)| rk == k));
         }
         let mut batch_cfg = BatchConfig::for_campaign(&cfg);
-        if let Some(w) = opts.parsed::<usize>("--workers", Some("-w"))? {
+        if let Some(w) = opts.parsed::<usize>("--workers")? {
             batch_cfg.workers = w;
         }
         let batch = reduce_all(&corpus, &result, &dyns, &batch_cfg);
@@ -347,7 +527,7 @@ fn cmd_reduce(rest: &[String]) -> Result<(), String> {
         let mut catalog = TriggerCatalog::new();
         fold_into_catalog(&mut catalog, &batch, cfg.seed, 0);
         println!("{}", render_catalog(&catalog, &result.labels));
-        save_catalog_if_requested(&opts, &catalog)?;
+        save_catalog_if_requested(opts, &catalog)?;
         return Ok(());
     }
 
@@ -380,7 +560,7 @@ fn cmd_reduce(rest: &[String]) -> Result<(), String> {
         result.labels[target.verdict.backend],
     );
     let mut reduce_cfg = ReduceConfig::for_campaign(&cfg);
-    if let Some(w) = opts.parsed::<usize>("--workers", Some("-w"))? {
+    if let Some(w) = opts.parsed::<usize>("--workers")? {
         reduce_cfg.workers = w;
     }
     let outcome = Reducer::new(&dyns, reduce_cfg).reduce(&target);
@@ -405,7 +585,7 @@ fn cmd_reduce(rest: &[String]) -> Result<(), String> {
 }
 
 fn save_catalog_if_requested(opts: &Opts, catalog: &TriggerCatalog) -> Result<(), String> {
-    if let Some(path) = opts.value_of("--catalog", None) {
+    if let Some(path) = opts.value_of("--catalog") {
         std::fs::write(path, catalog.save_to_string())
             .map_err(|e| format!("cannot write {path}: {e}"))?;
         eprintln!("catalog ({} kernels) written to {path}", catalog.len());
@@ -422,17 +602,17 @@ fn build_evolve_config(opts: &Opts) -> Result<(EvolveConfig, TriggerCatalog), St
         // floor dropped (small programs finish in microseconds), 2 rounds.
         // It replaces the whole campaign config, so a config file cannot
         // also apply — reject the combination instead of ignoring it.
-        if opts.value_of("--config", Some("-c")).is_some() {
+        if opts.value_of("--config").is_some() {
             return Err("--quick and --config are mutually exclusive".into());
         }
         let mut quick = EvolveConfig::quick().base;
-        if let Some(s) = opts.parsed::<u64>("--seed", Some("-s"))? {
+        if let Some(s) = opts.parsed::<u64>("--seed")? {
             quick.seed = s;
         }
-        if let Some(n) = opts.parsed::<usize>("--programs", Some("-n"))? {
+        if let Some(n) = opts.parsed::<usize>("--programs")? {
             quick.programs = n;
         }
-        if let Some(k) = opts.parsed::<usize>("--inputs", Some("-i"))? {
+        if let Some(k) = opts.parsed::<usize>("--inputs")? {
             quick.inputs_per_program = k;
         }
         apply_engine(opts, &mut quick)?;
@@ -441,24 +621,24 @@ fn build_evolve_config(opts: &Opts) -> Result<(EvolveConfig, TriggerCatalog), St
         build_config(opts)?
     };
     let mut config = EvolveConfig::new(base);
-    if let Some(r) = opts.parsed::<usize>("--rounds", Some("-r"))? {
+    if let Some(r) = opts.parsed::<usize>("--rounds")? {
         config.rounds = r;
     } else if opts.has_flag("--quick") {
         config.rounds = EvolveConfig::quick().rounds;
     }
-    if let Some(f) = opts.parsed::<f64>("--mutation-fraction", None)? {
+    if let Some(f) = opts.parsed::<f64>("--mutation-fraction")? {
         if !(0.0..=1.0).contains(&f) {
             return Err(format!("--mutation-fraction must be in [0, 1], got {f}"));
         }
         config.mutation_fraction = f;
     }
-    if let Some(b) = opts.parsed::<f64>("--bias", None)? {
+    if let Some(b) = opts.parsed::<f64>("--bias")? {
         if !(0.0..=1.0).contains(&b) {
             return Err(format!("--bias must be in [0, 1], got {b}"));
         }
         config.bias_strength = b;
     }
-    let initial = match opts.value_of("--resume", None) {
+    let initial = match opts.value_of("--resume") {
         Some(path) => {
             let text = std::fs::read_to_string(path)
                 .map_err(|e| format!("cannot read catalog {path}: {e}"))?;
@@ -484,13 +664,13 @@ fn build_obs(
     checkpoint: Option<&Path>,
 ) -> Result<(Obs, Option<Arc<TraceBuffer>>), String> {
     let mut sinks = MultiSink::new();
-    match opts.value_of("--progress", None).unwrap_or("human") {
+    match opts.value_of("--progress").unwrap_or("human") {
         "human" => sinks.push(Arc::new(HumanSink)),
         "jsonl" => sinks.push(Arc::new(stderr_jsonl())),
         "none" => {}
         other => return Err(format!("invalid --progress `{other}` (human|jsonl|none)")),
     }
-    if let Some(path) = opts.value_of("--metrics-out", None) {
+    if let Some(path) = opts.value_of("--metrics-out") {
         let sink =
             JsonlSink::create(Path::new(path)).map_err(|e| format!("cannot create {path}: {e}"))?;
         sinks.push(Arc::new(sink));
@@ -504,7 +684,7 @@ fn build_obs(
         sinks.push(Arc::new(sink));
     }
     let trace = opts
-        .value_of("--trace-out", None)
+        .value_of("--trace-out")
         .map(|_| Arc::new(TraceBuffer::new()));
     let sink: Option<Arc<dyn ompfuzz_obs::EventSink>> = if sinks.is_empty() {
         None
@@ -516,7 +696,7 @@ fn build_obs(
 
 /// The campaign-wide profile collector selected by `--profile-out`.
 fn build_profile(opts: &Opts) -> ProfileCollector {
-    if opts.value_of("--profile-out", None).is_some() {
+    if opts.value_of("--profile-out").is_some() {
         ProfileCollector::enabled()
     } else {
         ProfileCollector::off()
@@ -531,11 +711,11 @@ fn write_introspection_outputs(
     trace: Option<&Arc<TraceBuffer>>,
     profile: &ProfileCollector,
 ) -> Result<(), String> {
-    if let (Some(path), Some(buf)) = (opts.value_of("--trace-out", None), trace) {
+    if let (Some(path), Some(buf)) = (opts.value_of("--trace-out"), trace) {
         std::fs::write(path, buf.to_json()).map_err(|e| format!("cannot write {path}: {e}"))?;
         eprintln!("trace ({} spans) written to {path}", buf.len());
     }
-    if let Some(path) = opts.value_of("--profile-out", None) {
+    if let Some(path) = opts.value_of("--profile-out") {
         let snapshot = profile.snapshot();
         std::fs::write(path, profile_to_json(&snapshot))
             .map_err(|e| format!("cannot write {path}: {e}"))?;
@@ -548,16 +728,15 @@ fn write_introspection_outputs(
     Ok(())
 }
 
-fn cmd_evolve(rest: &[String]) -> Result<(), String> {
-    let opts = Opts { rest };
-    let (config, initial) = build_evolve_config(&opts)?;
-    let shards = opts.parsed::<usize>("--shards", None)?.unwrap_or(1);
+fn cmd_evolve(opts: &Opts) -> Result<(), String> {
+    let (config, initial) = build_evolve_config(opts)?;
+    let shards = opts.parsed::<usize>("--shards")?.unwrap_or(1);
     if shards == 0 {
         return Err("--shards must be at least 1".into());
     }
-    let checkpoint = opts.value_of("--checkpoint-dir", None).map(PathBuf::from);
-    let (obs, trace) = build_obs(&opts, checkpoint.as_deref())?;
-    let profile = build_profile(&opts);
+    let checkpoint = opts.value_of("--checkpoint-dir").map(PathBuf::from);
+    let (obs, trace) = build_obs(opts, checkpoint.as_deref())?;
+    let profile = build_profile(opts);
 
     let backends = standard_backends();
     let dyns: Vec<&dyn OmpBackend> = backends.iter().map(|b| b as &dyn OmpBackend).collect();
@@ -565,16 +744,14 @@ fn cmd_evolve(rest: &[String]) -> Result<(), String> {
         evolve: config,
         shards,
     };
-    let result = run_sharded_evolution_with(
-        &sharded,
-        &dyns,
-        initial,
-        checkpoint.as_deref(),
-        &obs,
-        &profile,
-    )
-    .map_err(|e| e.to_string())?;
-    write_introspection_outputs(&opts, trace.as_ref(), &profile)?;
+    let ckpt = checkpoint
+        .as_deref()
+        .map(Checkpoint::open)
+        .transpose()
+        .map_err(|e| e.to_string())?;
+    let result = run_sharded_evolution(&sharded, &dyns, initial, ckpt.as_ref(), &obs, &profile)
+        .map_err(|e| e.to_string())?;
+    write_introspection_outputs(opts, trace.as_ref(), &profile)?;
 
     if shards > 1 || checkpoint.is_some() {
         println!("{}", render_shard_progress(&result.progress));
@@ -585,12 +762,11 @@ fn cmd_evolve(rest: &[String]) -> Result<(), String> {
         .map(|b| b.info().vendor.label().to_string())
         .collect();
     println!("{}", render_catalog(&result.evolution.catalog, &labels));
-    save_catalog_if_requested(&opts, &result.evolution.catalog)?;
+    save_catalog_if_requested(opts, &result.evolution.catalog)?;
     Ok(())
 }
 
-fn cmd_report(rest: &[String]) -> Result<(), String> {
-    let opts = Opts { rest };
+fn cmd_report(opts: &Opts) -> Result<(), String> {
     let mut did_something = false;
     if opts.has_flag("--render-schema") {
         // Print the built-in taxonomy verbatim — how the checked-in
@@ -604,7 +780,7 @@ fn cmd_report(rest: &[String]) -> Result<(), String> {
         print!("{}", ompfuzz_serve::render_serve_schema());
         did_something = true;
     }
-    if let Some(schema_path) = opts.value_of("--schema", None) {
+    if let Some(schema_path) = opts.value_of("--schema") {
         let schema = std::fs::read_to_string(schema_path)
             .map_err(|e| format!("cannot read {schema_path}: {e}"))?;
         check_schema(&schema).map_err(|e| format!("{schema_path}: {e}"))?;
@@ -614,13 +790,13 @@ fn cmd_report(rest: &[String]) -> Result<(), String> {
         );
         did_something = true;
     }
-    if let Some(path) = opts.value_of("--metrics", Some("-m")) {
+    if let Some(path) = opts.value_of("--metrics") {
         let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
         let report = render_metrics_report(&text).map_err(|e| format!("{path}: {e}"))?;
         println!("{report}");
         did_something = true;
     }
-    if let Some(path) = opts.value_of("--profile", Some("-p")) {
+    if let Some(path) = opts.value_of("--profile") {
         let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
         let report = render_profile_report(&text).map_err(|e| format!("{path}: {e}"))?;
         println!("{report}");
@@ -651,92 +827,91 @@ fn parse_shard_spec(spec: &str) -> Result<(usize, usize), String> {
     }
 }
 
-fn cmd_shard(rest: &[String]) -> Result<(), String> {
-    let opts = Opts { rest };
+fn cmd_shard(opts: &Opts) -> Result<(), String> {
     let round = opts
-        .parsed::<usize>("--round", None)?
+        .parsed::<usize>("--round")?
         .ok_or("shard requires --round <R>")?;
     let (shard, shards) = parse_shard_spec(
-        opts.value_of("--shard", None)
+        opts.value_of("--shard")
             .ok_or("shard requires --shard <I/N>")?,
     )?;
     let dir: PathBuf = opts
-        .value_of("--checkpoint-dir", None)
+        .value_of("--checkpoint-dir")
         .ok_or("shard requires --checkpoint-dir <dir>")?
         .into();
-    if let Some(n) = opts.parsed::<usize>("--shards", None)? {
+    if let Some(n) = opts.parsed::<usize>("--shards")? {
         if n != shards {
             return Err(format!("--shards {n} contradicts --shard {shard}/{shards}"));
         }
     }
-    let (config, initial) = build_evolve_config(&opts)?;
-    let (obs, trace) = build_obs(&opts, Some(dir.as_path()))?;
-    let profile = build_profile(&opts);
+    let (config, initial) = build_evolve_config(opts)?;
+    let (obs, trace) = build_obs(opts, Some(dir.as_path()))?;
+    let profile = build_profile(opts);
 
     let backends = standard_backends();
     let dyns: Vec<&dyn OmpBackend> = backends.iter().map(|b| b as &dyn OmpBackend).collect();
-    let progress = run_standalone_shard_with(
+    let ckpt = Checkpoint::open(&dir).map_err(|e| e.to_string())?;
+    let progress = run_standalone_shard(
         &ShardedEvolveConfig {
             evolve: config,
             shards,
         },
         &dyns,
         initial,
-        &dir,
+        &ckpt,
         round,
         shard,
         &obs,
         &profile,
     )
     .map_err(|e| e.to_string())?;
-    write_introspection_outputs(&opts, trace.as_ref(), &profile)?;
+    write_introspection_outputs(opts, trace.as_ref(), &profile)?;
     println!("{}", render_shard_summary(&progress));
     Ok(())
 }
 
 /// The `--socket` every serve-client command requires.
 fn socket_opt(opts: &Opts) -> Result<PathBuf, String> {
-    opts.value_of("--socket", None)
+    opts.value_of("--socket")
         .map(PathBuf::from)
         .ok_or_else(|| "this command requires --socket <path>".into())
 }
 
 /// The `--job` of `watch`/`cancel` (and optionally `status`).
 fn job_opt(opts: &Opts) -> Result<String, String> {
-    opts.value_of("--job", Some("-j"))
+    opts.value_of("--job")
         .map(str::to_string)
         .ok_or_else(|| "this command requires --job <job-N>".into())
 }
 
-fn cmd_serve(rest: &[String]) -> Result<(), String> {
-    let opts = Opts { rest };
+fn cmd_serve(opts: &Opts) -> Result<(), String> {
     let state_dir: PathBuf = opts
-        .value_of("--state-dir", None)
+        .value_of("--state-dir")
         .ok_or("serve requires --state-dir <dir>")?
         .into();
-    let mut config = ServeConfig::new(socket_opt(&opts)?, state_dir);
-    if let Some(n) = opts.parsed::<usize>("--slots", None)? {
+    let mut config = ServeConfig::new(socket_opt(opts)?, state_dir);
+    if let Some(n) = opts.parsed::<usize>("--slots")? {
         if n == 0 {
             return Err("--slots must be at least 1".into());
         }
         config.scheduler.slots = n;
     }
-    if let Some(n) = opts.parsed::<u32>("--max-retries", None)? {
+    if let Some(n) = opts.parsed::<u32>("--max-retries")? {
         config.scheduler.max_retries = n;
     }
-    if let Some(ms) = opts.parsed::<u64>("--backoff-ms", None)? {
+    if let Some(ms) = opts.parsed::<u64>("--backoff-ms")? {
         config.scheduler.backoff_base_ms = ms.max(1);
     }
-    if let Some(ms) = opts.parsed::<u64>("--backoff-cap-ms", None)? {
+    if let Some(ms) = opts.parsed::<u64>("--backoff-cap-ms")? {
         config.scheduler.backoff_cap_ms = ms.max(1);
     }
-    if let Some(ms) = opts.parsed::<u64>("--timeout-ms", None)? {
+    if let Some(ms) = opts.parsed::<u64>("--timeout-ms")? {
         config.scheduler.shard_timeout_ms = ms.max(1);
     }
-    if let Some(s) = opts.parsed::<u64>("--jitter-seed", None)? {
+    if let Some(s) = opts.parsed::<u64>("--jitter-seed")? {
         config.scheduler.jitter_seed = s;
     }
-    if let Some(spec) = opts.value_of("--fault-kill", None) {
+    if let Some(spec) = opts.value_of("--fault-kill") {
         let parsed = spec
             .split_once('/')
             .and_then(|(r, i)| Some((r.trim().parse().ok()?, i.trim().parse().ok()?)));
@@ -757,12 +932,12 @@ fn cmd_serve(rest: &[String]) -> Result<(), String> {
 fn build_job_spec(opts: &Opts) -> Result<JobSpec, String> {
     let spec = JobSpec {
         quick: opts.has_flag("--quick"),
-        seed: opts.parsed::<u64>("--seed", Some("-s"))?,
-        programs: opts.parsed::<u64>("--programs", Some("-n"))?,
-        inputs: opts.parsed::<u64>("--inputs", Some("-i"))?,
-        rounds: opts.parsed::<u64>("--rounds", Some("-r"))?,
-        shards: opts.parsed::<u64>("--shards", None)?.unwrap_or(1),
-        priority: opts.parsed::<u64>("--priority", None)?.unwrap_or(0),
+        seed: opts.parsed::<u64>("--seed")?,
+        programs: opts.parsed::<u64>("--programs")?,
+        inputs: opts.parsed::<u64>("--inputs")?,
+        rounds: opts.parsed::<u64>("--rounds")?,
+        shards: opts.parsed::<u64>("--shards")?.unwrap_or(1),
+        priority: opts.parsed::<u64>("--priority")?.unwrap_or(0),
     };
     if spec.rounds == Some(0) {
         return Err("--rounds must be at least 1".into());
@@ -773,10 +948,9 @@ fn build_job_spec(opts: &Opts) -> Result<JobSpec, String> {
     Ok(spec)
 }
 
-fn cmd_submit(rest: &[String]) -> Result<(), String> {
-    let opts = Opts { rest };
-    let socket = socket_opt(&opts)?;
-    let spec = build_job_spec(&opts)?;
+fn cmd_submit(opts: &Opts) -> Result<(), String> {
+    let socket = socket_opt(opts)?;
+    let spec = build_job_spec(opts)?;
     let job = serve_client::submit(&socket, &spec)?;
     eprintln!(
         "submitted {job}: {} round(s) x {} shard(s), priority {}",
@@ -788,11 +962,10 @@ fn cmd_submit(rest: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_watch(rest: &[String]) -> Result<(), String> {
-    let opts = Opts { rest };
-    let socket = socket_opt(&opts)?;
-    let job = job_opt(&opts)?;
-    let retries = opts.parsed::<u32>("--retry", None)?.unwrap_or(0);
+fn cmd_watch(opts: &Opts) -> Result<(), String> {
+    let socket = socket_opt(opts)?;
+    let job = job_opt(opts)?;
+    let retries = opts.parsed::<u32>("--retry")?.unwrap_or(0);
     let state =
         serve_client::watch_with_retry(&socket, &job, &mut std::io::stdout().lock(), retries)?;
     if state == "done" {
@@ -802,29 +975,26 @@ fn cmd_watch(rest: &[String]) -> Result<(), String> {
     }
 }
 
-fn cmd_status(rest: &[String]) -> Result<(), String> {
-    let opts = Opts { rest };
-    let socket = socket_opt(&opts)?;
-    let job = opts.value_of("--job", Some("-j"));
-    let retries = opts.parsed::<u32>("--retry", None)?.unwrap_or(0);
+fn cmd_status(opts: &Opts) -> Result<(), String> {
+    let socket = socket_opt(opts)?;
+    let job = opts.value_of("--job");
+    let retries = opts.parsed::<u32>("--retry")?.unwrap_or(0);
     let reply = serve_client::status_with_retry(&socket, job, retries)?;
     println!("{}", render_serve_status(&reply)?);
     Ok(())
 }
 
-fn cmd_cancel(rest: &[String]) -> Result<(), String> {
-    let opts = Opts { rest };
-    let socket = socket_opt(&opts)?;
-    let job = job_opt(&opts)?;
+fn cmd_cancel(opts: &Opts) -> Result<(), String> {
+    let socket = socket_opt(opts)?;
+    let job = job_opt(opts)?;
     serve_client::cancel(&socket, &job)?;
     eprintln!("cancelled {job}");
     Ok(())
 }
 
-fn cmd_shutdown(rest: &[String]) -> Result<(), String> {
-    let opts = Opts { rest };
+fn cmd_shutdown(opts: &Opts) -> Result<(), String> {
     let drain = opts.has_flag("--drain");
-    serve_client::shutdown(&socket_opt(&opts)?, drain)?;
+    serve_client::shutdown(&socket_opt(opts)?, drain)?;
     eprintln!(
         "daemon {}",
         if drain {
@@ -836,14 +1006,13 @@ fn cmd_shutdown(rest: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_generate(rest: &[String]) -> Result<(), String> {
-    let opts = Opts { rest };
+fn cmd_generate(opts: &Opts) -> Result<(), String> {
     let out: PathBuf = opts
-        .value_of("--out", Some("-o"))
+        .value_of("--out")
         .ok_or("generate requires --out <dir>")?
         .into();
-    let mut cfg = build_config(&opts)?;
-    if opts.value_of("--programs", Some("-n")).is_none() {
+    let mut cfg = build_config(opts)?;
+    if opts.value_of("--programs").is_none() {
         cfg.programs = 20; // sensible default for on-disk inspection
     }
     let corpus = generate_corpus(&cfg);
@@ -856,9 +1025,13 @@ fn cmd_generate(rest: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_emit(rest: &[String]) -> Result<(), String> {
-    let opts = Opts { rest };
-    let seed = opts.parsed::<u64>("--seed", Some("-s"))?.unwrap_or(42);
+fn cmd_config_template(_opts: &Opts) -> Result<(), String> {
+    println!("{}", CampaignConfig::paper().to_config_file());
+    Ok(())
+}
+
+fn cmd_emit(opts: &Opts) -> Result<(), String> {
+    let seed = opts.parsed::<u64>("--seed")?.unwrap_or(42);
     let mut generator =
         ompfuzz_gen::ProgramGenerator::new(ompfuzz_gen::GeneratorConfig::paper(), seed);
     let program = generator.generate("emitted");

@@ -185,6 +185,8 @@ mod tests {
             &dyns,
             TriggerCatalog::new(),
             None,
+            &ompfuzz_obs::Obs::off(),
+            &ompfuzz_exec::ProfileCollector::off(),
         )
         .unwrap();
         let table = render_shard_progress(&result.progress);

@@ -1,0 +1,134 @@
+//! Strict command-line parsing, run against the real binary: each command
+//! accepts exactly the flags its table declares. An unknown flag, a flag
+//! without its value and a stray positional argument exit 2 before any
+//! work runs; `--help`/`-h` after any command prints the usage, exits 0
+//! and runs nothing.
+
+use std::path::PathBuf;
+use std::process::{Command, Output};
+use std::sync::atomic::{AtomicUsize, Ordering};
+
+const BIN: &str = env!("CARGO_BIN_EXE_ompfuzz");
+
+/// A scratch working directory per test, removed on drop, so a file a
+/// command must not write can be looked for by its relative name.
+struct Scratch(PathBuf);
+
+impl Scratch {
+    fn new(tag: &str) -> Scratch {
+        static ID: AtomicUsize = AtomicUsize::new(0);
+        let dir = std::env::temp_dir().join(format!(
+            "ompfuzz-cli-{tag}-{}-{}",
+            std::process::id(),
+            ID.fetch_add(1, Ordering::SeqCst)
+        ));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        Scratch(dir)
+    }
+
+    fn run(&self, args: &[&str]) -> Output {
+        Command::new(BIN)
+            .args(args)
+            .current_dir(&self.0)
+            .output()
+            .expect("cannot run ompfuzz")
+    }
+
+    fn has(&self, name: &str) -> bool {
+        self.0.join(name).exists()
+    }
+}
+
+impl Drop for Scratch {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_dir_all(&self.0);
+    }
+}
+
+/// Assert the command exited 2 and its error names `culprit`.
+fn refused(out: &Output, culprit: &str) {
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "stderr: {stderr}");
+    assert!(
+        stderr.contains(culprit),
+        "error does not name {culprit}: {stderr}"
+    );
+}
+
+#[test]
+fn help_after_any_command_prints_usage_and_runs_nothing() {
+    let dir = Scratch::new("help");
+    for args in [
+        &[
+            "evolve",
+            "--quick",
+            "--rounds",
+            "1",
+            "--help",
+            "--catalog",
+            "help.txt",
+        ][..],
+        &["evolve", "--help", "--catalog", "help.txt"],
+        &["campaign", "--programs", "1", "--csv", "help.txt", "-h"],
+        &[
+            "serve",
+            "--socket",
+            "help.sock",
+            "--state-dir",
+            "state",
+            "--help",
+        ],
+    ] {
+        let out = dir.run(args);
+        assert!(out.status.success(), "{args:?} exited {:?}", out.status);
+        assert!(
+            String::from_utf8_lossy(&out.stdout).contains("USAGE"),
+            "{args:?} printed no usage"
+        );
+        for leftover in ["help.txt", "help.sock", "state"] {
+            assert!(!dir.has(leftover), "{args:?} ran and left {leftover}");
+        }
+    }
+}
+
+#[test]
+fn unknown_flags_are_refused_before_any_work() {
+    let dir = Scratch::new("unknown");
+    // `--shard` is a `shard` flag, not an `evolve` one (`--shards` is).
+    let out = dir.run(&["evolve", "--quick", "--shard", "4", "--catalog", "typo.txt"]);
+    refused(&out, "--shard");
+    assert!(!dir.has("typo.txt"), "the typo ran an unsharded evolve");
+    // A flag of another command's table is unknown here too.
+    refused(
+        &dir.run(&["shard", "--quick", "--catalog", "x.txt"]),
+        "--catalog",
+    );
+    refused(
+        &dir.run(&["status", "--socket", "s.sock", "--drain"]),
+        "--drain",
+    );
+    refused(&dir.run(&["list-experiments", "--all"]), "--all");
+}
+
+#[test]
+fn missing_values_and_stray_arguments_are_refused() {
+    let dir = Scratch::new("values");
+    refused(&dir.run(&["evolve", "--quick", "--seed"]), "--seed");
+    refused(
+        &dir.run(&["evolve", "--catalog", "--quick", "--rounds", "1"]),
+        "--catalog",
+    );
+    refused(&dir.run(&["evolve", "--quick", "extra"]), "extra");
+    refused(&dir.run(&["emit", "7"]), "7");
+    assert!(!dir.has("--quick"));
+}
+
+#[test]
+fn declared_short_aliases_still_parse() {
+    let dir = Scratch::new("short");
+    let out = dir.run(&["emit", "-s", "7"]);
+    assert!(out.status.success(), "{:?}", out.status);
+    let long = dir.run(&["emit", "--seed", "7"]);
+    assert_eq!(out.stdout, long.stdout);
+}

@@ -22,16 +22,18 @@
 //! Starting the daemon on a state dir that already has jobs *recovers*
 //! them: queued work re-enters the queue in its original priority and
 //! submission order, shards orphaned by the previous daemon's death are
-//! requeued as crashed attempts, terminal jobs stay terminal, and merge
-//! state is rebuilt bit-exactly from the sealed round-catalog
-//! checkpoints — SIGKILL the daemon mid-campaign, restart it, and the
-//! final catalog is byte-identical to an uninterrupted run.
+//! requeued as crashed attempts, and terminal jobs stay terminal —
+//! SIGKILL the daemon mid-campaign, restart it, and the final catalog is
+//! byte-identical to an uninterrupted run.
 //!
-//! The daemon itself performs the between-round merges exactly like the
-//! in-process coordinator — shard checkpoints loaded and merged in shard
-//! order — so a campaign run through the service produces catalog bytes
-//! identical to `ompfuzz evolve`: the headline invariant, `cmp`-checked
-//! in CI.
+//! The daemon performs the between-round merges through the coordinator's
+//! own round code: the checked round reader
+//! ([`read_round_shards`](ompfuzz_corpus::read_round_shards)) and the
+//! ordered merge ([`merge_round`](ompfuzz_corpus::merge_round)) onto the
+//! previous round's sealed catalog. It keeps no merge state of its own,
+//! so a campaign run through the service produces catalog bytes identical
+//! to `ompfuzz evolve` — the headline invariant, `cmp`-checked in CI — and
+//! a shard file the coordinator would refuse degrades the served job.
 
 use crate::protocol::{
     job_label, parse_request, render_error, render_event, render_ok, render_ok_job,
@@ -40,8 +42,8 @@ use crate::protocol::{
 use crate::recovery;
 use crate::scheduler::{Action, JobId, Scheduler, SchedulerConfig, TaskId};
 use crate::spec::JobSpec;
-use ompfuzz_corpus::{Checkpoint, CheckpointFs, Loaded, RealFs, TriggerCatalog};
-use ompfuzz_obs::Event;
+use ompfuzz_corpus::{merge_round, read_round_shards, Checkpoint, Loaded, RealFs, TriggerCatalog};
+use ompfuzz_obs::{Event, Obs};
 use std::io::{BufRead, BufReader, Read, Seek, SeekFrom, Write};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::{Path, PathBuf};
@@ -67,10 +69,6 @@ pub struct ServeConfig {
     /// of shard `(round, index)` of the first job right after spawning
     /// it, deterministically exercising the requeue path.
     pub fault_kill: Option<(usize, usize)>,
-    /// The write path for durable artifacts the daemon itself touches
-    /// (`state.json`, checkpoint loads at merge time). Tests substitute
-    /// an [`ompfuzz_corpus::FaultyFs`] here.
-    pub fs: Arc<dyn CheckpointFs>,
 }
 
 impl ServeConfig {
@@ -81,7 +79,6 @@ impl ServeConfig {
             scheduler: SchedulerConfig::default(),
             worker: None,
             fault_kill: None,
-            fs: Arc::new(RealFs),
         }
     }
 }
@@ -117,9 +114,6 @@ struct JobRt {
     spec: JobSpec,
     dir: PathBuf,
     ckpt_dir: PathBuf,
-    /// The cumulative merged catalog, carried across rounds exactly like
-    /// the in-process coordinator's.
-    cumulative: TriggerCatalog,
     /// Bytes of the job's `events.jsonl` already forwarded.
     events_offset: u64,
     watchers: Vec<Sender<String>>,
@@ -130,10 +124,86 @@ struct JobRt {
     journaled: Option<String>,
 }
 
+impl JobRt {
+    fn new(spec: JobSpec, dir: PathBuf, events_offset: u64) -> JobRt {
+        JobRt {
+            spec,
+            ckpt_dir: dir.join("ckpt"),
+            dir,
+            events_offset,
+            watchers: Vec::new(),
+            ended: false,
+            journaled: None,
+        }
+    }
+}
+
 /// One live shard subprocess.
 struct ChildRt {
     task: TaskId,
     child: Child,
+}
+
+/// The state the daemon loop owns: the scheduler, the jobs' bookkeeping
+/// and the live workers.
+struct Daemon {
+    sched: Scheduler,
+    jobs: Vec<JobRt>,
+    children: Vec<ChildRt>,
+    /// The worker binary every shard subprocess runs.
+    worker: PathBuf,
+    /// The pending `--fault-kill` drill, cleared once it fires.
+    fault_kill: Option<(usize, usize)>,
+}
+
+impl Daemon {
+    /// Execute the scheduler's verdicts: spawn workers, kill workers,
+    /// merge finished rounds. Merging can itself produce follow-up actions
+    /// (a failed merge degrades the job, killing its siblings), which are
+    /// executed in turn.
+    fn apply(&mut self, actions: Vec<Action>, now: u64) {
+        let mut queue = actions;
+        while !queue.is_empty() {
+            let mut follow_ups = Vec::new();
+            for action in queue {
+                match action {
+                    Action::Spawn { task, attempt } => {
+                        let job = &self.jobs[task.job];
+                        match spawn_worker(job, task, attempt, &self.worker) {
+                            Ok(mut child) => {
+                                // CI fault injection: SIGKILL the designated
+                                // shard's first attempt as soon as it exists
+                                // — a deterministic kill -9 mid-round.
+                                if task.job == 0
+                                    && attempt == 1
+                                    && self.fault_kill == Some((task.round, task.shard))
+                                {
+                                    let _ = child.kill();
+                                    self.fault_kill = None;
+                                }
+                                self.children.push(ChildRt { task, child });
+                            }
+                            Err(_) => {
+                                follow_ups.extend(self.sched.task_exited(task, false, now));
+                            }
+                        }
+                    }
+                    Action::Kill { task } => {
+                        for c in self.children.iter_mut() {
+                            if c.task == task {
+                                let _ = c.child.kill();
+                            }
+                        }
+                    }
+                    Action::Merge { job, round } => {
+                        let rt = &mut self.jobs[job];
+                        follow_ups.extend(merge_job_round(&mut self.sched, rt, job, round, now));
+                    }
+                }
+            }
+            queue = follow_ups;
+        }
+    }
 }
 
 /// Run the daemon until a client sends `shutdown` (or the listener dies).
@@ -195,43 +265,27 @@ fn daemon_loop(
     stop: &Arc<AtomicBool>,
 ) -> Result<(), String> {
     let start = Instant::now();
-    let mut sched = Scheduler::new(config.scheduler.clone());
-    let mut jobs: Vec<JobRt> = Vec::new();
-    let mut children: Vec<ChildRt> = Vec::new();
-    let mut fault_kill = config.fault_kill;
+    let mut d = Daemon {
+        sched: Scheduler::new(config.scheduler.clone()),
+        jobs: Vec::new(),
+        children: Vec::new(),
+        worker,
+        fault_kill: config.fault_kill,
+    };
     let mut draining = false;
 
     // Restart recovery: rebuild every job the state dir already holds.
-    // Merge state reloads bit-exactly from the round-catalog checkpoints;
-    // orphaned running shards requeue as crashed attempts inside
+    // Orphaned running shards requeue as crashed attempts inside
     // `Scheduler::restore`.
-    for rec in recovery::scan_state_dir(&config.state_dir, &config.fs)? {
-        let (id, actions) = sched.restore(&rec.snapshot, 0);
-        let mut job = JobRt {
-            spec: rec.spec,
-            ckpt_dir: rec.dir.join("ckpt"),
-            dir: rec.dir,
-            cumulative: rec.catalog,
-            events_offset: rec.events_offset,
-            watchers: Vec::new(),
-            ended: false,
-            journaled: None,
-        };
+    for rec in recovery::scan_state_dir(&config.state_dir)? {
+        let (id, actions) = d.sched.restore(&rec.snapshot, 0);
+        let mut job = JobRt::new(rec.spec, rec.dir, rec.events_offset);
         for report in &rec.corrupt {
             push_corrupt_line(&mut job, rec.snapshot.round, rec.snapshot.shards, report);
         }
-        jobs.push(job);
-        apply_actions(
-            actions,
-            &mut sched,
-            &mut jobs,
-            &mut children,
-            &worker,
-            &mut fault_kill,
-            &config.fs,
-            0,
-        );
-        debug_assert_eq!(id + 1, jobs.len());
+        d.jobs.push(job);
+        d.apply(actions, 0);
+        debug_assert_eq!(id + 1, d.jobs.len());
     }
 
     loop {
@@ -251,7 +305,7 @@ fn daemon_loop(
         for control in controls {
             match control {
                 Control::Submit { spec, reply } => {
-                    let id = submit_job(&config.state_dir, &mut sched, &mut jobs, spec);
+                    let id = submit_job(&config.state_dir, &mut d.sched, &mut d.jobs, spec);
                     let line = match id {
                         Ok(id) => render_ok_job(id),
                         Err(e) => render_error(&e),
@@ -259,7 +313,7 @@ fn daemon_loop(
                     let _ = reply.send(line);
                 }
                 Control::Status { job, reply } => {
-                    let all = sched.status();
+                    let all = d.sched.status();
                     let line = match job {
                         None => render_status_reply(&all),
                         Some(id) if id < all.len() => render_status_reply(&all[id..=id]),
@@ -268,18 +322,9 @@ fn daemon_loop(
                     let _ = reply.send(line);
                 }
                 Control::Cancel { job, reply } => {
-                    if job < jobs.len() {
-                        let actions = sched.cancel(job);
-                        apply_actions(
-                            actions,
-                            &mut sched,
-                            &mut jobs,
-                            &mut children,
-                            &worker,
-                            &mut fault_kill,
-                            &config.fs,
-                            now,
-                        );
+                    if job < d.jobs.len() {
+                        let actions = d.sched.cancel(job);
+                        d.apply(actions, now);
                         let _ = reply.send(render_ok_job(job));
                     } else {
                         let _ =
@@ -287,9 +332,9 @@ fn daemon_loop(
                     }
                 }
                 Control::Watch { job, stream } => {
-                    if job < jobs.len() {
+                    if job < d.jobs.len() {
                         let _ = stream.send(render_ok_job(job));
-                        attach_watcher(&mut jobs[job], job, &sched, stream);
+                        attach_watcher(&mut d.jobs[job], job, &d.sched, stream);
                     } else {
                         let _ =
                             stream.send(render_error(&format!("no such job {:?}", job_label(job))));
@@ -302,7 +347,7 @@ fn daemon_loop(
                         // finish (bounded by the per-shard timeout), the
                         // loop exits once the last child is reaped.
                         draining = true;
-                        sched.set_draining(true);
+                        d.sched.set_draining(true);
                     } else {
                         stop.store(true, Ordering::SeqCst);
                     }
@@ -312,7 +357,7 @@ fn daemon_loop(
 
         // 2. Reap exited workers and feed the scheduler.
         let mut exited = Vec::new();
-        children.retain_mut(|c| match c.child.try_wait() {
+        d.children.retain_mut(|c| match c.child.try_wait() {
             Ok(Some(status)) => {
                 exited.push((c.task, status.success()));
                 false
@@ -324,55 +369,34 @@ fn daemon_loop(
             }
         });
         for (task, success) in exited {
-            let actions = sched.task_exited(task, success, now);
-            apply_actions(
-                actions,
-                &mut sched,
-                &mut jobs,
-                &mut children,
-                &worker,
-                &mut fault_kill,
-                &config.fs,
-                now,
-            );
+            let actions = d.sched.task_exited(task, success, now);
+            d.apply(actions, now);
         }
 
         // 3. Advance the clock: timeouts, backoff promotions, free slots.
-        let actions = sched.poll(now);
-        apply_actions(
-            actions,
-            &mut sched,
-            &mut jobs,
-            &mut children,
-            &worker,
-            &mut fault_kill,
-            &config.fs,
-            now,
-        );
+        let actions = d.sched.poll(now);
+        d.apply(actions, now);
 
         // 4. Route scheduler events and freshly appended telemetry lines
         //    onto the per-job streams.
-        for event in sched.drain_events() {
+        for event in d.sched.drain_events() {
             let id = event.job();
-            push_stream_line(&mut jobs[id], &render_event(&event));
+            push_stream_line(&mut d.jobs[id], &render_event(&event));
         }
-        for (id, job) in jobs.iter_mut().enumerate() {
-            let _ = id;
-            if !job.ended {
-                forward_telemetry(job);
-            }
+        for job in d.jobs.iter_mut().filter(|job| !job.ended) {
+            forward_telemetry(job);
         }
 
         // 5. Close the streams of jobs that reached a terminal state and
         //    have no straggler subprocesses left.
-        for (id, job) in jobs.iter_mut().enumerate() {
+        for (id, job) in d.jobs.iter_mut().enumerate() {
             if job.ended {
                 continue;
             }
-            let Some(state) = sched.job_state(id) else {
+            let Some(state) = d.sched.job_state(id) else {
                 continue;
             };
-            if state.is_terminal() && !sched.has_running(id) {
+            if state.is_terminal() && !d.sched.has_running(id) {
                 forward_telemetry(job);
                 let end = render_watch_end(id, state.label());
                 for watcher in job.watchers.drain(..) {
@@ -385,12 +409,11 @@ fn daemon_loop(
         // 6. Journal: rewrite each job's `state.json` atomically whenever
         //    its durable state changed this tick. Failures are tolerated —
         //    recovery falls back to the checkpoints.
-        for (id, job) in jobs.iter_mut().enumerate() {
-            if let Some(snap) = sched.snapshot(id) {
+        for (id, job) in d.jobs.iter_mut().enumerate() {
+            if let Some(snap) = d.sched.snapshot(id) {
                 let payload = recovery::render_state(&snap, job.events_offset);
                 if job.journaled.as_deref() != Some(&payload)
-                    && recovery::write_state(config.fs.as_ref(), &job.dir, &snap, job.events_offset)
-                        .is_ok()
+                    && recovery::write_state(&RealFs, &job.dir, &snap, job.events_offset).is_ok()
                 {
                     job.journaled = Some(payload);
                 }
@@ -400,7 +423,7 @@ fn daemon_loop(
         if stop.load(Ordering::SeqCst) {
             break;
         }
-        if draining && children.is_empty() {
+        if draining && d.children.is_empty() {
             // Drained: every in-flight shard finished (or timed out and
             // was reaped) and its state is journaled.
             break;
@@ -411,10 +434,10 @@ fn daemon_loop(
     // in-flight shard is resume-correct by design (it either left no
     // checkpoint or a complete, sealed one). A drain reaches here with no
     // children left.
-    for c in &mut children {
+    for c in &mut d.children {
         let _ = c.child.kill();
     }
-    for c in &mut children {
+    for c in &mut d.children {
         let _ = c.child.wait();
     }
     Ok(())
@@ -429,24 +452,14 @@ fn submit_job(
 ) -> Result<JobId, String> {
     let id = jobs.len();
     let dir = state_dir.join(job_label(id));
-    let ckpt_dir = dir.join("ckpt");
-    for d in [&dir, &ckpt_dir, &dir.join("logs")] {
+    for d in [&dir, &dir.join("ckpt"), &dir.join("logs")] {
         std::fs::create_dir_all(d).map_err(|e| format!("cannot create {}: {e}", d.display()))?;
     }
     std::fs::write(dir.join("spec.json"), spec.to_json() + "\n")
         .map_err(|e| format!("cannot write spec.json: {e}"))?;
     let scheduled = sched.submit(spec.priority, spec.planned_rounds(), spec.planned_shards());
     debug_assert_eq!(scheduled, id);
-    jobs.push(JobRt {
-        spec,
-        dir,
-        ckpt_dir,
-        cumulative: TriggerCatalog::new(),
-        events_offset: 0,
-        watchers: Vec::new(),
-        ended: false,
-        journaled: None,
-    });
+    jobs.push(JobRt::new(spec, dir, 0));
     Ok(id)
 }
 
@@ -464,63 +477,6 @@ fn attach_watcher(job: &mut JobRt, id: JobId, sched: &Scheduler, stream: Sender<
         let _ = stream.send(render_watch_end(id, state.label()));
     } else {
         job.watchers.push(stream);
-    }
-}
-
-/// Execute the scheduler's verdicts: spawn workers, kill workers, merge
-/// finished rounds. Merging can itself produce follow-up actions (a
-/// failed merge degrades the job, killing its siblings), which are
-/// executed in turn.
-#[allow(clippy::too_many_arguments)]
-fn apply_actions(
-    actions: Vec<Action>,
-    sched: &mut Scheduler,
-    jobs: &mut [JobRt],
-    children: &mut Vec<ChildRt>,
-    worker: &Path,
-    fault_kill: &mut Option<(usize, usize)>,
-    fs: &Arc<dyn CheckpointFs>,
-    now: u64,
-) {
-    let mut queue = actions;
-    while !queue.is_empty() {
-        let mut follow_ups = Vec::new();
-        for action in queue {
-            match action {
-                Action::Spawn { task, attempt } => {
-                    let job = &jobs[task.job];
-                    match spawn_worker(job, task, attempt, worker) {
-                        Ok(mut child) => {
-                            // CI fault injection: SIGKILL the designated
-                            // shard's first attempt as soon as it exists —
-                            // a deterministic kill -9 mid-round.
-                            if task.job == 0
-                                && attempt == 1
-                                && *fault_kill == Some((task.round, task.shard))
-                            {
-                                let _ = child.kill();
-                                *fault_kill = None;
-                            }
-                            children.push(ChildRt { task, child });
-                        }
-                        Err(_) => {
-                            follow_ups.extend(sched.task_exited(task, false, now));
-                        }
-                    }
-                }
-                Action::Kill { task } => {
-                    for c in children.iter_mut() {
-                        if c.task == task {
-                            let _ = c.child.kill();
-                        }
-                    }
-                }
-                Action::Merge { job, round } => {
-                    follow_ups.extend(merge_round(sched, &mut jobs[job], job, round, fs, now));
-                }
-            }
-        }
-        queue = follow_ups;
     }
 }
 
@@ -545,67 +501,73 @@ fn spawn_worker(job: &JobRt, task: TaskId, attempt: u32, worker: &Path) -> Resul
         .map_err(|e| format!("cannot spawn worker: {e}"))
 }
 
-/// Fold the round's shard checkpoints into the job's cumulative catalog —
-/// in shard order, the same merge the in-process coordinator performs, so
-/// the bytes cannot differ — then checkpoint the merge and tell the
-/// scheduler.
-///
-/// A shard checkpoint that is missing or fails its checksum does *not*
-/// degrade the job: the shard is reported lost ([`Scheduler::shard_lost`])
-/// and re-runs under the normal retry machinery, with a
-/// `checkpoint_corrupt` telemetry line on the job's stream. Only a hard
-/// error — a checkpoint whose checksum verifies but whose content does
-/// not parse (version drift, tampering), or a failed merge write —
-/// degrades.
-fn merge_round(
+/// Merge a finished round through the coordinator's round code — the
+/// checked round reader, then the ordered merge onto the previous round's
+/// sealed catalog — and tell the scheduler. A missing or corrupt shard
+/// checkpoint or round manifest is not fatal: the shards it covers are
+/// reported lost ([`Scheduler::shard_lost`]) and re-run, with a
+/// `checkpoint_corrupt` line on the job's stream. Anything else that stops
+/// the merge degrades the job: a sealed checkpoint that does not parse or
+/// belongs to another shard or campaign, an unreadable previous-round
+/// catalog, or a failed write of the round catalog or of `catalog.txt`.
+fn merge_job_round(
     sched: &mut Scheduler,
     job: &mut JobRt,
     id: JobId,
     round: usize,
-    fs: &Arc<dyn CheckpointFs>,
     now: u64,
 ) -> Vec<Action> {
     let shards = job.spec.planned_shards();
-    let ckpt = match Checkpoint::open_with(&job.ckpt_dir, Arc::clone(fs)) {
-        Ok(ckpt) => ckpt,
-        Err(_) => return sched.merge_failed(id, round),
+    let Ok(ckpt) = Checkpoint::open(&job.ckpt_dir) else {
+        return sched.merge_failed(id, round);
     };
-    let mut outcomes = Vec::with_capacity(shards);
     let mut lost = Vec::new();
-    for shard in 0..shards {
-        match ckpt.load_shard(round, shard) {
-            Ok(Loaded::Present((_, outcome))) => outcomes.push(outcome),
-            Ok(Loaded::Absent) => lost.push((shard, "checkpoint missing".to_string())),
-            Ok(Loaded::Corrupt(reason)) => lost.push((shard, reason)),
-            Err(_) => return sched.merge_failed(id, round),
+    let mut shard_catalogs = Vec::with_capacity(shards);
+    let manifest_problem = match read_round_shards(&ckpt, round) {
+        Ok(Loaded::Present(files)) if files.len() == shards => {
+            for (shard, file) in files.into_iter().enumerate() {
+                let name = format!("round-{round}/shard-{shard}.txt");
+                match file {
+                    Loaded::Present(outcome) => shard_catalogs.push(outcome.catalog),
+                    Loaded::Corrupt(reason) => lost.push((shard, format!("{name}: {reason}"))),
+                    Loaded::Absent => lost.push((shard, format!("{name}: checkpoint missing"))),
+                }
+            }
+            None
         }
+        Ok(Loaded::Corrupt(reason)) => Some(reason),
+        Ok(Loaded::Absent) => Some("manifest missing".to_string()),
+        Ok(Loaded::Present(_)) | Err(_) => return sched.merge_failed(id, round),
+    };
+    if let Some(reason) = manifest_problem {
+        // Without a readable manifest no shard can be checked: every shard
+        // re-runs, and the re-runs write a fresh manifest.
+        let report = format!("round-{round}/manifest.txt: {reason}");
+        lost = (0..shards).map(|shard| (shard, report.clone())).collect();
     }
     if !lost.is_empty() {
         let mut follow_ups = Vec::new();
-        for (shard, reason) in lost {
-            push_corrupt_line(
-                job,
-                round,
-                shard,
-                &format!("round-{round}/shard-{shard}.txt: {reason}"),
-            );
+        for (shard, report) in lost {
+            push_corrupt_line(job, round, shard, &report);
             follow_ups.extend(sched.shard_lost(id, round, shard, now));
         }
         return follow_ups;
     }
-    for outcome in outcomes {
-        job.cumulative.merge(outcome.catalog);
-    }
-    if ckpt.store_round_catalog(round, &job.cumulative).is_err() {
+    let merged = ckpt
+        .round_start_catalog(round, TriggerCatalog::new())
+        .and_then(|start| merge_round(Some(&ckpt), round, start, shard_catalogs, &Obs::off()));
+    let Ok((catalog, _)) = merged else {
+        return sched.merge_failed(id, round);
+    };
+    // The deliverable: byte-identical to `ompfuzz evolve`'s `--catalog`
+    // output for the same configuration (and, unlike the checkpoints,
+    // deliberately unsealed). The job is done only once it is written.
+    if round + 1 == job.spec.planned_rounds()
+        && std::fs::write(job.dir.join("catalog.txt"), catalog.save_to_string()).is_err()
+    {
         return sched.merge_failed(id, round);
     }
-    sched.round_merged(id, round, job.cumulative.len() as u64);
-    if sched.job_state(id) == Some(crate::scheduler::JobState::Done) {
-        // The deliverable: byte-identical to `ompfuzz evolve`'s
-        // `--catalog` output for the same configuration (and, unlike the
-        // checkpoints, deliberately unsealed).
-        let _ = std::fs::write(job.dir.join("catalog.txt"), job.cumulative.save_to_string());
-    }
+    sched.round_merged(id, round, catalog.len() as u64);
     Vec::new()
 }
 

@@ -21,11 +21,13 @@
 //! * [`client`] — the other end of the socket (`ompfuzz submit/watch/
 //!   status/cancel/shutdown`).
 //!
-//! The headline invariant carries over from the coordinator: a campaign
-//! run through the daemon merges shard checkpoints in shard order, so its
-//! final catalog is byte-identical to the same campaign run as a plain
-//! `ompfuzz evolve` — CI `cmp`s the two, with a `kill -9` thrown at one
-//! shard mid-round for good measure.
+//! The headline invariant carries over from the coordinator, because the
+//! daemon reads and merges rounds with the coordinator's own round code
+//! ([`ompfuzz_corpus::read_round_shards`], [`ompfuzz_corpus::merge_round`])
+//! and keeps no merge state: a served campaign's catalog is byte-identical
+//! to a plain `ompfuzz evolve` — CI `cmp`s the two, with a `kill -9` thrown
+//! at one shard mid-round — and a shard checkpoint the coordinator would
+//! refuse degrades the served job.
 
 pub mod client;
 pub mod daemon;

@@ -9,27 +9,30 @@
 //! `events.jsonl` was already forwarded. Recovery therefore reconciles:
 //!
 //! * **Merged rounds** come from the longest run of consecutive, valid
-//!   round catalogs starting at round 0. The last of them *is* the
-//!   cumulative catalog (the daemon checkpoints the cumulative merge per
-//!   round), so the in-memory merge state is rebuilt bit-exactly.
+//!   round catalogs starting at round 0. The daemon keeps no merge state
+//!   in memory — each merge loads the previous round's sealed catalog —
+//!   so there is nothing else to rebuild.
 //! * **Done shards** of the current round are exactly the shard
-//!   checkpoints that pass their checksum. A corrupt or torn checkpoint
-//!   is simply not done — its shard re-runs.
+//!   checkpoints that the coordinator's checked round reader
+//!   ([`read_round_shards`]) accepts. A corrupt or torn checkpoint, or
+//!   one under a missing or corrupt manifest, is simply not done — its
+//!   shard re-runs. A valid checkpoint of another shard or of another
+//!   campaign is never done: the job cannot resume from that directory
+//!   and is restored `degraded`.
 //! * **Everything else** (priority, retries, terminal states, running
 //!   shards, the telemetry offset) comes from `state.json` when it is
 //!   present and passes its own checksum; a missing or corrupt journal
 //!   falls back to checkpoint-derived state with retry counters reset.
 //!
-//! A job whose `spec.json` is unreadable cannot be re-run (the daemon
-//! would not know what to spawn) and is restored as `degraded`.
+//! A job whose `spec.json` is unreadable cannot be re-run either (the
+//! daemon would not know what to spawn) and is restored as `degraded`.
 
 use crate::protocol::{job_label, parse_job_label};
 use crate::scheduler::{JobSnapshot, JobState};
 use crate::spec::JobSpec;
-use ompfuzz_corpus::{seal, unseal, Checkpoint, CheckpointFs, Loaded, TriggerCatalog};
+use ompfuzz_corpus::{read_round_shards, seal, unseal, Checkpoint, CheckpointFs, Loaded, RealFs};
 use ompfuzz_obs::{JsonObject, Value};
 use std::path::{Path, PathBuf};
-use std::sync::Arc;
 
 /// Render the unsealed `state.json` payload: one JSON line mirroring
 /// [`JobSnapshot`] plus the job's forwarded-telemetry offset.
@@ -148,9 +151,6 @@ pub struct RecoveredJob {
     pub dir: PathBuf,
     pub spec: JobSpec,
     pub snapshot: JobSnapshot,
-    /// The cumulative merged catalog up to the last merged round,
-    /// reloaded bit-exactly from the round catalog checkpoint.
-    pub catalog: TriggerCatalog,
     pub events_offset: u64,
     /// Artifacts found corrupt during the scan (`"<file>: <reason>"`),
     /// for out-of-band reporting.
@@ -161,10 +161,7 @@ pub struct RecoveredJob {
 /// durable state. Job directories must be dense from `job-1` (scheduler
 /// ids are dense); a gap means the directory was hand-mangled and is an
 /// error rather than a silent renumbering.
-pub fn scan_state_dir(
-    state_dir: &Path,
-    fs: &Arc<dyn CheckpointFs>,
-) -> Result<Vec<RecoveredJob>, String> {
+pub fn scan_state_dir(state_dir: &Path) -> Result<Vec<RecoveredJob>, String> {
     let mut ids = Vec::new();
     let entries = match std::fs::read_dir(state_dir) {
         Ok(entries) => entries,
@@ -189,14 +186,15 @@ pub fn scan_state_dir(
         }
     }
     ids.iter()
-        .map(|&id| recover_job(&state_dir.join(job_label(id)), fs))
+        .map(|&id| recover_job(&state_dir.join(job_label(id))))
         .collect()
 }
 
 /// Rebuild one job from its directory. Never fails on corrupt artifacts
-/// — corruption shrinks what is considered done (or degrades the job
-/// when the spec itself is unreadable); only I/O errors propagate.
-fn recover_job(dir: &Path, fs: &Arc<dyn CheckpointFs>) -> Result<RecoveredJob, String> {
+/// — corruption shrinks what is considered done, and what cannot be
+/// resumed at all (an unreadable spec, a refused shard checkpoint)
+/// degrades the job; only I/O errors propagate.
+fn recover_job(dir: &Path) -> Result<RecoveredJob, String> {
     let mut corrupt = Vec::new();
 
     let spec = std::fs::read_to_string(dir.join("spec.json"))
@@ -205,12 +203,20 @@ fn recover_job(dir: &Path, fs: &Arc<dyn CheckpointFs>) -> Result<RecoveredJob, S
             let value = Value::parse(text.trim_end())?;
             JobSpec::from_value(&value)
         });
-    let journal = match read_state(fs.as_ref(), dir) {
+    let journal = match read_state(&RealFs, dir) {
         Ok(found) => found,
         Err(reason) => {
             corrupt.push(format!("state.json: {reason}"));
             None
         }
+    };
+    let events_offset = journal.as_ref().map_or(0, |(_, off)| *off);
+    let recovered = |spec: JobSpec, snapshot: JobSnapshot, corrupt: Vec<String>| RecoveredJob {
+        dir: dir.to_path_buf(),
+        spec,
+        snapshot,
+        events_offset,
+        corrupt,
     };
 
     let spec = match spec {
@@ -219,133 +225,98 @@ fn recover_job(dir: &Path, fs: &Arc<dyn CheckpointFs>) -> Result<RecoveredJob, S
             // Without the spec the job cannot spawn workers; restore it
             // terminal so the rest of the queue keeps running.
             corrupt.push(format!("spec.json: {reason}"));
-            let snapshot = JobSnapshot {
-                priority: journal.as_ref().map_or(0, |(s, _)| s.priority),
-                rounds: 1,
-                shards: 1,
-                state: JobState::Degraded,
-                round: 0,
-                done: Vec::new(),
-                attempts: vec![0],
-                retries: 0,
-                running: Vec::new(),
-            };
-            let events_offset = journal.map_or(0, |(_, off)| off);
-            return Ok(RecoveredJob {
-                dir: dir.to_path_buf(),
-                spec: JobSpec::default(),
-                snapshot,
-                catalog: TriggerCatalog::new(),
-                events_offset,
-                corrupt,
-            });
+            let priority = journal.as_ref().map_or(0, |(s, _)| s.priority);
+            let snapshot = degraded(priority, 1, 1, 0);
+            return Ok(recovered(JobSpec::default(), snapshot, corrupt));
         }
     };
+    let priority = journal.as_ref().map_or(spec.priority, |(s, _)| s.priority);
+    let retries = journal.as_ref().map_or(0, |(s, _)| s.retries);
 
     let rounds = spec.planned_rounds();
     let shards = spec.planned_shards();
-    let ckpt =
-        Checkpoint::open_with(&dir.join("ckpt"), Arc::clone(fs)).map_err(|e| e.to_string())?;
+    let ckpt = Checkpoint::open(&dir.join("ckpt")).map_err(|e| e.to_string())?;
 
     // Ground truth 1: merged rounds = the longest run of valid round
-    // catalogs from round 0; the last one is the cumulative catalog.
+    // catalogs from round 0.
     let mut merged_rounds = 0;
-    let mut catalog = TriggerCatalog::new();
     while merged_rounds < rounds {
-        match ckpt.load_round_catalog(merged_rounds) {
-            Ok(Loaded::Present(c)) => {
-                catalog = c;
+        let reason = match ckpt.load_round_catalog(merged_rounds) {
+            Ok(Loaded::Present(_)) => {
                 merged_rounds += 1;
+                continue;
             }
             Ok(Loaded::Absent) => break,
-            Ok(Loaded::Corrupt(reason)) => {
-                corrupt.push(format!("ckpt/round-{merged_rounds}/catalog.txt: {reason}"));
-                break;
-            }
-            Err(e) => {
-                corrupt.push(format!("ckpt/round-{merged_rounds}/catalog.txt: {e}"));
-                break;
-            }
-        }
+            Ok(Loaded::Corrupt(reason)) => reason,
+            Err(e) => e.to_string(),
+        };
+        corrupt.push(format!("ckpt/round-{merged_rounds}/catalog.txt: {reason}"));
+        break;
     }
 
     // A terminal journal verdict is kept verbatim: cancelled stays
     // cancelled, degraded stays degraded, done stays done.
-    if let Some((snap, events_offset)) = journal
-        .as_ref()
-        .filter(|(s, _)| s.state.is_terminal())
-        .cloned()
-    {
-        return Ok(RecoveredJob {
-            dir: dir.to_path_buf(),
-            spec,
-            snapshot: snap,
-            catalog,
-            events_offset,
-            corrupt,
-        });
+    if let Some((snap, _)) = journal.as_ref().filter(|(s, _)| s.state.is_terminal()) {
+        return Ok(recovered(spec, snap.clone(), corrupt));
     }
 
     if merged_rounds >= rounds {
         // Every round is merged but the journal never saw the job finish
         // (the daemon died between the final merge and its journal
-        // write). Resume at the final, idempotent merge.
+        // write). Resume at the final merge, which is idempotent: it
+        // re-reads the last round's shards onto the round before it.
         let snapshot = JobSnapshot {
-            priority: journal.as_ref().map_or(spec.priority, |(s, _)| s.priority),
+            priority,
             rounds,
             shards,
             state: JobState::Merging,
             round: rounds - 1,
             done: (0..shards).collect(),
             attempts: vec![1; shards],
-            retries: journal.as_ref().map_or(0, |(s, _)| s.retries),
+            retries,
             running: Vec::new(),
         };
-        // The final merge re-merges the last round's shards on top of the
-        // catalog checkpointed *before* it.
-        let catalog = match rounds.checked_sub(2) {
-            None => TriggerCatalog::new(),
-            Some(prev) => ckpt
-                .load_round_catalog(prev)
-                .ok()
-                .and_then(Loaded::into_option)
-                .unwrap_or_default(),
-        };
-        let events_offset = journal.map_or(0, |(_, off)| off);
-        return Ok(RecoveredJob {
-            dir: dir.to_path_buf(),
-            spec,
-            snapshot,
-            catalog,
-            events_offset,
-            corrupt,
-        });
+        return Ok(recovered(spec, snapshot, corrupt));
     }
 
     // Ground truth 2: done shards of the current round are exactly the
-    // checkpoints that verify. Corruption un-does a shard; a checkpoint
-    // the journal never saw completes one.
+    // checkpoints the checked round reader accepts. Corruption un-does a
+    // shard; a checkpoint the journal never saw completes one; a
+    // checkpoint of another shard or campaign degrades the job.
     let round = merged_rounds;
     let mut done = Vec::new();
-    for shard in 0..shards {
-        match ckpt.load_shard(round, shard) {
-            Ok(Loaded::Present(_)) => done.push(shard),
-            Ok(Loaded::Absent) => {}
-            Ok(Loaded::Corrupt(reason)) => {
-                corrupt.push(format!("ckpt/round-{round}/shard-{shard}.txt: {reason}"));
+    let refused = match read_round_shards(&ckpt, round) {
+        Ok(Loaded::Present(files)) if files.len() == shards => {
+            for (shard, file) in files.into_iter().enumerate() {
+                match file {
+                    Loaded::Present(_) => done.push(shard),
+                    Loaded::Corrupt(reason) => {
+                        corrupt.push(format!("ckpt/round-{round}/shard-{shard}.txt: {reason}"));
+                    }
+                    Loaded::Absent => {}
+                }
             }
-            Err(e) => {
-                corrupt.push(format!("ckpt/round-{round}/shard-{shard}.txt: {e}"));
-            }
+            None
         }
+        Ok(Loaded::Corrupt(reason)) => {
+            corrupt.push(format!("ckpt/round-{round}/manifest.txt: {reason}"));
+            None
+        }
+        Ok(Loaded::Absent) => None,
+        Ok(Loaded::Present(_)) => Some(format!("manifest is not planned for {shards} shards")),
+        Err(e) => Some(e.0),
+    };
+    if let Some(reason) = refused {
+        corrupt.push(format!("ckpt/round-{round}: {reason}"));
+        let snapshot = degraded(priority, rounds, shards, round);
+        return Ok(recovered(spec, snapshot, corrupt));
     }
 
     // The journal fills in what checkpoints cannot: retries, attempt
     // counters, and which shards were in flight — but only if it talks
     // about the same round we derived from disk.
-    let journal_round = journal.as_ref().filter(|(s, _)| s.round == round).cloned();
+    let journal_round = journal.as_ref().filter(|(s, _)| s.round == round);
     let mut attempts: Vec<u32> = journal_round
-        .as_ref()
         .map(|(s, _)| s.attempts.clone())
         .unwrap_or_default();
     attempts.resize(shards, 0);
@@ -353,7 +324,6 @@ fn recover_job(dir: &Path, fs: &Arc<dyn CheckpointFs>) -> Result<RecoveredJob, S
         attempts[shard] = attempts[shard].max(1);
     }
     let running: Vec<usize> = journal_round
-        .as_ref()
         .map(|(s, _)| {
             s.running
                 .iter()
@@ -363,31 +333,38 @@ fn recover_job(dir: &Path, fs: &Arc<dyn CheckpointFs>) -> Result<RecoveredJob, S
         })
         .unwrap_or_default();
     let snapshot = JobSnapshot {
-        priority: journal.as_ref().map_or(spec.priority, |(s, _)| s.priority),
+        priority,
         rounds,
         shards,
         state: JobState::Active,
         round,
         done,
         attempts,
-        retries: journal.as_ref().map_or(0, |(s, _)| s.retries),
+        retries,
         running,
     };
-    let events_offset = journal.map_or(0, |(_, off)| off);
-    Ok(RecoveredJob {
-        dir: dir.to_path_buf(),
-        spec,
-        snapshot,
-        catalog,
-        events_offset,
-        corrupt,
-    })
+    Ok(recovered(spec, snapshot, corrupt))
+}
+
+/// The snapshot of a job restored terminal `degraded`: its artifacts on
+/// disk cannot be resumed, so nothing is done and nothing runs.
+fn degraded(priority: u64, rounds: usize, shards: usize, round: usize) -> JobSnapshot {
+    JobSnapshot {
+        priority,
+        rounds,
+        shards,
+        state: JobState::Degraded,
+        round,
+        done: Vec::new(),
+        attempts: vec![0; shards],
+        retries: 0,
+        running: Vec::new(),
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ompfuzz_corpus::RealFs;
     use std::sync::atomic::{AtomicUsize, Ordering};
 
     static DIR_ID: AtomicUsize = AtomicUsize::new(0);
@@ -398,10 +375,6 @@ mod tests {
             std::process::id(),
             DIR_ID.fetch_add(1, Ordering::SeqCst)
         ))
-    }
-
-    fn real_fs() -> Arc<dyn CheckpointFs> {
-        Arc::new(RealFs)
     }
 
     fn snap() -> JobSnapshot {
@@ -462,9 +435,9 @@ mod tests {
     #[test]
     fn empty_or_missing_state_dir_recovers_nothing() {
         let dir = scratch("empty");
-        assert!(scan_state_dir(&dir, &real_fs()).unwrap().is_empty());
+        assert!(scan_state_dir(&dir).unwrap().is_empty());
         std::fs::create_dir_all(&dir).unwrap();
-        assert!(scan_state_dir(&dir, &real_fs()).unwrap().is_empty());
+        assert!(scan_state_dir(&dir).unwrap().is_empty());
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -473,7 +446,7 @@ mod tests {
         let dir = scratch("gaps");
         std::fs::create_dir_all(dir.join("job-1")).unwrap();
         std::fs::create_dir_all(dir.join("job-3")).unwrap();
-        let err = scan_state_dir(&dir, &real_fs()).unwrap_err();
+        let err = scan_state_dir(&dir).unwrap_err();
         assert!(err.contains("job-2"), "{err}");
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -494,7 +467,7 @@ mod tests {
         let job_dir = dir.join("job-1");
         write_spec(&job_dir, &spec);
         std::fs::create_dir_all(job_dir.join("ckpt")).unwrap();
-        let jobs = scan_state_dir(&dir, &real_fs()).unwrap();
+        let jobs = scan_state_dir(&dir).unwrap();
         assert_eq!(jobs.len(), 1);
         let job = &jobs[0];
         assert_eq!(job.snapshot.state, JobState::Active);
@@ -507,13 +480,88 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
+    /// Round 0 of a 2-shard job as two `ompfuzz shard` workers leave it:
+    /// a manifest marking both shards complete and their sealed
+    /// checkpoints (with empty catalogs, to keep the test small).
+    fn two_finished_shards(job_dir: &Path) {
+        use ompfuzz_corpus::{plan_shards, RoundManifest, ShardOutcome, ShardSummary};
+        let ckpt = Checkpoint::open(&job_dir.join("ckpt")).unwrap();
+        let fingerprint = 0xF00D;
+        ckpt.store_manifest(&RoundManifest {
+            round: 0,
+            seed: 20,
+            fingerprint,
+            shards: 2,
+            completed: [0, 1].into(),
+        })
+        .unwrap();
+        for (shard, range) in plan_shards(40, 2).into_iter().enumerate() {
+            let summary = ShardSummary {
+                round: 0,
+                shard,
+                shards: 2,
+                start: range.start,
+                end: range.end,
+                mutants: 0,
+                racy: 0,
+                outlier_records: 0,
+                reduced: 0,
+            };
+            let outcome = ShardOutcome {
+                summary,
+                catalog: ompfuzz_corpus::TriggerCatalog::new(),
+                metrics: ompfuzz_obs::CounterSnapshot::default(),
+            };
+            ckpt.store_shard(&outcome, fingerprint).unwrap();
+        }
+    }
+
+    /// Shard 0's sealed checkpoint copied over shard 1's passes its
+    /// checksum, but it is another shard's: the scan must not count it
+    /// done, and the job cannot resume from that directory.
+    #[test]
+    fn the_scan_does_not_count_a_copied_shard_file_as_done() {
+        let dir = scratch("copied");
+        let spec = JobSpec {
+            quick: true,
+            rounds: Some(2),
+            shards: 2,
+            ..JobSpec::default()
+        };
+        let job_dir = dir.join("job-1");
+        write_spec(&job_dir, &spec);
+        two_finished_shards(&job_dir);
+        let jobs = scan_state_dir(&dir).unwrap();
+        assert_eq!(jobs[0].snapshot.state, JobState::Active);
+        assert_eq!(jobs[0].snapshot.done, vec![0, 1]);
+
+        let round0 = job_dir.join("ckpt").join("round-0");
+        std::fs::copy(round0.join("shard-0.txt"), round0.join("shard-1.txt")).unwrap();
+        let jobs = scan_state_dir(&dir).unwrap();
+        let job = &jobs[0];
+        assert!(
+            !job.snapshot.done.contains(&1),
+            "the copied file counted as shard 1: {:?}",
+            job.snapshot
+        );
+        assert_eq!(job.snapshot.state, JobState::Degraded);
+        assert!(
+            job.corrupt
+                .iter()
+                .any(|c| c.contains("round-0/shard-1 does not match")),
+            "{:?}",
+            job.corrupt
+        );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
     #[test]
     fn corrupt_spec_restores_the_job_degraded() {
         let dir = scratch("badspec");
         let job_dir = dir.join("job-1");
         std::fs::create_dir_all(&job_dir).unwrap();
         std::fs::write(job_dir.join("spec.json"), "not json at all\n").unwrap();
-        let jobs = scan_state_dir(&dir, &real_fs()).unwrap();
+        let jobs = scan_state_dir(&dir).unwrap();
         assert_eq!(jobs[0].snapshot.state, JobState::Degraded);
         assert!(jobs[0].corrupt.iter().any(|c| c.starts_with("spec.json")));
         let _ = std::fs::remove_dir_all(&dir);
@@ -533,7 +581,7 @@ mod tests {
         let path = job_dir.join("state.json");
         let bytes = std::fs::read(&path).unwrap();
         std::fs::write(&path, &bytes[..bytes.len() - 10]).unwrap();
-        let jobs = scan_state_dir(&dir, &real_fs()).unwrap();
+        let jobs = scan_state_dir(&dir).unwrap();
         let job = &jobs[0];
         assert_eq!(job.snapshot.state, JobState::Active);
         assert_eq!(job.snapshot.retries, 0, "retry accounting reset");
@@ -555,7 +603,7 @@ mod tests {
             ..snap()
         };
         write_state(&RealFs, &job_dir, &terminal, 42).unwrap();
-        let jobs = scan_state_dir(&dir, &real_fs()).unwrap();
+        let jobs = scan_state_dir(&dir).unwrap();
         assert_eq!(jobs[0].snapshot.state, JobState::Cancelled);
         assert_eq!(jobs[0].events_offset, 42);
         let _ = std::fs::remove_dir_all(&dir);
