@@ -60,9 +60,10 @@ pub trait CompiledTest: Send + Sync {
     fn run(&self, input: &TestInput, opts: &RunOptions) -> RunResult;
     /// Execute as one binary of an oracle step
     /// ([`crate::oracle::CompiledSet::step`]): interpret through the
-    /// step's scratch, or reuse the interpretation an earlier binary of the
-    /// step made under the same branch semantics. The default ignores the
-    /// step — process-based backends execute real binaries and have no
+    /// step's scratch, or reuse an interpretation an earlier binary of the
+    /// step made (see [`crate::oracle`] for when one stands in for the
+    /// other branch semantics). The default ignores the step —
+    /// process-based backends execute real binaries and have no
     /// interpreter state.
     fn run_in_step(
         &self,
@@ -484,9 +485,9 @@ impl CompiledTest for SimBinary {
         )
     }
 
-    /// Crash check, this binary's interpretation (its own, or the one the
-    /// step already made under the same branch semantics), then the time
-    /// model.
+    /// Crash check, this binary's interpretation (its own, or one the step
+    /// already made that stands in for its branch semantics), then the
+    /// time model.
     fn run_in_step(
         &self,
         input: &TestInput,
@@ -870,12 +871,12 @@ mod tests {
     #[test]
     fn shared_scratch_runs_match_fresh_scratch_runs() {
         // The vendor binaries of a program share one compiled kernel. An
-        // oracle step runs them through one scratch, and a binary whose
-        // branch semantics an earlier binary of the step already
-        // interpreted reuses that outcome. Whichever binaries share, every
-        // result must equal a standalone run's on fresh state.
+        // oracle step runs them through one scratch and interprets the
+        // input once, handing that outcome to every binary unless the run
+        // tested a NaN with `!=`. Whichever binaries share, every result
+        // must equal a standalone run's on fresh state.
         use crate::oracle::{self, RunMetricsBatch};
-        use ompfuzz_obs::Obs;
+        use ompfuzz_obs::{Counter, Obs};
         let crashy = crash_prone_program();
         let probe = SimBackend::gcc()
             .compile_sim(&crashy, &CompileOptions::default())
@@ -891,19 +892,36 @@ mod tests {
             max_ops: 10,
             ..RunOptions::default()
         };
-        // (program, input, run options, VM runs per step that complete).
+        // Enough for the NaN-absorbing path, not for the IEEE loop.
+        let loop_budget = RunOptions {
+            max_ops: 1_000,
+            ..RunOptions::default()
+        };
+        // (program, input, run options, VM runs per step that complete,
+        // interpretations per step).
         let cases = [
-            // NaN-absorbing GCC diverges from the IEEE pair: two runs.
-            (nanfold_program(), nan_input(), RunOptions::default(), 2),
+            // The IEEE run tests a NaN with `!=`, so the NaN-absorbing
+            // GCC binary interprets on its own: two runs.
+            (nanfold_program(), nan_input(), RunOptions::default(), 2, 2),
             // GCC crashes before interpreting: the IEEE pair's one run.
-            (crashy, crash_input, RunOptions::default(), 1),
-            (cs2_program(3, 50, 8), one_input(), RunOptions::default(), 2),
-            // Budget aborts are shared like completed runs (and complete
+            (crashy, crash_input, RunOptions::default(), 1, 1),
+            // No NaN reaches a `!=`: one run stands in for all three.
+            (
+                cs2_program(3, 50, 8),
+                one_input(),
+                RunOptions::default(),
+                1,
+                1,
+            ),
+            // A budget abort is shared like a completed run (and completes
             // no run).
-            (cs2_program(3, 50, 8), one_input(), tiny_budget, 0),
+            (cs2_program(3, 50, 8), one_input(), tiny_budget, 0, 1),
+            // An abort after a divergent test is not shared: the IEEE
+            // loop exhausts the budget, GCC skips it and completes.
+            (nanfold_program(), nan_input(), loop_budget, 1, 2),
         ];
         let backends = standard_backends();
-        for (program, input, opts, runs_per_step) in &cases {
+        for (program, input, opts, runs_per_step, interpretations_per_step) in &cases {
             let prepared = PreparedKernel::new(lower(program).unwrap());
             let fresh: Vec<RunResult> = backends
                 .iter()
@@ -912,9 +930,9 @@ mod tests {
                         .run(input, opts)
                 })
                 .collect();
-            // Every order: the IEEE binaries share one interpretation and
-            // the NaN-absorbing GCC binary never takes theirs, whichever
-            // runs first. One scratch serves every step.
+            // Every order: whichever binary runs first, its interpretation
+            // serves the binaries after it unless it tested a NaN with
+            // `!=`. One scratch serves every step.
             let mut scratch = ExecScratch::new();
             scratch.profile = Some(Box::default());
             for order in [[0, 1, 2], [2, 0, 1], [0, 2, 1], [1, 2, 0]] {
@@ -931,14 +949,29 @@ mod tests {
                 )
                 .unwrap();
                 let before = scratch.profile.as_ref().unwrap().runs();
-                let shared = set.step(input, opts, &mut scratch, &mut RunMetricsBatch::new());
+                let mut metrics = RunMetricsBatch::new();
+                let shared = set.step(input, opts, &mut scratch, &mut metrics);
                 for (&i, result) in order.iter().zip(&shared) {
                     assert_same_run(result, &fresh[i]);
                 }
                 let runs = scratch.profile.as_ref().unwrap().runs() - before;
                 assert_eq!(runs, *runs_per_step, "{} in order {order:?}", program.name);
+                let obs = Obs::metrics_only();
+                metrics.flush(&obs);
+                assert_eq!(
+                    obs.counters().get(Counter::Interpretations),
+                    *interpretations_per_step,
+                    "{} under {} ops in order {order:?}",
+                    program.name,
+                    opts.max_ops
+                );
             }
             match program.name.as_str() {
+                // Premise: the IEEE loop exhausts the budget GCC fits in.
+                "nanfold" if opts.max_ops == 1_000 => {
+                    assert!(fresh[0].is_budget_abort() && fresh[1].is_budget_abort());
+                    assert_eq!(fresh[2].comp, Some(0.5));
+                }
                 // Premise: GCC diverges from the IEEE binaries it follows.
                 "nanfold" => {
                     assert_eq!(fresh[1].comp, Some(20_000.5));

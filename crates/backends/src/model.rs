@@ -173,8 +173,11 @@ impl RunResult {
         matches!(self.status, RunStatus::Hang { .. }) && self.threads.is_none()
     }
 
-    /// VM/interpreter operations this run executed (0 when the engine
-    /// produced no statistics, i.e. on crash or budget abort).
+    /// VM/interpreter operations this binary's run models (0 when the
+    /// engine produced no statistics, i.e. on crash or budget abort). A
+    /// binary that read another binary's interpretation reports that
+    /// run's ops as its own, so summing per binary gives the same total
+    /// whether or not interpretations are shared.
     pub fn vm_ops(&self) -> u64 {
         self.exec.as_ref().map_or(0, |e| e.ops.total())
     }

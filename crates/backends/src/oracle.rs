@@ -8,11 +8,21 @@
 //! their compiled kernel and interpret it differently only in their branch
 //! semantics ([`BoolSemantics`]): the Intel- and Clang-like binaries always
 //! compare under IEEE rules, and the GCC-like one absorbs NaN comparisons
-//! at `-O2` and above. One [`CompiledSet::step`] therefore interprets each
-//! branch semantics at most once, and every binary with that semantics
-//! post-processes the same outcome. The shared outcome lives only for that
-//! step, so it needs no cache key, nothing invalidates it, and it does not
-//! depend on the order of the caller's loops.
+//! at `-O2` and above.
+//!
+//! The two semantics decide only one kind of test differently: `!=` with
+//! a NaN operand. Both engines count those tests
+//! ([`ompfuzz_exec::ExecStats::nan_ne_tests`], also carried by a budget
+//! abort). So one [`CompiledSet::step`] interprets the input once, under
+//! the semantics of the first binary that asks, and every binary
+//! post-processes that outcome, unless the run made such a test. Only then
+//! does the other semantics interpret on its own. A run with no such test
+//! took the same path, to the same result, as the other semantics would
+//! have; an input mismatch is raised before any test. Debug builds re-run
+//! the other semantics on every handover and assert that the outcomes are
+//! bitwise equal. The shared outcome lives only for that step, so it needs
+//! no cache key, nothing invalidates it, and it does not depend on the
+//! order of the caller's loops.
 
 use crate::backend::{CompiledTest, OmpBackend};
 use crate::model::{CompileError, CompileOptions, RunOptions, RunResult, RunStatus};
@@ -29,6 +39,7 @@ use ompfuzz_outlier::{ExecStatus, RunObservation};
 #[derive(Debug, Default)]
 pub struct RunMetricsBatch {
     runs: u64,
+    interpretations: u64,
     vm_ops: u64,
     budget_aborts: u64,
 }
@@ -47,13 +58,15 @@ impl RunMetricsBatch {
         self.budget_aborts += u64::from(result.is_budget_abort());
     }
 
-    /// Push the batch into the registry: differential runs, VM ops and
-    /// budget aborts. A no-op on an [`Obs::off`] handle.
+    /// Push the batch into the registry: differential runs, the
+    /// interpretations the steps made, VM ops and budget aborts. A no-op
+    /// on an [`Obs::off`] handle.
     pub fn flush(&self, obs: &Obs) {
         if self.runs == 0 || !obs.enabled() {
             return;
         }
         obs.count(Counter::DifferentialRuns, self.runs);
+        obs.count(Counter::Interpretations, self.interpretations);
         obs.count(Counter::VmOps, self.vm_ops);
         if self.budget_aborts > 0 {
             obs.count(Counter::BudgetAborts, self.budget_aborts);
@@ -110,14 +123,18 @@ pub fn compile(
 
 impl CompiledSet {
     /// Run every binary on `input` under `run_opts`, in backend order,
-    /// through the caller's scratch, and tally each run into `metrics`.
+    /// through the caller's scratch, and tally each run and the step's
+    /// interpretations into `metrics`.
     ///
-    /// Binaries with the same branch semantics share one interpretation,
-    /// so a step interprets the input once per distinct semantics: twice
-    /// for the standard backends at `-O2` and above, once below. A binary
-    /// whose modelled crash triggers interprets nothing, and an op-budget
-    /// abort is shared like a completed run. Every result equals the
-    /// binary's standalone [`CompiledTest::run`].
+    /// The step interprets the input once, under the branch semantics of
+    /// the first binary that asks, and hands that outcome to every binary,
+    /// whatever its semantics, when the run made no `!=` test on a NaN
+    /// (see the module doc). Only a run that made one leaves the other
+    /// semantics to interpret on its own, so the standard backends cost
+    /// two interpretations on such inputs at `-O2` and above, and one
+    /// everywhere else. A binary whose modelled crash triggers interprets
+    /// nothing, and an op-budget abort is shared like a completed run.
+    /// Every result equals the binary's standalone [`CompiledTest::run`].
     pub fn step(
         &self,
         input: &TestInput,
@@ -126,26 +143,30 @@ impl CompiledSet {
         metrics: &mut RunMetricsBatch,
     ) -> Vec<RunResult> {
         let mut shared = Interpretations::new(scratch);
-        self.binaries
+        let results = self
+            .binaries
             .iter()
             .map(|binary| {
                 let result = binary.run_in_step(input, run_opts, &mut shared);
                 metrics.observe(&result);
                 result
             })
-            .collect()
+            .collect();
+        metrics.interpretations += shared.made();
+        results
     }
 }
 
-/// The interpretations one [`CompiledSet::step`] has made, at most one per
-/// branch semantics, and the caller's scratch they run through. The step
-/// creates it and drops it when it returns, so an outcome is only ever
-/// shared between binaries of one program running one input under one
-/// [`RunOptions`].
+/// The interpretations one [`CompiledSet::step`] has made, and the
+/// caller's scratch they run through: the first, under the semantics of
+/// the first binary that asked, and the other semantics' own, made only
+/// when the first cannot stand in for it. The step creates it and drops it
+/// when it returns, so an outcome is only ever shared between binaries of
+/// one program running one input under one [`RunOptions`].
 pub struct Interpretations<'s> {
     scratch: &'s mut ExecScratch,
-    ieee: Option<Result<ExecOutcome, ExecError>>,
-    nan_absorbing: Option<Result<ExecOutcome, ExecError>>,
+    first: Option<(BoolSemantics, Result<ExecOutcome, ExecError>)>,
+    other: Option<Result<ExecOutcome, ExecError>>,
 }
 
 impl<'s> Interpretations<'s> {
@@ -153,24 +174,75 @@ impl<'s> Interpretations<'s> {
     pub(crate) fn new(scratch: &'s mut ExecScratch) -> Interpretations<'s> {
         Interpretations {
             scratch,
-            ieee: None,
-            nan_absorbing: None,
+            first: None,
+            other: None,
         }
     }
 
     /// The step's interpretation under `semantics`: the first binary that
-    /// asks runs `interpret` on the step's scratch, and every later binary
-    /// with the same semantics reads that outcome.
+    /// asks runs `interpret` on the step's scratch. A later binary reads
+    /// that outcome if it has the same semantics or if the outcome stands
+    /// in for both ([`stands_in_for_both`]); otherwise the first binary of
+    /// the other semantics runs `interpret`, and the binaries after it read
+    /// that.
     pub(crate) fn get_or_run(
         &mut self,
         semantics: BoolSemantics,
         interpret: impl FnOnce(&mut ExecScratch) -> Result<ExecOutcome, ExecError>,
     ) -> &Result<ExecOutcome, ExecError> {
-        let slot = match semantics {
-            BoolSemantics::Ieee => &mut self.ieee,
-            BoolSemantics::NanAbsorbing => &mut self.nan_absorbing,
+        let Interpretations {
+            scratch,
+            first,
+            other,
+        } = self;
+        let Some((ran, run)) = first else {
+            return &first.insert((semantics, interpret(scratch))).1;
         };
-        slot.get_or_insert_with(|| interpret(self.scratch))
+        if *ran == semantics {
+            run
+        } else if stands_in_for_both(run) {
+            #[cfg(debug_assertions)]
+            assert_stands_in(run, &interpret(&mut ExecScratch::new()));
+            run
+        } else {
+            other.get_or_insert_with(|| interpret(scratch))
+        }
+    }
+
+    /// How many interpretations the step has made (0, 1 or 2).
+    fn made(&self) -> u64 {
+        u64::from(self.first.is_some()) + u64::from(self.other.is_some())
+    }
+}
+
+/// Whether `run` is also the other branch semantics' run: it made no `!=`
+/// test on a NaN, the only test the semantics decide differently, so the
+/// other semantics would have taken the same path to the same result,
+/// including a budget abort at the same op. An input mismatch is raised
+/// before any test.
+fn stands_in_for_both(run: &Result<ExecOutcome, ExecError>) -> bool {
+    match run {
+        Ok(outcome) => outcome.stats.nan_ne_tests == 0,
+        Err(ExecError::BudgetExceeded { nan_ne_tests, .. }) => *nan_ne_tests == 0,
+        Err(ExecError::InputMismatch(_)) => true,
+    }
+}
+
+/// Debug-build tripwire for the stand-in rule: the outcome handed over
+/// must equal the other semantics' own run bit for bit.
+#[cfg(debug_assertions)]
+fn assert_stands_in(shared: &Result<ExecOutcome, ExecError>, own: &Result<ExecOutcome, ExecError>) {
+    match (shared, own) {
+        (Ok(shared), Ok(own)) => {
+            assert_eq!(
+                shared.comp.to_bits(),
+                own.comp.to_bits(),
+                "a handed-over interpretation's result differs from the other semantics' run"
+            );
+            assert_eq!(shared.stats, own.stats, "handed-over statistics differ");
+            assert_eq!(shared.races, own.races, "handed-over race reports differ");
+        }
+        (shared, own) => assert_eq!(shared, own, "handed-over run differs"),
     }
 }
 

@@ -151,7 +151,8 @@ pub enum Instr {
     /// because the attribution context cannot change inside a
     /// straight-line body, every statistic is a sum, and a bulk budget
     /// failure at entry and a per-iteration failure mid-loop produce the
-    /// same discarded `BudgetExceeded`.
+    /// same discarded `BudgetExceeded` (the body holds no branch test, so
+    /// the `nan_ne_tests` it carries agree too).
     LoopStart {
         counter: IntSlotId,
         bound: LBound,
@@ -568,7 +569,10 @@ impl<'k> Compiler<'k> {
             }
             LStmt::If(cond, body) => {
                 // branches + the bool evaluation: lhs load, rhs expr,
-                // compare — all in the block ending at the test.
+                // compare — all in the block ending at the test. Ending the
+                // block there keeps a budget abort's `nan_ne_tests` equal
+                // to the tree's: a charge that fails stops both engines
+                // before the test.
                 self.block().branches += 1;
                 self.block().counts.loads += 1;
                 self.cost(1);

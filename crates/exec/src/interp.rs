@@ -79,7 +79,9 @@ pub enum BoolSemantics {
     Ieee,
     /// The modelled GCC `-O3` folding: any comparison with a NaN operand is
     /// false. Diverges from IEEE only on `!=` (and via that, on executed
-    /// work and the final `comp`).
+    /// work and the final `comp`); both engines count those tests in
+    /// [`ExecStats::nan_ne_tests`], and on a budget abort in
+    /// [`ExecError::BudgetExceeded`].
     NanAbsorbing,
 }
 
@@ -124,8 +126,9 @@ impl ExecOptions {
 /// Why a run failed.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ExecError {
-    /// The op budget was exhausted (runaway trip counts).
-    BudgetExceeded { max_ops: u64 },
+    /// The op budget was exhausted (runaway trip counts). `nan_ne_tests`
+    /// is [`ExecStats::nan_ne_tests`] of the run up to the abort.
+    BudgetExceeded { max_ops: u64, nan_ne_tests: u64 },
     /// The input vector does not match the kernel's parameters.
     InputMismatch(String),
 }
@@ -133,7 +136,7 @@ pub enum ExecError {
 impl fmt::Display for ExecError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            ExecError::BudgetExceeded { max_ops } => {
+            ExecError::BudgetExceeded { max_ops, .. } => {
                 write!(f, "execution exceeded the {max_ops}-op budget")
             }
             ExecError::InputMismatch(m) => write!(f, "input mismatch: {m}"),
@@ -275,6 +278,7 @@ impl<'k, 's> Interp<'k, 's> {
         if self.ops_left == 0 {
             return Err(ExecError::BudgetExceeded {
                 max_ops: self.max_ops,
+                nan_ne_tests: self.stats.nan_ne_tests,
             });
         }
         self.ops_left -= 1;
@@ -407,7 +411,13 @@ impl<'k, 's> Interp<'k, 's> {
         let rhs = self.eval(&b.rhs)?;
         self.stats.ops.compares += 1;
         self.charge(1)?;
-        Ok(apply_bool(self.bool_semantics, b.op, lhs, rhs))
+        Ok(branch_test(
+            self.bool_semantics,
+            b.op,
+            lhs,
+            rhs,
+            &mut self.stats,
+        ))
     }
 
     // ----- statements -------------------------------------------------------
@@ -642,17 +652,24 @@ impl<'k, 's> Interp<'k, 's> {
     }
 }
 
-/// Apply a boolean comparison under the given semantics.
-pub fn apply_bool(sem: BoolSemantics, op: BoolOp, lhs: f64, rhs: f64) -> bool {
+/// Decide one branch test under `sem`, as both engines do. A `!=` test
+/// with a NaN operand, the one test the two semantics decide differently,
+/// is counted in [`ExecStats::nan_ne_tests`] whichever semantics runs.
+#[inline]
+pub(crate) fn branch_test(
+    sem: BoolSemantics,
+    op: BoolOp,
+    lhs: f64,
+    rhs: f64,
+    stats: &mut ExecStats,
+) -> bool {
+    let nan = lhs.is_nan() || rhs.is_nan();
+    if nan && op == BoolOp::Ne {
+        stats.nan_ne_tests += 1;
+    }
     match sem {
-        BoolSemantics::Ieee => op.apply(lhs, rhs),
-        BoolSemantics::NanAbsorbing => {
-            if lhs.is_nan() || rhs.is_nan() {
-                false
-            } else {
-                op.apply(lhs, rhs)
-            }
-        }
+        BoolSemantics::NanAbsorbing if nan => false,
+        _ => op.apply(lhs, rhs),
     }
 }
 

@@ -41,9 +41,7 @@ pub mod stats;
 pub mod vm;
 
 pub use bytecode::{CompiledKernel, PreparedKernel};
-pub use interp::{
-    apply_bool, BoolSemantics, ExecEngine, ExecError, ExecLimits, ExecOptions, ExecOutcome,
-};
+pub use interp::{BoolSemantics, ExecEngine, ExecError, ExecLimits, ExecOptions, ExecOutcome};
 pub use kernel::Kernel;
 pub use lower::{lower, LowerError};
 pub use profile::{BlockProfile, ExecProfile, ProfileCollector, OPCODE_COUNT, OPCODE_NAMES};

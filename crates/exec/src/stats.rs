@@ -140,6 +140,11 @@ pub struct ExecStats {
     pub branches: u64,
     /// Branches whose condition was true.
     pub branches_taken: u64,
+    /// Branch tests that compared with `!=` and saw a NaN operand: the
+    /// only tests the two [`crate::BoolSemantics`] decide differently. A
+    /// run that made none took the path it would have taken under the
+    /// other semantics.
+    pub nan_ne_tests: u64,
     /// Arithmetic results that became NaN with non-NaN inputs.
     pub nan_produced: u64,
     /// Arithmetic results that became ±Inf with finite inputs.

@@ -20,7 +20,7 @@
 //! `bytecode_equiv` differential suite.
 
 use crate::bytecode::{BlockCost, CompiledKernel, Instr, Operand};
-use crate::interp::{apply_bool, BoolSemantics, ExecError, ExecOptions, ExecOutcome};
+use crate::interp::{branch_test, BoolSemantics, ExecError, ExecOptions, ExecOutcome};
 use crate::kernel::{ArrayId, LBound, LIndex, ParamBinding, SlotId};
 use crate::race::{Loc, RaceDetector};
 use crate::scratch::{ExecScratch, LoopFrame};
@@ -202,15 +202,21 @@ impl<'c, 's> Vm<'c, 's> {
 
     // ----- accounting -------------------------------------------------------
 
+    /// The abort of a run whose op budget ran out here.
+    fn budget_exceeded(&self) -> ExecError {
+        ExecError::BudgetExceeded {
+            max_ops: self.max_ops,
+            nan_ne_tests: self.stats.nan_ne_tests,
+        }
+    }
+
     /// Charge a straight-line block in one step. Only the context-dependent
     /// attribution (thread cycles/ops) happens here; the global counters
     /// are deferred to [`Vm::flush_block_stats`] via the hit count.
     #[inline]
     fn charge_block(&mut self, idx: usize, b: &BlockCost) -> Result<(), ExecError> {
         if self.ops_left < b.ops {
-            return Err(ExecError::BudgetExceeded {
-                max_ops: self.max_ops,
-            });
+            return Err(self.budget_exceeded());
         }
         self.ops_left -= b.ops;
         self.s.block_hits[idx] += 1;
@@ -258,9 +264,7 @@ impl<'c, 's> Vm<'c, 's> {
     fn charge_block_times(&mut self, idx: usize, b: &BlockCost, n: u64) -> Result<(), ExecError> {
         let total_ops = b.ops.saturating_mul(n);
         if self.ops_left < total_ops {
-            return Err(ExecError::BudgetExceeded {
-                max_ops: self.max_ops,
-            });
+            return Err(self.budget_exceeded());
         }
         self.ops_left -= total_ops;
         self.s.block_hits[idx] += n;
@@ -282,9 +286,7 @@ impl<'c, 's> Vm<'c, 's> {
     /// One dynamic charge (the per-thread fork/join cost).
     fn charge_one(&mut self, cycles: u64) -> Result<(), ExecError> {
         if self.ops_left == 0 {
-            return Err(ExecError::BudgetExceeded {
-                max_ops: self.max_ops,
-            });
+            return Err(self.budget_exceeded());
         }
         self.ops_left -= 1;
         match &mut self.ctx {
@@ -739,7 +741,7 @@ fn h_bool_test(vm: &mut Vm<'_, '_>, ins: &Instr, ip: &mut usize) -> Result<Flow,
         vm.record(Loc::Scalar(*lhs), false);
     }
     let l = vm.s.scalars[*lhs as usize];
-    if apply_bool(vm.bool_semantics, *op, l, r) {
+    if branch_test(vm.bool_semantics, *op, l, r, &mut vm.stats) {
         vm.stats.branches_taken += 1;
     } else {
         *ip = *if_false as usize;
@@ -981,7 +983,7 @@ mod tests {
             if !ok {
                 assert!(matches!(
                     b.unwrap_err(),
-                    ExecError::BudgetExceeded { max_ops } if max_ops == budget
+                    ExecError::BudgetExceeded { max_ops, .. } if max_ops == budget
                 ));
             }
         }

@@ -402,7 +402,8 @@ fn run_one_case_with(
     let mut records = Vec::with_capacity(tc.inputs.len());
     let mut run_metrics = oracle::RunMetricsBatch::new();
     // One oracle step per input, through the worker's one scratch: the
-    // step interprets the input once per distinct branch semantics.
+    // step interprets the input once, and a second time only for the
+    // other branch semantics when that run tests a NaN with `!=`.
     for (input_index, input) in tc.inputs.iter().enumerate() {
         let observations: Vec<RunObservation> = set
             .step(input, &run_opts, scratch, &mut run_metrics)
@@ -685,66 +686,127 @@ mod tests {
         }
     }
 
-    /// Each input is one oracle step, and the binaries of a step that
-    /// share branch semantics share one interpretation: the Clang-like
-    /// binary reuses the Intel-like one's. `ExecProfile::runs` counts VM
-    /// runs that completed, and a shared interpretation adds nothing. At
-    /// the paper config (`-O3`) the GCC-like binary absorbs NaN branches
-    /// and interprets on its own: two runs per input. At `-O0` all three
-    /// binaries share IEEE semantics: one run per input. Interpreting per
-    /// binary would make it three.
+    /// `if (var_1 != var_1) { 20,000 × comp += 1 }; comp += 0.5`, with a
+    /// NaN input, whose IEEE run tests a NaN with `!=`, and a plain one.
+    fn nanfold_case() -> TestCase {
+        use ompfuzz_ast::{
+            AssignOp, Assignment, Block, BoolExpr, BoolOp, Expr, ForLoop, FpType, IfBlock, LValue,
+            LoopBound, Param, Program, Stmt, VarRef,
+        };
+        use ompfuzz_inputs::{InputValue, TestInput};
+        let comp_add = |value: f64| {
+            Stmt::Assign(Assignment {
+                target: LValue::Comp,
+                op: AssignOp::AddAssign,
+                value: Expr::fp_const(value),
+            })
+        };
+        let mut program = Program::new(
+            vec![Param::fp(FpType::F64, "var_1")],
+            Block::of_stmts(vec![
+                Stmt::If(IfBlock {
+                    cond: BoolExpr {
+                        lhs: VarRef::Scalar("var_1".into()),
+                        op: BoolOp::Ne,
+                        rhs: Expr::var("var_1"),
+                    },
+                    body: Block::of_stmts(vec![Stmt::For(ForLoop {
+                        omp_for: false,
+                        var: "i".into(),
+                        bound: LoopBound::Const(20_000),
+                        body: Block::of_stmts(vec![comp_add(1.0)]),
+                    })]),
+                }),
+                comp_add(0.5),
+            ]),
+        );
+        program.name = "nanfold".into();
+        let input = |v: f64| TestInput {
+            comp_init: 0.0,
+            values: vec![InputValue::Fp(v)],
+        };
+        TestCase::new(program, vec![input(f64::NAN), input(1.0)])
+    }
+
+    /// Each input is one oracle step, and a step interprets the input
+    /// once: the Intel-like binary's IEEE run serves the Clang-like binary
+    /// and, unless that run tested a NaN with `!=`, the GCC-like one too.
+    /// At the paper config (`-O3`) the GCC-like binary absorbs NaN
+    /// branches, so an input whose IEEE run made such a test costs a
+    /// second interpretation (none if GCC's modelled crash fires first).
+    /// At `-O0` every binary is IEEE: one interpretation per input.
+    /// `nanfold`'s NaN input keeps the two-interpretation path pinned.
+    /// Interpreting per binary would make it three.
     #[test]
-    fn differential_unit_interprets_once_per_branch_semantics() {
+    fn differential_unit_interprets_once_unless_a_nan_meets_ne() {
         use ompfuzz_backends::OptLevel;
+        use ompfuzz_exec::{ExecError, ExecLimits};
         use ompfuzz_outlier::ExecStatus;
         let backends = standard_backends();
         let dyns = as_dyn(&backends);
-        for (opt_level, runs_per_input) in [(OptLevel::O3, 2), (OptLevel::O0, 1)] {
+        for opt_level in [OptLevel::O3, OptLevel::O0] {
             let mut cfg = CampaignConfig::paper();
             cfg.opt_level = opt_level;
             // The race filter's own VM run is not part of the differential
             // loop under test.
             cfg.filter_races = false;
-            let mut checked = 0;
-            for index in 0..8 {
-                let tc = generate_case(&cfg, index);
-                let mut scratch = ExecScratch::new();
-                scratch.profile = Some(Box::default());
-                let obs = Obs::off();
+            let ieee = ExecOptions {
+                limits: ExecLimits {
+                    max_ops: cfg.run.max_ops,
+                },
+                ..ExecOptions::default()
+            };
+            let mut second_interpretations = 0;
+            let cases = (0..8)
+                .map(|i| generate_case(&cfg, i))
+                .chain([nanfold_case()]);
+            for (index, tc) in cases.enumerate() {
+                let obs = Obs::metrics_only();
                 let outcome = run_one_case_with(
                     index,
                     &tc,
                     &cfg,
                     &dyns,
-                    &mut scratch,
+                    &mut ExecScratch::new(),
                     &obs,
                     &mut obs.stopwatch(),
                 );
                 let CaseOutcome::Ran(records) = outcome else {
                     panic!("program {index} skipped the differential loop");
                 };
-                assert_eq!(records.len(), tc.inputs.len());
-                // Only runs that all completed pin the count: a modelled
-                // crash never starts the VM, and a budget abort is not a
-                // completed run.
-                let all_ok = records
+                let code = tc.prepared().unwrap().for_opt(opt_level >= OptLevel::O1);
+                let expected: u64 = records
                     .iter()
-                    .flat_map(|r| &r.observations)
-                    .all(|o| o.status == ExecStatus::Ok);
-                if !all_ok {
-                    continue;
-                }
-                let runs = scratch.profile.as_ref().unwrap().runs();
+                    .zip(&tc.inputs)
+                    .map(|(record, input)| {
+                        let nan_ne_tests = match code.run(input, &ieee) {
+                            Ok(outcome) => outcome.stats.nan_ne_tests,
+                            Err(ExecError::BudgetExceeded { nan_ne_tests, .. }) => nan_ne_tests,
+                            Err(ExecError::InputMismatch(_)) => 0,
+                        };
+                        let gcc_interprets = opt_level >= OptLevel::O2
+                            && record.observations[2].status != ExecStatus::Crash;
+                        1 + u64::from(nan_ne_tests > 0 && gcc_interprets)
+                    })
+                    .sum();
+                let counters = obs.counters();
                 assert_eq!(
-                    runs,
-                    runs_per_input * tc.inputs.len() as u64,
-                    "program {index} at {opt_level:?}"
+                    counters.get(Counter::Interpretations),
+                    expected,
+                    "{} at {opt_level:?}",
+                    tc.program.name
                 );
-                checked += 1;
+                assert_eq!(
+                    counters.get(Counter::DifferentialRuns),
+                    3 * tc.inputs.len() as u64
+                );
+                second_interpretations += expected - tc.inputs.len() as u64;
             }
-            assert!(
-                checked >= 2,
-                "only {checked} fully-ok programs at {opt_level:?}"
+            // Premise: the two-interpretation path ran at -O3 only.
+            assert_eq!(
+                second_interpretations > 0,
+                opt_level == OptLevel::O3,
+                "{second_interpretations} second interpretations at {opt_level:?}"
             );
         }
     }

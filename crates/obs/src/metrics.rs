@@ -13,7 +13,7 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Number of counters in the registry (the length of [`Counter::ALL`]).
-pub const COUNTER_COUNT: usize = 12;
+pub const COUNTER_COUNT: usize = 13;
 
 /// One deterministic campaign tally.
 ///
@@ -35,7 +35,14 @@ pub enum Counter {
     RaceFilterHits,
     /// Individual `(input × backend)` differential executions.
     DifferentialRuns,
-    /// VM/interpreter operations across all runs (from `ExecStats`).
+    /// Engine runs the differential oracle's steps actually made: one per
+    /// step unless the step's first run tested a NaN with `!=`, none for a
+    /// step whose every binary crashed before interpreting. Sharing makes
+    /// this smaller than [`Counter::DifferentialRuns`].
+    Interpretations,
+    /// VM/interpreter operations across all differential runs (from
+    /// `ExecStats`): the modelled ops of every `(input × backend)` run,
+    /// summed per binary, so sharing an interpretation does not change it.
     VmOps,
     /// Runs aborted by the op budget (`RunStatus::Hang` without a thread
     /// snapshot).
@@ -59,6 +66,7 @@ impl Counter {
         Counter::CompileFailures,
         Counter::RaceFilterHits,
         Counter::DifferentialRuns,
+        Counter::Interpretations,
         Counter::VmOps,
         Counter::BudgetAborts,
         Counter::OutlierRecords,
@@ -76,6 +84,7 @@ impl Counter {
             Counter::CompileFailures => "compile_failures",
             Counter::RaceFilterHits => "race_filter_hits",
             Counter::DifferentialRuns => "differential_runs",
+            Counter::Interpretations => "interpretations",
             Counter::VmOps => "vm_ops",
             Counter::BudgetAborts => "budget_aborts",
             Counter::OutlierRecords => "outlier_records",
@@ -308,6 +317,26 @@ mod tests {
         assert_eq!(CounterSnapshot::parse_line(&line), Some(snap));
         // Byte stability: parse → render reproduces the line.
         assert_eq!(CounterSnapshot::parse_line(&line).unwrap().to_line(), line);
+    }
+
+    #[test]
+    fn lines_written_before_a_counter_existed_load_it_as_zero() {
+        // A shard checkpoint's metrics line from before `interpretations`
+        // was added: every other counter loads, the new one reads zero.
+        let old = "(metrics (programs_generated 6) (mutants_generated 1) (compiles 21) \
+                   (compile_failures 0) (race_filter_hits 0) (differential_runs 63) \
+                   (vm_ops 9000) (budget_aborts 2) (outlier_records 3) \
+                   (reducer_candidate_checks 0) (reduced_kernels 0) (new_skeletons 0))";
+        let snap = CounterSnapshot::parse_line(old).expect("older line parses");
+        assert_eq!(snap.get(Counter::Interpretations), 0);
+        assert_eq!(snap.get(Counter::DifferentialRuns), 63);
+        assert_eq!(snap.get(Counter::VmOps), 9000);
+        assert_eq!(snap.get(Counter::BudgetAborts), 2);
+        assert_eq!(snap.get(Counter::MutantsGenerated), 1);
+        // Written back, the line gains the new pair beside its neighbour.
+        assert!(snap
+            .to_line()
+            .contains("(differential_runs 63) (interpretations 0) (vm_ops 9000)"));
     }
 
     #[test]

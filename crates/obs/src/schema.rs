@@ -1,5 +1,5 @@
 //! The telemetry schema: the event taxonomy as data, a renderer that
-//! produces the checked-in `schemas/telemetry-v3.schema` text, and a
+//! produces the checked-in `schemas/telemetry-v4.schema` text, and a
 //! validator for emitted JSONL.
 //!
 //! The schema table below is the single source of truth. CI regenerates
@@ -13,13 +13,15 @@ use crate::json::Value;
 use crate::metrics::Counter;
 use crate::phase::Phase;
 
-/// Schema format version (the `v3` in the schema header and file name).
+/// Schema format version (the `v4` in the schema header and file name).
 /// v2 was a strict superset of v1: `round_end` gained `yield_per_1k` and a
 /// latency rollup, `campaign_end` gained the latency rollup. v3 is a
 /// strict superset of v2: it adds the `checkpoint_corrupt` event (an
 /// integrity-checked checkpoint artifact failed verification and its
-/// shard re-runs).
-pub const SCHEMA_VERSION: u32 = 3;
+/// shard re-runs). v4 is a strict superset of v3: the counter object
+/// gains `interpretations` (the engine runs the differential oracle's
+/// steps made, beside `differential_runs`).
+pub const SCHEMA_VERSION: u32 = 4;
 
 /// The type of one event field.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -151,7 +153,7 @@ pub fn event_fields(kind: &str) -> Option<&'static [(&'static str, FieldTy)]> {
 }
 
 /// Render the schema document — byte-for-byte what
-/// `schemas/telemetry-v3.schema` must contain.
+/// `schemas/telemetry-v4.schema` must contain.
 pub fn render_schema() -> String {
     let mut out = String::new();
     out.push_str(&format!("; ompfuzz telemetry schema v{SCHEMA_VERSION}\n"));
@@ -482,9 +484,10 @@ mod tests {
             );
         }
         assert!(schema.contains("counters programs_generated"));
+        assert!(schema.contains(" differential_runs interpretations vm_ops "));
         assert!(schema.contains("phases generate compile"));
         assert!(schema.contains("hists count p50_us p90_us p99_us max_us"));
-        assert!(schema.starts_with("; ompfuzz telemetry schema v3\n"));
+        assert!(schema.starts_with("; ompfuzz telemetry schema v4\n"));
         assert!(schema.ends_with('\n'));
     }
 }

@@ -19,6 +19,7 @@ use ompfuzz_harness::{pool, CampaignConfig};
 use ompfuzz_inputs::TestInput;
 use ompfuzz_obs::{Counter, Obs};
 use ompfuzz_outlier::{analyze, OutlierConfig};
+use std::cell::RefCell;
 use std::collections::BTreeSet;
 
 /// Reduction tuning. The oracle options must match the campaign that
@@ -197,12 +198,14 @@ impl<'b> Reducer<'b> {
         // no-op — allow races for the whole reduction instead.
         let allow_races = self.config.filter_races
             && ompfuzz_exec::lower(&target.program).is_ok_and(|kernel| {
-                candidate_races(
-                    &PreparedKernel::new(kernel),
-                    &target.input,
-                    &self.config.run,
-                    &mut ExecScratch::new(),
-                )
+                with_check_scratch(|scratch| {
+                    candidate_races(
+                        &PreparedKernel::new(kernel),
+                        &target.input,
+                        &self.config.run,
+                        scratch,
+                    )
+                })
             });
         let ctx = OracleCtx {
             verdict: target.verdict,
@@ -263,30 +266,33 @@ impl<'b> Reducer<'b> {
             return false;
         };
         // One compilation per candidate: every backend run and the race
-        // gate share the same prepared bytecode — and one scratch per
-        // candidate, whose buffers they reuse. The check is one oracle
-        // step, which interprets the candidate once per branch semantics.
+        // gate share the same prepared bytecode, and run through the
+        // worker thread's scratch. The check is one oracle step, which
+        // interprets the candidate once, or once per branch semantics when
+        // the first run tests a NaN with `!=`.
         let prepared = PreparedKernel::new(kernel);
-        let mut scratch = ExecScratch::new();
-        let Ok(observations) = oracle::observe(
-            program,
-            input,
-            self.backends,
-            Some(&prepared),
-            &self.config.compile,
-            &self.config.run,
-            &mut scratch,
-            &self.obs,
-        ) else {
-            return false;
-        };
-        // The race gate runs last: both checks are pure functions of
-        // (candidate, input), and most candidates already fail the verdict.
-        analyze(&observations, &self.config.outlier).primary_outlier()
-            == Some((ctx.verdict.kind, ctx.verdict.backend))
-            && !(self.config.filter_races
-                && !ctx.allow_races
-                && candidate_races(&prepared, input, &self.config.run, &mut scratch))
+        with_check_scratch(|scratch| {
+            let Ok(observations) = oracle::observe(
+                program,
+                input,
+                self.backends,
+                Some(&prepared),
+                &self.config.compile,
+                &self.config.run,
+                scratch,
+                &self.obs,
+            ) else {
+                return false;
+            };
+            // The race gate runs last: both checks are pure functions of
+            // (candidate, input), and most candidates already fail the
+            // verdict.
+            analyze(&observations, &self.config.outlier).primary_outlier()
+                == Some((ctx.verdict.kind, ctx.verdict.backend))
+                && !(self.config.filter_races
+                    && !ctx.allow_races
+                    && candidate_races(&prepared, input, &self.config.run, scratch))
+        })
     }
 
     /// Return the index of the *first* (lowest-index) reproducing
@@ -501,6 +507,23 @@ struct OracleCtx {
     /// The original witness already races on the pinned input, so the race
     /// gate is waived (reduction can't *introduce* what's already there).
     allow_races: bool,
+}
+
+std::thread_local! {
+    /// One [`ExecScratch`] per thread that runs reducer checks, reused
+    /// across every candidate it checks (scratch contents never affect
+    /// outcomes, as the `scratch_reuse` suite pins, so which thread
+    /// checks a candidate cannot change any result). Kept apart from the
+    /// campaign's worker scratch, which may carry an installed VM profile.
+    static CHECK_SCRATCH: RefCell<ExecScratch> = RefCell::new(ExecScratch::new());
+}
+
+/// Run `f` on this thread's reducer scratch. The borrow lasts one check,
+/// and a check never calls back into the worker pool, so the thread that
+/// calls `pool::map_parallel` (which also works the queue) never borrows
+/// the scratch twice.
+fn with_check_scratch<R>(f: impl FnOnce(&mut ExecScratch) -> R) -> R {
+    CHECK_SCRATCH.with(|scratch| f(&mut scratch.borrow_mut()))
 }
 
 /// Does the compiled candidate race on `input`? Delegates to the campaign

@@ -4,8 +4,8 @@
 //! One connection carries one request line and its reply. `submit`,
 //! `status` and `cancel` get a single reply line; `watch` gets a reply
 //! line followed by the job's event stream — the scheduler's own serve
-//! events interleaved with the telemetry-v3 lines the shard workers
-//! append to the job's `events.jsonl` — terminated by a `watch_end`
+//! events interleaved with the telemetry lines the shard workers append
+//! to the job's `events.jsonl` — terminated by a `watch_end`
 //! frame once the job reaches a terminal state.
 //!
 //! Like the telemetry taxonomy, the protocol is described by data tables
@@ -15,7 +15,10 @@
 
 use crate::scheduler::{JobId, JobStatus, ServeEvent};
 use crate::spec::JobSpec;
-use ompfuzz_obs::{validate_line as validate_telemetry_line, FieldTy, JsonObject, Value};
+use ompfuzz_obs::{
+    validate_line as validate_telemetry_line, FieldTy, JsonObject, Value,
+    SCHEMA_VERSION as TELEMETRY_VERSION,
+};
 
 /// Protocol version (the `v1` in the schema header and file name).
 pub const PROTOCOL_VERSION: u32 = 1;
@@ -176,7 +179,7 @@ fn ty_label(ty: FieldTy) -> &'static str {
         FieldTy::Bool => "b",
         FieldTy::Str => "s",
         // The serve protocol only carries scalars; the nested telemetry
-        // shapes live in telemetry-v3.
+        // shapes live in the telemetry schema.
         _ => unreachable!("serve protocol fields are scalar"),
     }
 }
@@ -207,11 +210,11 @@ pub fn render_serve_schema() -> String {
         out.push_str(&format!(" {}:{}", f.name, ty_label(f.ty)));
     }
     out.push('\n');
-    out.push_str(
+    out.push_str(&format!(
         "; watch replies are followed by the job's stream: the serve events\n\
-         ; below interleaved with telemetry-v3 lines from the job's shards,\n\
+         ; below interleaved with telemetry-v{TELEMETRY_VERSION} lines from the job's shards,\n\
          ; terminated by watch_end\n",
-    );
+    ));
     for (kind, fields) in SERVE_EVENT_SCHEMAS {
         out.push_str(&format!("event {kind}"));
         for (name, ty) in *fields {
@@ -446,7 +449,7 @@ pub fn render_error(message: &str) -> String {
 }
 
 /// Validate one watch-stream line: either a serve event from the tables
-/// above or a forwarded telemetry-v3 line. Returns the event kind.
+/// above or a forwarded telemetry line. Returns the event kind.
 pub fn validate_stream_line(line: &str) -> Result<String, String> {
     let value = Value::parse(line)?;
     let kind = value
