@@ -55,24 +55,31 @@ pub trait OmpBackend: Send + Sync {
 }
 
 /// A compiled test, ready to run on inputs. Every call runs one input.
+///
+/// An implementation defines one run method, [`CompiledTest::run_in_step`];
+/// [`CompiledTest::run`] is that method on a one-binary step, so a
+/// standalone run and a run inside an oracle step cannot drift apart.
 pub trait CompiledTest: Send + Sync {
-    /// Execute with one input under the run options.
-    fn run(&self, input: &TestInput, opts: &RunOptions) -> RunResult;
     /// Execute as one binary of an oracle step
     /// ([`crate::oracle::CompiledSet::step`]): interpret through the
     /// step's scratch, or reuse an interpretation an earlier binary of the
     /// step made (see [`crate::oracle`] for when one stands in for the
-    /// other branch semantics). The default ignores the step —
-    /// process-based backends execute real binaries and have no
-    /// interpreter state.
+    /// other branch semantics). Process-based backends execute real
+    /// binaries and ignore the step.
     fn run_in_step(
         &self,
         input: &TestInput,
         opts: &RunOptions,
         step: &mut Interpretations<'_>,
-    ) -> RunResult {
-        let _ = step;
-        self.run(input, opts)
+    ) -> RunResult;
+    /// Execute with one input under the run options: a step of this one
+    /// binary, on a fresh scratch.
+    fn run(&self, input: &TestInput, opts: &RunOptions) -> RunResult {
+        self.run_in_step(
+            input,
+            opts,
+            &mut Interpretations::new(&mut ExecScratch::new()),
+        )
     }
     /// Label of the producing implementation (for reports).
     fn backend_label(&self) -> String;
@@ -477,14 +484,6 @@ impl SimBinary {
 }
 
 impl CompiledTest for SimBinary {
-    fn run(&self, input: &TestInput, opts: &RunOptions) -> RunResult {
-        self.run_in_step(
-            input,
-            opts,
-            &mut Interpretations::new(&mut ExecScratch::new()),
-        )
-    }
-
     /// Crash check, this binary's interpretation (its own, or one the step
     /// already made that stands in for its branch semantics), then the
     /// time model.
@@ -502,7 +501,7 @@ impl CompiledTest for SimBinary {
         //    run options select (flat bytecode by default).
         let exec_opts = self.exec_options(opts);
         let outcome = step.get_or_run(exec_opts.bool_semantics, |scratch| {
-            self.code.run_with(input, &exec_opts, scratch)
+            self.code.run(input, &exec_opts, scratch)
         });
         // 3.–5. Everything downstream of the interpretation.
         match outcome {
@@ -523,15 +522,10 @@ impl SimBinary {
         input: &TestInput,
         opts: &RunOptions,
     ) -> Option<crate::profile::StackProfile> {
-        let exec_opts = ExecOptions {
-            bool_semantics: self.bool_semantics(),
-            limits: ExecLimits {
-                max_ops: opts.max_ops,
-            },
-            detect_races: false,
-            engine: opts.engine,
-        };
-        let outcome = self.code.run(input, &exec_opts).ok()?;
+        let outcome = self
+            .code
+            .run(input, &self.exec_options(opts), &mut ExecScratch::new())
+            .ok()?;
         let breakdown = time_breakdown(&outcome.stats, &self.runtime(), self.opt_factor());
         Some(profile::build(
             self.vendor,

@@ -134,7 +134,8 @@ impl CompiledSet {
     /// two interpretations on such inputs at `-O2` and above, and one
     /// everywhere else. A binary whose modelled crash triggers interprets
     /// nothing, and an op-budget abort is shared like a completed run.
-    /// Every result equals the binary's standalone [`CompiledTest::run`].
+    /// Every result equals the binary's standalone [`CompiledTest::run`],
+    /// which is this step with one binary on a fresh scratch.
     pub fn step(
         &self,
         input: &TestInput,

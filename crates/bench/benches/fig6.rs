@@ -3,7 +3,7 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use ompfuzz_backends::{profile, time_breakdown, ProfileMode, Vendor};
 use ompfuzz_backends::{runtime_model, BugModels, CompileOptions, RunOptions, SimBackend};
-use ompfuzz_exec::{lower, run as exec_run, ExecOptions};
+use ompfuzz_exec::{lower, CompiledKernel, ExecOptions, ExecScratch};
 use ompfuzz_harness::caselib;
 use ompfuzz_report::{run_experiment, Scale};
 use std::hint::black_box;
@@ -14,8 +14,8 @@ fn bench_fig6(c: &mut Criterion) {
     // Measure the profile-generation step in isolation.
     let program = caselib::case_study_1(5_000, 32);
     let input = caselib::case_study_input(&program);
-    let kernel = lower(&program).unwrap();
-    let stats = exec_run(&kernel, &input, &ExecOptions::default())
+    let stats = CompiledKernel::compile(lower(&program).unwrap())
+        .run(&input, &ExecOptions::default(), &mut ExecScratch::new())
         .unwrap()
         .stats;
     let model = runtime_model(Vendor::IntelLike, &BugModels::default());

@@ -12,7 +12,7 @@
 //! step; the JSON records which mode produced it.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
-use ompfuzz_exec::{lower, CompiledKernel, ExecOptions, ExecScratch, Kernel};
+use ompfuzz_exec::{lower, CompiledKernel, ExecEngine, ExecOptions, ExecScratch, Kernel};
 use ompfuzz_harness::caselib;
 use std::cell::RefCell;
 use std::hint::black_box;
@@ -92,7 +92,14 @@ fn bench_interp(c: &mut Criterion) {
     let compiled = CompiledKernel::compile(kernel.clone());
     let opts = ExecOptions::default();
     let ropts = ExecOptions::with_race_detection();
-    let out = ompfuzz_exec::interp::run(&kernel, &input, &opts).unwrap();
+    let tree = |o: &ExecOptions| ExecOptions {
+        engine: ExecEngine::Tree,
+        ..*o
+    };
+    let (tree_opts, tree_ropts) = (tree(&opts), tree(&ropts));
+    let out = compiled
+        .run(&input, &tree_opts, &mut ExecScratch::new())
+        .unwrap();
     let ops = out.stats.ops.total();
     println!(
         "\ninterpreter workload: {} ops, {} loop iterations, {} region entries, {} instrs flat",
@@ -111,28 +118,22 @@ fn bench_interp(c: &mut Criterion) {
     } else {
         ("full", 8, Duration::from_millis(250))
     };
+    // The tree walk runs on a fresh scratch per call and the VM on one
+    // reused scratch, as the engines' callers did when the gate was set.
     let tree_run = |o: &ExecOptions| {
-        let _ = black_box(ompfuzz_exec::interp::run(
-            black_box(&kernel),
-            black_box(&input),
-            o,
-        ));
+        let _ = black_box(black_box(&compiled).run(black_box(&input), o, &mut ExecScratch::new()));
     };
     let vm_run = |o: &ExecOptions| {
-        let _ = black_box(ompfuzz_exec::vm::run_with(
-            black_box(&compiled),
-            black_box(&input),
-            o,
-            &mut scratch.borrow_mut(),
-        ));
+        let _ =
+            black_box(black_box(&compiled).run(black_box(&input), o, &mut scratch.borrow_mut()));
     };
     let rates = measure_rates(
         windows,
         window,
         ops,
         &mut [
-            &mut || tree_run(&opts),
-            &mut || tree_run(&ropts),
+            &mut || tree_run(&tree_opts),
+            &mut || tree_run(&tree_ropts),
             &mut || vm_run(&opts),
             &mut || vm_run(&ropts),
         ],
@@ -171,43 +172,11 @@ fn bench_interp(c: &mut Criterion) {
         group.measurement_time(Duration::from_millis(100));
     }
     group.throughput(Throughput::Elements(ops));
-    group.bench_function("cs2_interpretation", |b| {
-        b.iter(|| {
-            black_box(ompfuzz_exec::vm::run_with(
-                black_box(&compiled),
-                black_box(&input),
-                &opts,
-                &mut scratch.borrow_mut(),
-            ))
-        })
-    });
-    group.bench_function("cs2_tree_walk", |b| {
-        b.iter(|| {
-            black_box(ompfuzz_exec::interp::run(
-                black_box(&kernel),
-                black_box(&input),
-                &opts,
-            ))
-        })
-    });
-    group.bench_function("cs2_with_race_detection", |b| {
-        b.iter(|| {
-            black_box(ompfuzz_exec::vm::run_with(
-                black_box(&compiled),
-                black_box(&input),
-                &ropts,
-                &mut scratch.borrow_mut(),
-            ))
-        })
-    });
+    group.bench_function("cs2_interpretation", |b| b.iter(|| vm_run(&opts)));
+    group.bench_function("cs2_tree_walk", |b| b.iter(|| tree_run(&tree_opts)));
+    group.bench_function("cs2_with_race_detection", |b| b.iter(|| vm_run(&ropts)));
     group.bench_function("cs2_tree_walk_with_race_detection", |b| {
-        b.iter(|| {
-            black_box(ompfuzz_exec::interp::run(
-                black_box(&kernel),
-                black_box(&input),
-                &ropts,
-            ))
-        })
+        b.iter(|| tree_run(&tree_ropts))
     });
     group.bench_function("lowering", |b| {
         b.iter(|| black_box(lower(black_box(&program))))

@@ -174,16 +174,25 @@ pub fn fold_into_catalog(
 mod tests {
     use super::*;
     use ompfuzz_backends::standard_backends;
-    use ompfuzz_harness::{generate_corpus, run_campaign_on};
+    use ompfuzz_exec::ProfileCollector;
+    use ompfuzz_harness::{generate_case, run_campaign_generated_with};
+    use ompfuzz_obs::Obs;
     use std::time::Instant;
 
     fn small_campaign() -> (CampaignConfig, Vec<TestCase>, CampaignResult) {
         let mut cfg = crate::EvolveConfig::quick().base;
         cfg.programs = 60;
-        let corpus = generate_corpus(&cfg);
         let backends = standard_backends();
         let dyns: Vec<&dyn OmpBackend> = backends.iter().map(|b| b as &dyn OmpBackend).collect();
-        let result = run_campaign_on(&cfg, &dyns, &corpus, Instant::now());
+        let (result, corpus) = run_campaign_generated_with(
+            &cfg,
+            &dyns,
+            0..cfg.programs,
+            &|i| generate_case(&cfg, i),
+            Instant::now(),
+            &Obs::off(),
+            &ProfileCollector::off(),
+        );
         (cfg, corpus, result)
     }
 

@@ -11,8 +11,8 @@
 //!   (O(slice) work, not O(corpus) per shard) and still holds exactly the
 //!   tests the whole-corpus build would put in its range;
 //! * per-record analysis never looks across programs, so a slice campaign
-//!   ([`run_campaign_slice`]) produces exactly the full run's records for
-//!   its range, with global indices;
+//!   ([`run_campaign_generated_with`] over the shard's range) produces
+//!   exactly the full run's records for its range, with global indices;
 //! * [`TriggerCatalog::merge`] keeps the existing (earlier) witness, so
 //!   merging shard catalogs **in shard order** reproduces the sequential
 //!   first-witness-wins fold over the whole record stream.

@@ -237,20 +237,12 @@ impl CompiledKernel {
         CompiledKernel::build(kernel, folds)
     }
 
-    /// Execute on `input`, dispatching on `opts.engine`: the flat bytecode
-    /// VM by default, or the tree interpreter as reference semantics.
+    /// Execute on `input`, dispatching on `opts.engine` (the flat bytecode
+    /// VM by default, or the tree interpreter as reference semantics),
+    /// through `scratch`. The crate's only run entry point: a reused
+    /// scratch gives the same outcome as a fresh one, since each run
+    /// resets exactly the state it reads.
     pub fn run(
-        &self,
-        input: &ompfuzz_inputs::TestInput,
-        opts: &crate::interp::ExecOptions,
-    ) -> Result<crate::interp::ExecOutcome, crate::interp::ExecError> {
-        self.run_with(input, opts, &mut ExecScratch::new())
-    }
-
-    /// [`Self::run`] reusing a caller-held [`ExecScratch`] — what the hot
-    /// paths (campaign workers, reducer candidate checks) call so thousands
-    /// of runs per program stop reallocating their state vectors.
-    pub fn run_with(
         &self,
         input: &ompfuzz_inputs::TestInput,
         opts: &crate::interp::ExecOptions,
@@ -258,9 +250,9 @@ impl CompiledKernel {
     ) -> Result<crate::interp::ExecOutcome, crate::interp::ExecError> {
         match opts.engine {
             crate::interp::ExecEngine::Tree => {
-                crate::interp::run_with(&self.kernel, input, opts, scratch)
+                crate::interp::run(&self.kernel, input, opts, scratch)
             }
-            crate::interp::ExecEngine::Bytecode => crate::vm::run_with(self, input, opts, scratch),
+            crate::interp::ExecEngine::Bytecode => crate::vm::run(self, input, opts, scratch),
         }
     }
 

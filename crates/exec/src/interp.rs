@@ -1,8 +1,10 @@
 //! The deterministic interpreter.
 //!
-//! One call to [`run`] executes a lowered [`Kernel`] on one [`TestInput`]
-//! and returns the final `comp` value plus full [`ExecStats`]. Execution is
-//! a pure function of `(kernel, input, options)`:
+//! One call to `run`, reached through
+//! [`crate::bytecode::CompiledKernel::run`] with [`ExecEngine::Tree`],
+//! executes a lowered [`Kernel`] on one [`TestInput`] and returns the final
+//! `comp` value plus full [`ExecStats`]. Execution is a pure function of
+//! `(kernel, input, options)`:
 //!
 //! * floating point follows IEEE 754 double precision, with rounding to
 //!   binary32 at stores to `float` variables (C's store-truncation);
@@ -39,7 +41,7 @@ use std::fmt;
 pub enum ExecEngine {
     /// The original recursive tree-walk interpreter (reference).
     Tree,
-    /// The flat bytecode VM (`lower` → `bytecode::compile` → `vm::run`).
+    /// The flat bytecode VM (`lower` → `bytecode::compile` → [`crate::vm`]).
     #[default]
     Bytecode,
 }
@@ -108,8 +110,8 @@ pub struct ExecOptions {
     /// Record shared accesses during the first entry of each region and
     /// report data races.
     pub detect_races: bool,
-    /// Engine selection; [`crate::bytecode::CompiledKernel::run`] and the
-    /// crate-level [`crate::run`] dispatch on this.
+    /// Engine selection; [`crate::bytecode::CompiledKernel::run`]
+    /// dispatches on this.
     pub engine: ExecEngine,
 }
 
@@ -156,23 +158,13 @@ pub struct ExecOutcome {
     pub races: Vec<RaceReport>,
 }
 
-/// Execute `kernel` on `input` with the tree-walk interpreter (fresh
-/// scratch).
+/// Execute `kernel` on `input` with the tree-walk interpreter, reusing
+/// `scratch`'s buffers (the reset restores exactly the state a fresh
+/// allocation would have).
 ///
-/// This is the reference engine and ignores `opts.engine`; the crate-level
-/// [`crate::run`] (and [`crate::bytecode::CompiledKernel::run`]) dispatch
-/// between engines.
-pub fn run(
-    kernel: &Kernel,
-    input: &TestInput,
-    opts: &ExecOptions,
-) -> Result<ExecOutcome, ExecError> {
-    run_with(kernel, input, opts, &mut ExecScratch::new())
-}
-
-/// [`run`] reusing a caller-held [`ExecScratch`] — bit-identical outcomes;
-/// the reset restores exactly the state a fresh allocation would have.
-pub fn run_with(
+/// This is the reference engine and ignores `opts.engine`;
+/// [`crate::bytecode::CompiledKernel::run`] dispatches between engines.
+pub(crate) fn run(
     kernel: &Kernel,
     input: &TestInput,
     opts: &ExecOptions,
@@ -694,6 +686,11 @@ mod tests {
             comp_init: comp,
             values,
         }
+    }
+
+    /// The tree engine on a fresh scratch.
+    fn run(k: &Kernel, inp: &TestInput, opts: &ExecOptions) -> Result<ExecOutcome, ExecError> {
+        super::run(k, inp, opts, &mut ExecScratch::new())
     }
 
     fn run_program(p: &Program, inp: &TestInput) -> ExecOutcome {

@@ -23,6 +23,11 @@
 //! * [`stats`] — the execution statistics consumed by the simulated
 //!   backend cost models in `ompfuzz-backends`.
 //!
+//! Every run goes through one entry point, [`CompiledKernel::run`]: it
+//! dispatches on [`ExecOptions::engine`] and runs through a caller-held
+//! [`ExecScratch`], so a kernel is compiled once (via [`PreparedKernel`])
+//! and its runs stop reallocating their state vectors.
+//!
 //! The interpreter executes real numerics — the `comp` value it returns is
 //! the number a compiled binary would print — while *time* is deliberately
 //! left symbolic (weighted work cycles). Turning work into wall-clock
@@ -48,22 +53,3 @@ pub use profile::{BlockProfile, ExecProfile, ProfileCollector, OPCODE_COUNT, OPC
 pub use race::{RaceDetector, RaceReport};
 pub use scratch::ExecScratch;
 pub use stats::{ExecStats, OpCounts, RegionTrace, ThreadWork};
-
-/// Execute `kernel` on `input`, dispatching on `opts.engine`.
-///
-/// Convenience for one-shot runs: the bytecode engine compiles the kernel
-/// on the fly. Hot paths (backends, the campaign driver, the reducer) hold
-/// a [`CompiledKernel`] — via [`PreparedKernel`] — and call
-/// [`CompiledKernel::run_with`] against a per-worker [`ExecScratch`]
-/// instead, so each kernel is compiled once and runs stop reallocating
-/// their state vectors however many times they execute.
-pub fn run(
-    kernel: &Kernel,
-    input: &ompfuzz_inputs::TestInput,
-    opts: &ExecOptions,
-) -> Result<ExecOutcome, ExecError> {
-    match opts.engine {
-        ExecEngine::Tree => interp::run(kernel, input, opts),
-        ExecEngine::Bytecode => vm::run(&CompiledKernel::compile(kernel.clone()), input, opts),
-    }
-}

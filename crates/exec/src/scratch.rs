@@ -10,13 +10,12 @@
 //! warm memory, no allocator round-trips once the high-water mark is
 //! reached).
 //!
-//! Both engines thread a `&mut ExecScratch` through their entry points
-//! ([`crate::vm::run_with`], [`crate::interp::run_with`],
-//! [`crate::bytecode::CompiledKernel::run_with`]); the scratch-free entry
-//! points simply run against a fresh scratch. Outcomes are bit-identical
-//! either way — the reset restores exactly the state a fresh allocation
-//! would have — which the `scratch_reuse` differential suite pins over
-//! random program/input sequences.
+//! Every run takes a `&mut ExecScratch`
+//! ([`crate::bytecode::CompiledKernel::run`], whichever engine it
+//! dispatches to); a one-off run passes `&mut ExecScratch::new()`.
+//! Outcomes are bit-identical either way — the reset restores exactly the
+//! state a fresh allocation would have — which the `scratch_reuse`
+//! differential suite pins over random program/input sequences.
 //!
 //! A scratch holds buffers and the opt-in profiler, never outcomes: which
 //! runs may share an interpretation is the differential oracle's decision

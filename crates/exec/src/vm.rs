@@ -1,7 +1,8 @@
 //! Linear dispatch over the flat bytecode form.
 //!
-//! [`run`] executes a [`CompiledKernel`] on one input and produces an
-//! [`ExecOutcome`] bit-identical to the tree interpreter's for the same
+//! `run`, reached through [`CompiledKernel::run`], executes a
+//! [`CompiledKernel`] on one input and produces an [`ExecOutcome`]
+//! bit-identical to the tree interpreter's for the same
 //! `(kernel, input, options)` — same `comp` bits, same
 //! [`crate::stats::ExecStats`], same race reports, and budget exhaustion on
 //! exactly the same runs. The hot loop is a fetch plus an indexed call
@@ -11,8 +12,8 @@
 //! sharing analysis (race-check flags were resolved at compile time).
 //!
 //! This is the only bytecode engine. Callers with several inputs run them
-//! one at a time through [`run_with`] on a reused [`ExecScratch`]; the
-//! tree interpreter stays beside it as the reference semantics.
+//! one at a time on a reused [`ExecScratch`]; the tree interpreter stays
+//! beside it as the reference semantics.
 //!
 //! In debug builds every successful run is re-executed on the tree
 //! interpreter and the block-charged statistics are asserted equal to the
@@ -28,19 +29,10 @@ use crate::stats::{ExecStats, RegionTrace, ThreadWork};
 use ompfuzz_ast::AssignOp;
 use ompfuzz_inputs::{InputValue, TestInput};
 
-/// Execute `ck` on `input` with the bytecode engine (fresh scratch).
-pub fn run(
-    ck: &CompiledKernel,
-    input: &TestInput,
-    opts: &ExecOptions,
-) -> Result<ExecOutcome, ExecError> {
-    run_with(ck, input, opts, &mut ExecScratch::new())
-}
-
 /// Execute `ck` on `input` with the bytecode engine, reusing `scratch`'s
-/// buffers (bit-identical to [`run`]; the reset restores exactly the state
-/// a fresh allocation would have).
-pub fn run_with(
+/// buffers (the reset restores exactly the state a fresh allocation would
+/// have). Reached through [`CompiledKernel::run`].
+pub(crate) fn run(
     ck: &CompiledKernel,
     input: &TestInput,
     opts: &ExecOptions,
@@ -70,7 +62,7 @@ fn parity_check(ck: &CompiledKernel, input: &TestInput, opts: &ExecOptions, outc
         detect_races: false,
         ..*opts
     };
-    match crate::interp::run(&ck.kernel, input, &reference_opts) {
+    match crate::interp::run(&ck.kernel, input, &reference_opts, &mut ExecScratch::new()) {
         Ok(tree) => {
             debug_assert_eq!(
                 tree.stats, outcome.stats,
@@ -868,18 +860,31 @@ fn h_halt(_vm: &mut Vm<'_, '_>, _ins: &Instr, _ip: &mut usize) -> Result<Flow, E
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::interp::{ExecLimits, ExecOptions};
+    use crate::interp::{ExecEngine, ExecLimits, ExecOptions};
     use crate::lower::lower;
     use ompfuzz_ast::{
         AssignOp, Assignment, Block, BlockItem, Expr, ForLoop, FpType, LValue, LoopBound,
         OmpClauses, OmpCritical, OmpParallel, Param, Program, ReductionOp, Stmt, VarRef,
     };
 
+    /// `ck` on `input` on one engine, through a fresh scratch.
+    fn run_on(
+        engine: ExecEngine,
+        ck: &CompiledKernel,
+        input: &TestInput,
+        opts: &ExecOptions,
+    ) -> Result<ExecOutcome, ExecError> {
+        ck.run(
+            input,
+            &ExecOptions { engine, ..*opts },
+            &mut ExecScratch::new(),
+        )
+    }
+
     fn both_engines(p: &Program, input: &TestInput, opts: &ExecOptions) {
-        let kernel = lower(p).expect("lowers");
-        let ck = CompiledKernel::compile(kernel.clone());
-        let tree = crate::interp::run(&kernel, input, opts);
-        let byte = run_with(&ck, input, opts, &mut ExecScratch::new());
+        let ck = CompiledKernel::compile(lower(p).expect("lowers"));
+        let tree = run_on(ExecEngine::Tree, &ck, input, opts);
+        let byte = run_on(ExecEngine::Bytecode, &ck, input, opts);
         match (tree, byte) {
             (Ok(t), Ok(b)) => {
                 assert_eq!(t.comp.to_bits(), b.comp.to_bits());
@@ -956,8 +961,7 @@ mod tests {
             })]),
         );
         let input = fp_input(vec![1.0]);
-        let kernel = lower(&p).unwrap();
-        let ck = CompiledKernel::compile(kernel.clone());
+        let ck = CompiledKernel::compile(lower(&p).unwrap());
         // Probe the exact total with the tree engine, then pin the
         // boundary: budget == total succeeds on both, total - 1 fails on
         // both.
@@ -976,8 +980,8 @@ mod tests {
                 limits: ExecLimits { max_ops: budget },
                 ..ExecOptions::default()
             };
-            let t = crate::interp::run(&kernel, &input, &opts);
-            let b = run_with(&ck, &input, &opts, &mut ExecScratch::new());
+            let t = run_on(ExecEngine::Tree, &ck, &input, &opts);
+            let b = run_on(ExecEngine::Bytecode, &ck, &input, &opts);
             assert_eq!(t.is_ok(), ok, "tree at budget {budget}");
             assert_eq!(b.is_ok(), ok, "bytecode at budget {budget}");
             if !ok {
@@ -1018,10 +1022,9 @@ mod tests {
             })]),
         );
         let input = fp_input(vec![0.0]);
-        let kernel = lower(&p).unwrap();
-        let ck = CompiledKernel::compile(kernel.clone());
+        let ck = CompiledKernel::compile(lower(&p).unwrap());
         let opts = ExecOptions::with_race_detection();
-        let b = run_with(&ck, &input, &opts, &mut ExecScratch::new()).unwrap();
+        let b = run_on(ExecEngine::Bytecode, &ck, &input, &opts).unwrap();
         assert!(!b.races.is_empty());
         both_engines(&p, &input, &opts);
     }
@@ -1045,10 +1048,10 @@ mod tests {
         let opts = ExecOptions::default();
         let ck = CompiledKernel::compile(lower(&p).unwrap());
 
-        let plain = run_with(&ck, &input, &opts, &mut ExecScratch::new()).unwrap();
+        let plain = run_on(ExecEngine::Bytecode, &ck, &input, &opts).unwrap();
         let mut scratch = ExecScratch::new();
         scratch.profile = Some(Box::default());
-        let profiled = crate::vm::run_with(&ck, &input, &opts, &mut scratch).unwrap();
+        let profiled = ck.run(&input, &opts, &mut scratch).unwrap();
         assert_eq!(plain.comp.to_bits(), profiled.comp.to_bits());
         assert_eq!(plain.stats, profiled.stats);
 
@@ -1061,7 +1064,7 @@ mod tests {
         assert!(profile.blocks().iter().any(|b| b.hits > 0 && b.ops > 0));
 
         // A second run accumulates into the same profile.
-        crate::vm::run_with(&ck, &input, &opts, &mut scratch).unwrap();
+        ck.run(&input, &opts, &mut scratch).unwrap();
         assert_eq!(scratch.profile.as_ref().unwrap().runs(), 2);
     }
 

@@ -14,7 +14,7 @@
 //!   NaN-absorbing folding) and for the constant-folded `-O1`+ form.
 
 use ompfuzz_exec::{
-    interp, lower, vm, BoolSemantics, CompiledKernel, ExecError, ExecLimits, ExecOptions,
+    lower, BoolSemantics, CompiledKernel, ExecEngine, ExecError, ExecLimits, ExecOptions,
     ExecOutcome, ExecScratch,
 };
 use ompfuzz_gen::{GeneratorConfig, ProgramGenerator};
@@ -89,9 +89,23 @@ fn check_both(
     };
     // The tree reference interprets the same (possibly folded) kernel the
     // bytecode was flattened from.
-    let tree = interp::run(&ck.kernel, input, opts);
-    let byte = vm::run_with(&ck, input, opts, &mut ExecScratch::new());
+    let tree = run_on(ExecEngine::Tree, &ck, input, opts);
+    let byte = run_on(ExecEngine::Bytecode, &ck, input, opts);
     assert_outcomes_identical(&tree, &byte)
+}
+
+/// `ck` on `input` on one engine, through a fresh scratch.
+fn run_on(
+    engine: ExecEngine,
+    ck: &CompiledKernel,
+    input: &TestInput,
+    opts: &ExecOptions,
+) -> Result<ExecOutcome, ExecError> {
+    ck.run(
+        input,
+        &ExecOptions { engine, ..*opts },
+        &mut ExecScratch::new(),
+    )
 }
 
 proptest! {
@@ -157,15 +171,14 @@ proptest! {
 fn case_shapes_match_at_budget_boundaries() {
     for (seed, input_seed) in [(2u64, 3u64), (5, 7), (10, 1)] {
         let (program, input) = generate(seed, input_seed);
-        let kernel = lower(&program).unwrap();
-        let ck = CompiledKernel::compile(kernel.clone());
+        let ck = CompiledKernel::compile(lower(&program).unwrap());
         let generous = ExecOptions {
             limits: ExecLimits {
                 max_ops: 50_000_000,
             },
             ..ExecOptions::default()
         };
-        if interp::run(&kernel, &input, &generous).is_err() {
+        if run_on(ExecEngine::Tree, &ck, &input, &generous).is_err() {
             continue; // exceeds even the generous budget; covered above
         }
         // Probe the exact budget boundary by bisecting on the tree engine,
@@ -177,7 +190,7 @@ fn case_shapes_match_at_budget_boundaries() {
                 limits: ExecLimits { max_ops: mid },
                 ..ExecOptions::default()
             };
-            if interp::run(&kernel, &input, &opts).is_ok() {
+            if run_on(ExecEngine::Tree, &ck, &input, &opts).is_ok() {
                 hi = mid;
             } else {
                 lo = mid + 1;
@@ -191,8 +204,8 @@ fn case_shapes_match_at_budget_boundaries() {
                 limits: ExecLimits { max_ops: budget },
                 ..ExecOptions::default()
             };
-            let tree = interp::run(&kernel, &input, &opts);
-            let byte = vm::run_with(&ck, &input, &opts, &mut ExecScratch::new());
+            let tree = run_on(ExecEngine::Tree, &ck, &input, &opts);
+            let byte = run_on(ExecEngine::Bytecode, &ck, &input, &opts);
             assert_eq!(tree.is_ok(), ok, "tree at {budget} (seed {seed})");
             assert_eq!(byte.is_ok(), ok, "bytecode at {budget} (seed {seed})");
             assert_outcomes_identical(&tree, &byte).unwrap();

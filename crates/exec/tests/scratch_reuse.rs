@@ -10,7 +10,7 @@
 //! divergence.
 
 use ompfuzz_exec::{
-    interp, lower, vm, CompiledKernel, ExecError, ExecLimits, ExecOptions, ExecOutcome, ExecScratch,
+    lower, CompiledKernel, ExecEngine, ExecError, ExecLimits, ExecOptions, ExecOutcome, ExecScratch,
 };
 use ompfuzz_gen::{GeneratorConfig, ProgramGenerator};
 use ompfuzz_inputs::{InputGenerator, TestInput};
@@ -75,23 +75,22 @@ proptest! {
         let mut scratch = ExecScratch::new();
         for step in 0..3u64 {
             let (program, input) = generate(base + step, input_base + step);
-            let kernel = lower(&program).expect("generated programs lower");
-            let compiled = CompiledKernel::compile(kernel.clone());
+            let compiled = CompiledKernel::compile(lower(&program).expect("generated programs lower"));
             // A tightened budget on some steps exercises mid-run abort —
             // the next iteration then starts from a dirty scratch.
             let max_ops = if step == 1 { 1u64 << (4 + budget_shift) } else { 1_000_000 };
             for detect_races in [false, true] {
-                let opts = ExecOptions {
-                    detect_races,
-                    limits: ExecLimits { max_ops },
-                    ..ExecOptions::default()
-                };
-                let fresh_vm = vm::run(&compiled, &input, &opts);
-                let reused_vm = vm::run_with(&compiled, &input, &opts, &mut scratch);
-                assert_identical(&fresh_vm, &reused_vm)?;
-                let fresh_tree = interp::run(&kernel, &input, &opts);
-                let reused_tree = interp::run_with(&kernel, &input, &opts, &mut scratch);
-                assert_identical(&fresh_tree, &reused_tree)?;
+                for engine in [ExecEngine::Bytecode, ExecEngine::Tree] {
+                    let opts = ExecOptions {
+                        detect_races,
+                        limits: ExecLimits { max_ops },
+                        engine,
+                        ..ExecOptions::default()
+                    };
+                    let fresh = compiled.run(&input, &opts, &mut ExecScratch::new());
+                    let reused = compiled.run(&input, &opts, &mut scratch);
+                    assert_identical(&fresh, &reused)?;
+                }
             }
         }
     }

@@ -97,7 +97,7 @@ fn run(
         detect_races,
         engine,
     };
-    ck.run_with(input, &opts, &mut ExecScratch::new())
+    ck.run(input, &opts, &mut ExecScratch::new())
 }
 
 /// The IEEE and NaN-absorbing runs of every engine and kernel form, each

@@ -134,33 +134,23 @@ impl CampaignResult {
 
 /// Run a campaign of `config` against `backends`.
 ///
-/// The corpus is never materialized up front: each worker generates its
-/// program from `(config, seed, index)` inside the per-program closure, so
-/// generation → lower/compile → race filter → differential runs execute as
-/// one pipelined unit. Byte-identical to `run_campaign_on(config, backends,
-/// &generate_corpus(config), ..)` — program `i` is index-addressed, not a
-/// position in a sequential stream.
+/// The corpus is never materialized: each worker generates its program
+/// from `(config, seed, index)` inside the per-program closure and drops
+/// it when the unit finishes, so peak memory is one test case per worker.
+/// Byte-identical to [`run_campaign_generated_with`] over
+/// [`generate_case`], whose tests equal [`crate::generate_corpus`]'s.
 pub fn run_campaign(config: &CampaignConfig, backends: &[&dyn OmpBackend]) -> CampaignResult {
-    let start = Instant::now();
-    let indices: Vec<usize> = (0..config.programs).collect();
-    let workers = pool::resolve_workers(config.workers);
-    let obs = Obs::off();
-    let profile = ProfileCollector::off();
-    let outcomes = pool::map_parallel(workers, &indices, |&index| {
-        let tc = generate_case(config, index);
-        // `tc` drops when this closure returns: peak memory is one test
-        // case per worker, not the corpus.
-        run_one_case(
-            index,
-            &tc,
-            config,
-            backends,
-            &obs,
-            &profile,
-            &mut obs.stopwatch(),
-        )
-    });
-    assemble_result(config, backends, outcomes, start)
+    let (result, _) = campaign_loop(
+        config,
+        backends,
+        0..config.programs,
+        &|index| generate_case(config, index),
+        Instant::now(),
+        &Obs::off(),
+        &ProfileCollector::off(),
+        drop,
+    );
+    result
 }
 
 /// Run a campaign over the global index range `range`, generating test
@@ -171,11 +161,13 @@ pub fn run_campaign(config: &CampaignConfig, backends: &[&dyn OmpBackend]) -> Ca
 ///
 /// `gen` must be a pure function of its index (the index-addressed corpus
 /// definition), which is what keeps the result identical for every worker
-/// count. Returns the generated tests alongside the result, in range
-/// order, so callers (shard workers) can resolve outlier records against
-/// exactly the slice they ran — O(slice) memory, never the whole corpus.
-/// (Whole-corpus callers that don't need the tests back use
-/// [`run_campaign`], which drops each test as its worker finishes.)
+/// count. Records carry their *global* index, so a run over a slice
+/// produces exactly the whole run's records for that range. Returns the
+/// generated tests alongside the result, in range order, so callers
+/// (shard workers, reducers) can resolve outlier records against exactly
+/// the tests they ran — O(slice) memory. (Callers that don't need the
+/// tests back use [`run_campaign`], which drops each test as its worker
+/// finishes.)
 ///
 /// Each worker closure times its generate section, counts the generated
 /// program, and ticks the periodic progress stream through `obs`; the
@@ -196,6 +188,25 @@ pub fn run_campaign_generated_with(
     obs: &Obs,
     profile: &ProfileCollector,
 ) -> (CampaignResult, Vec<TestCase>) {
+    campaign_loop(config, backends, range, gen, start, obs, profile, |tc| tc)
+}
+
+/// The campaign's pool loop, shared by both entry points: one pipelined
+/// per-program unit per index of `range`, then the ordered assembly.
+/// `keep` decides what each worker keeps of its test once the unit is
+/// done — all of it, or nothing, so that a whole-corpus run holds one test
+/// per worker rather than the corpus.
+#[allow(clippy::too_many_arguments)]
+fn campaign_loop<K: Send>(
+    config: &CampaignConfig,
+    backends: &[&dyn OmpBackend],
+    range: std::ops::Range<usize>,
+    gen: &(dyn Fn(usize) -> TestCase + Sync),
+    start: Instant,
+    obs: &Obs,
+    profile: &ProfileCollector,
+    keep: impl Fn(TestCase) -> K + Sync,
+) -> (CampaignResult, Vec<K>) {
     let indices: Vec<usize> = range.collect();
     let total = indices.len() as u64;
     let workers = pool::resolve_workers(config.workers);
@@ -209,58 +220,10 @@ pub fn run_campaign_generated_with(
         obs.count(Counter::ProgramsGenerated, 1);
         let outcome = run_one_case(index, &tc, config, backends, obs, profile, &mut sw);
         obs.tick_progress(total);
-        (outcome, tc)
+        (outcome, keep(tc))
     });
-    let (outcomes, corpus): (Vec<CaseOutcome>, Vec<TestCase>) = paired.into_iter().unzip();
-    (assemble_result(config, backends, outcomes, start), corpus)
-}
-
-/// Run a campaign on a pre-generated corpus (used by ablation benches that
-/// sweep α/β over identical runs).
-pub fn run_campaign_on(
-    config: &CampaignConfig,
-    backends: &[&dyn OmpBackend],
-    corpus: &[TestCase],
-    start: Instant,
-) -> CampaignResult {
-    run_campaign_slice(config, backends, corpus, 0, start)
-}
-
-/// Run a campaign on a contiguous slice of a larger corpus, stamping every
-/// record with its *global* index (`index_offset` + position in the slice).
-///
-/// This is what makes sharded campaigns composable: a shard runs only its
-/// slice, but the records it produces index and name programs exactly as
-/// the whole-corpus run would, so reduction targets, catalog provenance —
-/// and therefore the saved catalog bytes — are identical however the corpus
-/// was split.
-pub fn run_campaign_slice(
-    config: &CampaignConfig,
-    backends: &[&dyn OmpBackend],
-    corpus: &[TestCase],
-    index_offset: usize,
-    start: Instant,
-) -> CampaignResult {
-    let indexed: Vec<(usize, &TestCase)> = corpus
-        .iter()
-        .enumerate()
-        .map(|(i, tc)| (index_offset + i, tc))
-        .collect();
-    let workers = pool::resolve_workers(config.workers);
-    let obs = Obs::off();
-    let profile = ProfileCollector::off();
-    let outcomes = pool::map_parallel(workers, &indexed, |&(index, tc)| {
-        run_one_case(
-            index,
-            tc,
-            config,
-            backends,
-            &obs,
-            &profile,
-            &mut obs.stopwatch(),
-        )
-    });
-    assemble_result(config, backends, outcomes, start)
+    let (outcomes, kept): (Vec<CaseOutcome>, Vec<K>) = paired.into_iter().unzip();
+    (assemble_result(config, backends, outcomes, start), kept)
 }
 
 /// Per-program outcome; [`pool::map_parallel`] keeps these in corpus order.
@@ -446,7 +409,7 @@ pub fn detect_kernel_races(
         engine,
         ..ExecOptions::default()
     };
-    code.run_with(input, &opts, scratch).ok().map(|o| o.races)
+    code.run(input, &opts, scratch).ok().map(|o| o.races)
 }
 
 /// Run the race detector on a test case (first input). Returns `None` when
@@ -625,29 +588,54 @@ mod tests {
         assert_eq!(pick(&perf), (9, 1));
     }
 
-    /// A slice run must reproduce exactly the full run's records for that
-    /// range — same global indices, same analyses — since per-record
-    /// analysis never looks across programs.
+    /// Both entry points run the one campaign loop: `run_campaign` equals
+    /// `run_campaign_generated_with` over `0..mid` and over `mid..n` —
+    /// records (global indices, names, analyses) and racy exclusions, in
+    /// order — and the tests the latter returns are `generate_corpus`'s.
+    /// The legacy config makes the racy exclusions non-empty.
     #[test]
     fn slice_records_match_the_full_run() {
-        let cfg = CampaignConfig::small();
-        let corpus = generate_corpus(&cfg);
+        let mut legacy = CampaignConfig::small();
+        legacy.generator.sharing_mode = SharingMode::Legacy;
+        legacy.generator.legacy_race_probability = 0.9;
+        legacy.generator.omp.parallel_block = 0.9;
+        legacy.generator.omp.reduction = 0.0;
         let backends = standard_backends();
         let dyns = as_dyn(&backends);
-        let full = run_campaign_on(&cfg, &dyns, &corpus, std::time::Instant::now());
-        let mid = corpus.len() / 2;
-        let lo = run_campaign_slice(&cfg, &dyns, &corpus[..mid], 0, std::time::Instant::now());
-        let hi = run_campaign_slice(&cfg, &dyns, &corpus[mid..], mid, std::time::Instant::now());
-        assert_eq!(lo.records.len() + hi.records.len(), full.records.len());
-        assert_eq!(
-            lo.racy_programs.len() + hi.racy_programs.len(),
-            full.racy_programs.len()
-        );
-        for (sliced, whole) in lo.records.iter().chain(&hi.records).zip(&full.records) {
-            assert_eq!(sliced.program_index, whole.program_index);
-            assert_eq!(sliced.program_name, whole.program_name);
-            assert_eq!(sliced.input_index, whole.input_index);
-            assert_eq!(sliced.analysis, whole.analysis);
+        for (cfg, racy) in [(CampaignConfig::small(), false), (legacy, true)] {
+            let full = run_campaign(&cfg, &dyns);
+            assert_eq!(!full.racy_programs.is_empty(), racy);
+            let slice = |range| {
+                run_campaign_generated_with(
+                    &cfg,
+                    &dyns,
+                    range,
+                    &|i| generate_case(&cfg, i),
+                    Instant::now(),
+                    &Obs::off(),
+                    &ProfileCollector::off(),
+                )
+            };
+            let mid = cfg.programs / 2;
+            let (lo, lo_tests) = slice(0..mid);
+            let (hi, hi_tests) = slice(mid..cfg.programs);
+            assert_eq!(lo.records.len() + hi.records.len(), full.records.len());
+            for (sliced, whole) in lo.records.iter().chain(&hi.records).zip(&full.records) {
+                assert_eq!(sliced.program_index, whole.program_index);
+                assert_eq!(sliced.program_name, whole.program_name);
+                assert_eq!(sliced.input_index, whole.input_index);
+                assert_eq!(sliced.analysis, whole.analysis);
+            }
+            let racy: Vec<_> = lo.racy_programs.iter().chain(&hi.racy_programs).collect();
+            assert_eq!(racy.len(), full.racy_programs.len());
+            for ((sliced_name, sliced), (whole_name, whole)) in
+                racy.into_iter().zip(&full.racy_programs)
+            {
+                assert_eq!(sliced_name, whole_name);
+                assert_eq!(sliced, whole);
+            }
+            let tests: Vec<TestCase> = lo_tests.into_iter().chain(hi_tests).collect();
+            assert_eq!(tests, generate_corpus(&cfg));
         }
     }
 
@@ -779,7 +767,7 @@ mod tests {
                     .iter()
                     .zip(&tc.inputs)
                     .map(|(record, input)| {
-                        let nan_ne_tests = match code.run(input, &ieee) {
+                        let nan_ne_tests = match code.run(input, &ieee, &mut ExecScratch::new()) {
                             Ok(outcome) => outcome.stats.nan_ne_tests,
                             Err(ExecError::BudgetExceeded { nan_ne_tests, .. }) => nan_ne_tests,
                             Err(ExecError::InputMismatch(_)) => 0,

@@ -256,13 +256,14 @@ mod tests {
             case_study_2(3, 16, 4),
             case_study_3(16, 4),
         ] {
-            let k = ompfuzz_exec::lower(&p).unwrap();
-            let out = ompfuzz_exec::run(
-                &k,
-                &case_study_input(&p),
-                &ompfuzz_exec::ExecOptions::with_race_detection(),
-            )
-            .unwrap();
+            let ck = ompfuzz_exec::CompiledKernel::compile(ompfuzz_exec::lower(&p).unwrap());
+            let out = ck
+                .run(
+                    &case_study_input(&p),
+                    &ompfuzz_exec::ExecOptions::with_race_detection(),
+                    &mut ompfuzz_exec::ExecScratch::new(),
+                )
+                .unwrap();
             assert!(out.races.is_empty(), "{}: {:?}", p.name, out.races);
         }
     }

@@ -38,8 +38,7 @@ pub mod process;
 pub mod testcase;
 
 pub use campaign::{
-    detect_kernel_races, run_campaign, run_campaign_generated_with, run_campaign_on,
-    run_campaign_slice, CampaignResult, RunRecord,
+    detect_kernel_races, run_campaign, run_campaign_generated_with, CampaignResult, RunRecord,
 };
 pub use config::{CampaignConfig, ConfigError};
 pub use process::{ProcessBackend, ProcessBinary};

@@ -16,6 +16,7 @@
 
 use ompfuzz_ast::printer::{emit_translation_unit, PrintOptions};
 use ompfuzz_ast::Program;
+use ompfuzz_backends::oracle::Interpretations;
 use ompfuzz_backends::{
     BackendInfo, CompileError, CompileOptions, CompiledTest, OmpBackend, RunOptions, RunResult,
     RunStatus, Vendor,
@@ -214,7 +215,14 @@ pub struct ProcessBinary {
 }
 
 impl CompiledTest for ProcessBinary {
-    fn run(&self, input: &TestInput, opts: &RunOptions) -> RunResult {
+    /// Runs the real binary; a host process shares no interpretation, so
+    /// the step goes unused.
+    fn run_in_step(
+        &self,
+        input: &TestInput,
+        opts: &RunOptions,
+        _step: &mut Interpretations<'_>,
+    ) -> RunResult {
         let empty = |status: RunStatus| RunResult {
             status,
             comp: None,

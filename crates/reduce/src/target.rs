@@ -108,16 +108,31 @@ impl ReductionTarget {
 mod tests {
     use super::*;
     use ompfuzz_backends::{standard_backends, OmpBackend};
-    use ompfuzz_harness::{generate_corpus, run_campaign_on, CampaignConfig};
+    use ompfuzz_exec::ProfileCollector;
+    use ompfuzz_harness::{generate_case, run_campaign_generated_with, CampaignConfig};
+    use ompfuzz_obs::Obs;
     use std::time::Instant;
+
+    /// A small campaign and the corpus it ran.
+    fn small_campaign() -> (Vec<TestCase>, CampaignResult) {
+        let cfg = CampaignConfig::small();
+        let backends = standard_backends();
+        let dyns: Vec<&dyn OmpBackend> = backends.iter().map(|b| b as &dyn OmpBackend).collect();
+        let (result, corpus) = run_campaign_generated_with(
+            &cfg,
+            &dyns,
+            0..cfg.programs,
+            &|i| generate_case(&cfg, i),
+            Instant::now(),
+            &Obs::off(),
+            &ProfileCollector::off(),
+        );
+        (corpus, result)
+    }
 
     #[test]
     fn extraction_resolves_program_and_input() {
-        let cfg = CampaignConfig::small();
-        let corpus = generate_corpus(&cfg);
-        let backends = standard_backends();
-        let dyns: Vec<&dyn OmpBackend> = backends.iter().map(|b| b as &dyn OmpBackend).collect();
-        let result = run_campaign_on(&cfg, &dyns, &corpus, Instant::now());
+        let (corpus, result) = small_campaign();
         // Whether or not this small campaign has outliers, extraction must
         // agree with the records it is given.
         for record in result.records.iter().take(50) {
@@ -144,11 +159,7 @@ mod tests {
 
     #[test]
     fn truncated_corpus_is_rejected() {
-        let cfg = CampaignConfig::small();
-        let corpus = generate_corpus(&cfg);
-        let backends = standard_backends();
-        let dyns: Vec<&dyn OmpBackend> = backends.iter().map(|b| b as &dyn OmpBackend).collect();
-        let result = run_campaign_on(&cfg, &dyns, &corpus, Instant::now());
+        let (corpus, result) = small_campaign();
         let Some(record) = result.records.iter().find(|r| r.outlier().is_some()) else {
             return; // nothing to misresolve in this campaign
         };

@@ -171,13 +171,14 @@ fn witness_that_already_races_still_reduces() {
     let input = caselib::case_study_input(&program);
 
     // Confirm the premise: the witness itself races on this input.
-    let kernel = ompfuzz_exec::lower(&program).unwrap();
-    let outcome = ompfuzz_exec::run(
-        &kernel,
-        &input,
-        &ompfuzz_exec::ExecOptions::with_race_detection(),
-    )
-    .unwrap();
+    let ck = ompfuzz_exec::CompiledKernel::compile(ompfuzz_exec::lower(&program).unwrap());
+    let outcome = ck
+        .run(
+            &input,
+            &ompfuzz_exec::ExecOptions::with_race_detection(),
+            &mut ompfuzz_exec::ExecScratch::new(),
+        )
+        .unwrap();
     assert!(!outcome.races.is_empty(), "premise: witness must race");
 
     let target = ReductionTarget::new(program, input, Verdict::new(OutlierKind::Hang, 0));

@@ -1,33 +1,8 @@
 //! The `ompfuzz` command-line interface.
 //!
-//! ```text
-//! ompfuzz list-experiments
-//! ompfuzz reproduce -e table1 [--quick]
-//! ompfuzz campaign [--programs N] [--inputs K] [--seed S] [--config FILE] [--csv OUT]
-//!                  [--engine tree|bytecode]
-//! ompfuzz reduce [--all] [--programs N] [--seed S] [--kind hang] [--target IDX]
-//!                [--workers W] [--catalog FILE] [--emit] [--engine tree|bytecode]
-//! ompfuzz evolve [--rounds N] [--seed S] [--programs N] [--config FILE] [--quick]
-//!                [--mutation-fraction F] [--bias S] [--catalog FILE] [--resume FILE]
-//!                [--shards N] [--checkpoint-dir DIR] [--engine tree|bytecode]
-//!                [--progress human|jsonl|none] [--metrics-out FILE]
-//!                [--trace-out FILE] [--profile-out FILE]
-//! ompfuzz shard --round R --shard I/N --checkpoint-dir DIR [evolve options]
-//! ompfuzz serve --socket PATH --state-dir DIR [--slots N] [--max-retries N]
-//!               [--backoff-ms MS] [--backoff-cap-ms MS] [--timeout-ms MS]
-//!               [--jitter-seed S] [--fault-kill R/I]
-//! ompfuzz submit --socket PATH [--quick] [--seed S] [--programs N] [--inputs K]
-//!                [--rounds N] [--shards N] [--priority P]
-//! ompfuzz watch --socket PATH --job JOB [--retry N]
-//! ompfuzz status --socket PATH [--job JOB] [--retry N]
-//! ompfuzz cancel --socket PATH --job JOB
-//! ompfuzz shutdown --socket PATH [--drain]
-//! ompfuzz report [--metrics FILE] [--schema FILE] [--profile FILE] [--render-schema]
-//!                [--render-serve-schema]
-//! ompfuzz generate --out DIR [--programs N] [--seed S]
-//! ompfuzz emit [--seed S]
-//! ompfuzz config-template
-//! ```
+//! Every command declares its flags and its description once, in
+//! [`COMMANDS`]: the table parses the command line and renders the usage
+//! (`ompfuzz help`), whose checked-in copy is `schemas/cli-usage.txt`.
 
 use ompfuzz_backends::{standard_backends, OmpBackend};
 use ompfuzz_corpus::{
@@ -36,7 +11,8 @@ use ompfuzz_corpus::{
 };
 use ompfuzz_exec::ProfileCollector;
 use ompfuzz_harness::{
-    generate_corpus, run_campaign, run_campaign_on, save_corpus, CampaignConfig,
+    generate_case, generate_corpus, run_campaign, run_campaign_generated_with, save_corpus,
+    CampaignConfig,
 };
 use ompfuzz_obs::{stderr_jsonl, HumanSink, JsonlSink, MultiSink, Obs, TraceBuffer};
 use ompfuzz_outlier::OutlierKind;
@@ -55,18 +31,18 @@ use std::time::Instant;
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let Some((cmd, rest)) = args.split_first() else {
-        print_usage();
+        print!("{}", usage());
         return ExitCode::from(2);
     };
     // Asking for help anywhere prints the usage and runs nothing.
     if ["help", "--help", "-h"].contains(&cmd.as_str())
         || rest.iter().any(|a| a == "--help" || a == "-h")
     {
-        print_usage();
+        print!("{}", usage());
         return ExitCode::SUCCESS;
     }
     let result = match COMMANDS.iter().find(|(name, ..)| name == cmd) {
-        Some(&(name, flags, run)) => Opts::parse(name, flags, rest).and_then(|opts| run(&opts)),
+        Some(&(name, _, flags, run)) => Opts::parse(name, flags, rest).and_then(|opts| run(&opts)),
         None => Err(format!("unknown command `{cmd}` (try `ompfuzz help`)")),
     };
     match result {
@@ -85,29 +61,44 @@ type Command = fn(&Opts) -> Result<(), String>;
 /// commands plus its own.
 type Flags = &'static [&'static [Flag]];
 
-/// Every command with its flags and its body.
-const COMMANDS: &[(&str, Flags, Command)] = &[
-    ("list-experiments", &[], cmd_list),
+/// Every command: its name, what it does (the usage's description), its
+/// flags and its body.
+const COMMANDS: &[(&str, &str, Flags, Command)] = &[
+    (
+        "list-experiments",
+        "list every reproducible table/figure",
+        &[],
+        cmd_list,
+    ),
     (
         "reproduce",
-        &[&[opt("--experiment", Some("-e")), switch("--quick")]],
+        "regenerate one experiment (e.g. table1, fig9); requires --experiment",
+        &[&[opt("--experiment", Some("-e"), "ID"), switch("--quick")]],
         cmd_reproduce,
     ),
     (
         "campaign",
-        &[CONFIG_FLAGS, &[opt("--csv", None)]],
+        "run a differential campaign and print Table I; --csv writes every \
+         run record (--engine picks the interpreter; results are \
+         bit-identical, the bytecode VM is the fast default, the tree walk \
+         the reference)",
+        &[CONFIG_FLAGS, ENGINE_FLAGS, &[opt("--csv", None, "FILE")]],
         cmd_campaign,
     ),
     (
         "reduce",
+        "run a campaign, then delta-debug its worst outlier (or program \
+         IDX's) to a minimal kernel; --all batch-reduces every outlier into \
+         a skeleton-deduplicated trigger catalog",
         &[
             CONFIG_FLAGS,
+            ENGINE_FLAGS,
             &[
                 switch("--all"),
-                opt("--kind", Some("-k")),
-                opt("--target", Some("-t")),
-                opt("--workers", Some("-w")),
-                opt("--catalog", None),
+                opt("--kind", Some("-k"), "slow|fast|crash|hang"),
+                opt("--target", Some("-t"), "IDX"),
+                opt("--workers", Some("-w"), "W"),
+                opt("--catalog", None, "FILE"),
                 switch("--emit"),
             ],
         ],
@@ -115,61 +106,113 @@ const COMMANDS: &[(&str, Flags, Command)] = &[
     ),
     (
         "evolve",
-        &[CONFIG_FLAGS, EVOLVE_FLAGS, &[opt("--catalog", None)]],
+        "corpus-guided evolutionary loop: campaign -> batch-reduce -> \
+         catalog -> bias + mutate -> repeat; --shards splits each round \
+         into N slices merged in order, --checkpoint-dir makes the campaign \
+         crash-resumable (completed shards are skipped); --progress picks \
+         the stderr renderer over the telemetry stream, --metrics-out saves \
+         it as JSONL, --trace-out writes a Chrome trace-event file of \
+         per-phase spans (load in Perfetto), --profile-out writes the \
+         campaign-wide VM hot-path profile",
+        &[
+            CONFIG_FLAGS,
+            ENGINE_FLAGS,
+            EVOLVE_FLAGS,
+            &[opt("--catalog", None, "FILE")],
+        ],
         cmd_evolve,
     ),
     (
         "shard",
+        "run ONE shard of one evolution round and checkpoint it (the \
+         out-of-process worker behind a sharded evolve); requires --round, \
+         --shard and --checkpoint-dir",
         &[
             CONFIG_FLAGS,
+            ENGINE_FLAGS,
             EVOLVE_FLAGS,
-            &[opt("--round", None), opt("--shard", None)],
+            &[opt("--round", None, "R"), opt("--shard", None, "I/N")],
         ],
         cmd_shard,
     ),
     (
         "serve",
+        "run the campaign daemon: a job queue multiplexed over N `ompfuzz \
+         shard` subprocess slots with round-robin scheduling, per-shard \
+         timeouts, and crash requeue with capped exponential backoff \
+         (--fault-kill SIGKILLs one designated shard's first attempt, a \
+         requeue drill); requires --socket and --state-dir",
         &[&[
-            opt("--socket", None),
-            opt("--state-dir", None),
-            opt("--slots", None),
-            opt("--max-retries", None),
-            opt("--backoff-ms", None),
-            opt("--backoff-cap-ms", None),
-            opt("--timeout-ms", None),
-            opt("--jitter-seed", None),
-            opt("--fault-kill", None),
+            opt("--socket", None, "PATH"),
+            opt("--state-dir", None, "DIR"),
+            opt("--slots", None, "N"),
+            opt("--max-retries", None, "N"),
+            opt("--backoff-ms", None, "MS"),
+            opt("--backoff-cap-ms", None, "MS"),
+            opt("--timeout-ms", None, "MS"),
+            opt("--jitter-seed", None, "S"),
+            opt("--fault-kill", None, "R/I"),
         ]],
         cmd_serve,
     ),
     (
         "submit",
+        "enqueue a campaign on a running daemon; prints the job name \
+         (job-1, ...); requires --socket",
         &[&[
-            opt("--socket", None),
+            opt("--socket", None, "PATH"),
             switch("--quick"),
-            opt("--seed", Some("-s")),
-            opt("--programs", Some("-n")),
-            opt("--inputs", Some("-i")),
-            opt("--rounds", Some("-r")),
-            opt("--shards", None),
-            opt("--priority", None),
+            opt("--seed", Some("-s"), "S"),
+            opt("--programs", Some("-n"), "N"),
+            opt("--inputs", Some("-i"), "K"),
+            opt("--rounds", Some("-r"), "N"),
+            opt("--shards", None, "N"),
+            opt("--priority", None, "P"),
         ]],
         cmd_submit,
     ),
-    ("watch", &[JOB_FLAGS, &[opt("--retry", None)]], cmd_watch),
-    ("status", &[JOB_FLAGS, &[opt("--retry", None)]], cmd_status),
-    ("cancel", &[JOB_FLAGS], cmd_cancel),
+    (
+        "watch",
+        "stream a job's events (scheduler + telemetry) to stdout until it \
+         ends; exits nonzero unless the job finished `done`; --retry rides \
+         out daemon restarts, resuming the stream without gaps or \
+         duplicates; requires --socket and --job",
+        &[JOB_FLAGS, &[opt("--retry", None, "N")]],
+        cmd_watch,
+    ),
+    (
+        "status",
+        "render the daemon's job table (--retry reconnects across a daemon \
+         restart); requires --socket",
+        &[JOB_FLAGS, &[opt("--retry", None, "N")]],
+        cmd_status,
+    ),
+    (
+        "cancel",
+        "cancel a queued or running job; requires --socket and --job",
+        &[JOB_FLAGS],
+        cmd_cancel,
+    ),
     (
         "shutdown",
-        &[&[opt("--socket", None), switch("--drain")]],
+        "stop the daemon; --drain finishes in-flight shards and journals \
+         final state first, plain shutdown kills workers immediately (both \
+         leave restart-recoverable state); requires --socket",
+        &[&[opt("--socket", None, "PATH"), switch("--drain")]],
         cmd_shutdown,
     ),
     (
         "report",
+        "validate a --metrics-out JSONL stream and render \
+         counter/phase/round/latency tables (--schema also checks a schema \
+         file against the built-in taxonomy; --profile renders a \
+         --profile-out file's hot-opcode and hot-block tables; \
+         --render-schema and --render-serve-schema print the built-in \
+         schemas for checking in)",
         &[&[
-            opt("--metrics", Some("-m")),
-            opt("--schema", None),
-            opt("--profile", Some("-p")),
+            opt("--metrics", Some("-m"), "FILE"),
+            opt("--schema", None, "FILE"),
+            opt("--profile", Some("-p"), "FILE"),
             switch("--render-schema"),
             switch("--render-serve-schema"),
         ]],
@@ -177,140 +220,128 @@ const COMMANDS: &[(&str, Flags, Command)] = &[
     ),
     (
         "generate",
-        &[CONFIG_FLAGS, &[opt("--out", Some("-o"))]],
+        "write generated .cpp tests + inputs to DIR (20 programs unless \
+         --programs); requires --out",
+        &[CONFIG_FLAGS, &[opt("--out", Some("-o"), "DIR")]],
         cmd_generate,
     ),
-    ("emit", &[&[opt("--seed", Some("-s"))]], cmd_emit),
-    ("config-template", &[], cmd_config_template),
+    (
+        "emit",
+        "print one generated test program",
+        &[&[opt("--seed", Some("-s"), "S")]],
+        cmd_emit,
+    ),
+    (
+        "config-template",
+        "print the default campaign config file",
+        &[],
+        cmd_config_template,
+    ),
 ];
 
 /// The campaign-config flags ([`build_config`]).
 const CONFIG_FLAGS: &[Flag] = &[
-    opt("--config", Some("-c")),
-    opt("--programs", Some("-n")),
-    opt("--inputs", Some("-i")),
-    opt("--seed", Some("-s")),
-    opt("--engine", None),
+    opt("--config", Some("-c"), "FILE"),
+    opt("--programs", Some("-n"), "N"),
+    opt("--inputs", Some("-i"), "K"),
+    opt("--seed", Some("-s"), "S"),
 ];
+
+/// The interpreter choice of the commands that run kernels
+/// ([`apply_engine`]).
+const ENGINE_FLAGS: &[Flag] = &[opt("--engine", None, "tree|bytecode")];
 
 /// The flags `evolve` and `shard` share: the evolution knobs
 /// ([`build_evolve_config`]), the shard plan and checkpoint directory, and
 /// telemetry ([`build_obs`], [`build_profile`]).
 const EVOLVE_FLAGS: &[Flag] = &[
     switch("--quick"),
-    opt("--rounds", Some("-r")),
-    opt("--mutation-fraction", None),
-    opt("--bias", None),
-    opt("--resume", None),
-    opt("--shards", None),
-    opt("--checkpoint-dir", None),
-    opt("--progress", None),
-    opt("--metrics-out", None),
-    opt("--trace-out", None),
-    opt("--profile-out", None),
+    opt("--rounds", Some("-r"), "N"),
+    opt("--mutation-fraction", None, "F"),
+    opt("--bias", None, "S"),
+    opt("--resume", None, "FILE"),
+    opt("--shards", None, "N"),
+    opt("--checkpoint-dir", None, "DIR"),
+    opt("--progress", None, "human|jsonl|none"),
+    opt("--metrics-out", None, "FILE"),
+    opt("--trace-out", None, "FILE"),
+    opt("--profile-out", None, "FILE"),
 ];
 
 /// The daemon socket and job of the serve clients.
-const JOB_FLAGS: &[Flag] = &[opt("--socket", None), opt("--job", Some("-j"))];
+const JOB_FLAGS: &[Flag] = &[
+    opt("--socket", None, "PATH"),
+    opt("--job", Some("-j"), "JOB"),
+];
 
-fn print_usage() {
-    println!(
+/// The column the usage text wraps at.
+const USAGE_WIDTH: usize = 78;
+
+/// The usage text, rendered from [`COMMANDS`]: each command with every
+/// flag it accepts, then what it does.
+fn usage() -> String {
+    let mut out = String::from(
         "ompfuzz — randomized differential testing for OpenMP implementations\n\n\
-         USAGE:\n  ompfuzz <command> [options]\n\n\
-         COMMANDS:\n\
-         \x20 list-experiments           list every reproducible table/figure\n\
-         \x20 reproduce -e <id> [--quick]  regenerate one experiment (e.g. table1, fig9)\n\
-         \x20 campaign [--programs N] [--inputs K] [--seed S] [--config FILE] [--csv OUT]\n\
-         \x20          [--engine tree|bytecode]\n\
-         \x20                            run a differential campaign and print Table I\n\
-         \x20                            (--engine picks the interpreter; results are\n\
-         \x20                            bit-identical, the bytecode VM is the fast\n\
-         \x20                            default, the tree walk the reference)\n\
-         \x20 reduce [--all] [--programs N] [--seed S] [--kind slow|fast|crash|hang]\n\
-         \x20        [--target IDX] [--workers W] [--catalog FILE] [--emit]\n\
-         \x20        [--engine tree|bytecode]\n\
-         \x20                            run a campaign, then delta-debug its worst\n\
-         \x20                            outlier (or program IDX's) to a minimal kernel;\n\
-         \x20                            --all batch-reduces every outlier into a\n\
-         \x20                            skeleton-deduplicated trigger catalog\n\
-         \x20 evolve [--rounds N] [--seed S] [--programs N] [--config FILE] [--quick]\n\
-         \x20        [--mutation-fraction F] [--bias S] [--catalog FILE] [--resume FILE]\n\
-         \x20        [--shards N] [--checkpoint-dir DIR] [--engine tree|bytecode]\n\
-         \x20        [--progress human|jsonl|none] [--metrics-out FILE]\n\
-         \x20        [--trace-out FILE] [--profile-out FILE]\n\
-         \x20                            corpus-guided evolutionary loop: campaign ->\n\
-         \x20                            batch-reduce -> catalog -> bias + mutate -> repeat;\n\
-         \x20                            --shards splits each round into N slices merged\n\
-         \x20                            in order, --checkpoint-dir makes the campaign\n\
-         \x20                            crash-resumable (completed shards are skipped);\n\
-         \x20                            --progress picks the stderr renderer over the\n\
-         \x20                            telemetry stream, --metrics-out saves it as JSONL,\n\
-         \x20                            --trace-out writes a Chrome trace-event file of\n\
-         \x20                            per-phase spans (load in Perfetto), --profile-out\n\
-         \x20                            writes the campaign-wide VM hot-path profile\n\
-         \x20 shard --round R --shard I/N --checkpoint-dir DIR [evolve options]\n\
-         \x20                            run ONE shard of one evolution round and\n\
-         \x20                            checkpoint it (the out-of-process worker behind\n\
-         \x20                            a sharded evolve)\n\
-         \x20 serve --socket PATH --state-dir DIR [--slots N] [--max-retries N]\n\
-         \x20       [--backoff-ms MS] [--backoff-cap-ms MS] [--timeout-ms MS]\n\
-         \x20       [--jitter-seed S] [--fault-kill R/I]\n\
-         \x20                            run the campaign daemon: a job queue multiplexed\n\
-         \x20                            over N `ompfuzz shard` subprocess slots with\n\
-         \x20                            round-robin scheduling, per-shard timeouts, and\n\
-         \x20                            crash requeue with capped exponential backoff\n\
-         \x20                            (--fault-kill SIGKILLs one designated shard's\n\
-         \x20                            first attempt — the CI requeue drill)\n\
-         \x20 submit --socket PATH [--quick] [--seed S] [--programs N] [--inputs K]\n\
-         \x20        [--rounds N] [--shards N] [--priority P]\n\
-         \x20                            enqueue a campaign on a running daemon; prints\n\
-         \x20                            the job name (job-1, ...)\n\
-         \x20 watch --socket PATH --job JOB [--retry N]\n\
-         \x20                            stream a job's events (scheduler + telemetry) to\n\
-         \x20                            stdout until it ends; exits nonzero unless the\n\
-         \x20                            job finished `done`; --retry rides out daemon\n\
-         \x20                            restarts, resuming the stream without gaps or\n\
-         \x20                            duplicates\n\
-         \x20 status --socket PATH [--job JOB] [--retry N]\n\
-         \x20                            render the daemon's job table (--retry reconnects\n\
-         \x20                            across a daemon restart)\n\
-         \x20 cancel --socket PATH --job JOB\n\
-         \x20                            cancel a queued or running job\n\
-         \x20 shutdown --socket PATH [--drain]\n\
-         \x20                            stop the daemon; --drain finishes in-flight\n\
-         \x20                            shards and journals final state first, plain\n\
-         \x20                            shutdown kills workers immediately (both leave\n\
-         \x20                            restart-recoverable state)\n\
-         \x20 report [--metrics FILE] [--schema FILE] [--profile FILE] [--render-schema]\n\
-         \x20        [--render-serve-schema]\n\
-         \x20                            validate a --metrics-out JSONL stream and render\n\
-         \x20                            counter/phase/round/latency tables (--schema also\n\
-         \x20                            checks a schema file against the built-in taxonomy;\n\
-         \x20                            --profile renders a --profile-out file's hot-opcode\n\
-         \x20                            and hot-block tables; --render-schema and\n\
-         \x20                            --render-serve-schema print the built-in schemas\n\
-         \x20                            for checking in)\n\
-         \x20 generate --out DIR [--programs N] [--seed S]\n\
-         \x20                            write generated .cpp tests + inputs to DIR\n\
-         \x20 emit [--seed S]            print one generated test program\n\
-         \x20 config-template            print the default campaign config file"
+         USAGE:\n  ompfuzz <command> [options]\n  ompfuzz help\n\n\
+         COMMANDS:\n",
     );
+    for &(name, about, flags, _) in COMMANDS {
+        let synopsis: Vec<String> = flags
+            .iter()
+            .flat_map(|t| t.iter())
+            .map(Flag::synopsis)
+            .collect();
+        push_wrapped(
+            &mut out,
+            &format!("  {name}"),
+            synopsis.iter().map(String::as_str),
+        );
+        push_wrapped(&mut out, "     ", about.split_whitespace());
+    }
+    out
+}
+
+/// Append `lead` and then `words`, one space apart, to `out` as lines no
+/// wider than [`USAGE_WIDTH`]; continuation lines align with the first
+/// word. A word is never split.
+fn push_wrapped<'w>(out: &mut String, lead: &str, words: impl Iterator<Item = &'w str>) {
+    let mut line = lead.to_string();
+    for word in words {
+        if line.len() > lead.len() && line.len() + 1 + word.len() > USAGE_WIDTH {
+            out.push_str(&line);
+            out.push('\n');
+            line = " ".repeat(lead.len());
+        }
+        line.push(' ');
+        line.push_str(word);
+    }
+    out.push_str(&line);
+    out.push('\n');
 }
 
 /// One command-line flag: its long name, an optional short alias, and
-/// whether it takes a value.
+/// the placeholder the usage shows for its value (`None`: no value).
 struct Flag {
     long: &'static str,
     short: Option<&'static str>,
-    takes_value: bool,
+    value: Option<&'static str>,
 }
 
-/// A flag that takes a value.
-const fn opt(long: &'static str, short: Option<&'static str>) -> Flag {
+impl Flag {
+    /// The flag as the usage shows it, e.g. `[-s|--seed S]`.
+    fn synopsis(&self) -> String {
+        let short = self.short.map(|s| format!("{s}|")).unwrap_or_default();
+        let value = self.value.map(|v| format!(" {v}")).unwrap_or_default();
+        format!("[{short}{}{value}]", self.long)
+    }
+}
+
+/// A flag that takes a value, shown as `value` in the usage.
+const fn opt(long: &'static str, short: Option<&'static str>, value: &'static str) -> Flag {
     Flag {
         long,
         short,
-        takes_value: true,
+        value: Some(value),
     }
 }
 
@@ -319,7 +350,7 @@ const fn switch(long: &'static str) -> Flag {
     Flag {
         long,
         short: None,
-        takes_value: false,
+        value: None,
     }
 }
 
@@ -350,7 +381,7 @@ impl<'a> Opts<'a> {
                     format!("unexpected argument `{arg}` for `{command}`")
                 });
             };
-            let value = if flag.takes_value {
+            let value = if flag.value.is_some() {
                 match args.next() {
                     Some(value) if find(value).is_none() => Some(value.as_str()),
                     _ => return Err(format!("flag `{}` needs a value", flag.long)),
@@ -437,13 +468,12 @@ fn build_config(opts: &Opts) -> Result<CampaignConfig, String> {
     if let Some(s) = opts.parsed::<u64>("--seed")? {
         cfg.seed = s;
     }
-    apply_engine(opts, &mut cfg)?;
     Ok(cfg)
 }
 
 /// Apply `--engine tree|bytecode` (results are bit-identical on either
 /// engine; the tree interpreter is the reference for differential
-/// self-testing).
+/// self-testing). Only the commands that run kernels declare the flag.
 fn apply_engine(opts: &Opts, cfg: &mut CampaignConfig) -> Result<(), String> {
     if let Some(e) = opts.value_of("--engine") {
         cfg.run.engine = e.parse()?;
@@ -452,7 +482,8 @@ fn apply_engine(opts: &Opts, cfg: &mut CampaignConfig) -> Result<(), String> {
 }
 
 fn cmd_campaign(opts: &Opts) -> Result<(), String> {
-    let cfg = build_config(opts)?;
+    let mut cfg = build_config(opts)?;
+    apply_engine(opts, &mut cfg)?;
     eprintln!(
         "running campaign: {} programs × {} inputs × 3 implementations ...",
         cfg.programs, cfg.inputs_per_program
@@ -471,7 +502,8 @@ fn cmd_campaign(opts: &Opts) -> Result<(), String> {
 }
 
 fn cmd_reduce(opts: &Opts) -> Result<(), String> {
-    let cfg = build_config(opts)?;
+    let mut cfg = build_config(opts)?;
+    apply_engine(opts, &mut cfg)?;
     let kind = match opts.value_of("--kind") {
         None => None,
         Some("slow") => Some(OutlierKind::Slow),
@@ -488,8 +520,15 @@ fn cmd_reduce(opts: &Opts) -> Result<(), String> {
     );
     let backends = standard_backends();
     let dyns: Vec<&dyn OmpBackend> = backends.iter().map(|b| b as &dyn OmpBackend).collect();
-    let corpus = generate_corpus(&cfg);
-    let result = run_campaign_on(&cfg, &dyns, &corpus, Instant::now());
+    let (result, corpus) = run_campaign_generated_with(
+        &cfg,
+        &dyns,
+        0..cfg.programs,
+        &|i| generate_case(&cfg, i),
+        Instant::now(),
+        &Obs::off(),
+        &ProfileCollector::off(),
+    );
     eprintln!(
         "campaign done: {} outliers in {} records",
         result.tally.total_outliers(),
@@ -597,7 +636,7 @@ fn save_catalog_if_requested(opts: &Opts, catalog: &TriggerCatalog) -> Result<()
 /// `evolve` and `shard` (which must agree exactly for the shard's
 /// checkpoint fingerprint to match the coordinator's).
 fn build_evolve_config(opts: &Opts) -> Result<(EvolveConfig, TriggerCatalog), String> {
-    let base = if opts.has_flag("--quick") {
+    let mut base = if opts.has_flag("--quick") {
         // CI-scale smoke: the small campaign config with the time-filter
         // floor dropped (small programs finish in microseconds), 2 rounds.
         // It replaces the whole campaign config, so a config file cannot
@@ -615,11 +654,11 @@ fn build_evolve_config(opts: &Opts) -> Result<(EvolveConfig, TriggerCatalog), St
         if let Some(k) = opts.parsed::<usize>("--inputs")? {
             quick.inputs_per_program = k;
         }
-        apply_engine(opts, &mut quick)?;
         quick
     } else {
         build_config(opts)?
     };
+    apply_engine(opts, &mut base)?;
     let mut config = EvolveConfig::new(base);
     if let Some(r) = opts.parsed::<usize>("--rounds")? {
         config.rounds = r;

@@ -1,8 +1,8 @@
 //! Strict command-line parsing, run against the real binary: each command
-//! accepts exactly the flags its table declares. An unknown flag, a flag
-//! without its value and a stray positional argument exit 2 before any
-//! work runs; `--help`/`-h` after any command prints the usage, exits 0
-//! and runs nothing.
+//! accepts exactly the flags its table declares, and `ompfuzz help` lists
+//! exactly those. An unknown flag, a flag without its value and a stray
+//! positional argument exit 2 before any work runs; `--help`/`-h` after
+//! any command prints the usage, exits 0 and runs nothing.
 
 use std::path::PathBuf;
 use std::process::{Command, Output};
@@ -131,4 +131,70 @@ fn declared_short_aliases_still_parse() {
     assert!(out.status.success(), "{:?}", out.status);
     let long = dir.run(&["emit", "--seed", "7"]);
     assert_eq!(out.stdout, long.stdout);
+}
+
+/// `ompfuzz help`'s entries by command: each entry runs from its command's
+/// line (indented two spaces) to the next command's.
+fn usage_entries(usage: &str) -> Vec<(String, String)> {
+    let mut entries: Vec<(String, String)> = Vec::new();
+    for line in usage.lines().skip_while(|l| *l != "COMMANDS:").skip(1) {
+        match line.strip_prefix("  ") {
+            Some(rest) if !rest.starts_with(' ') => {
+                let name = rest.split(' ').next().unwrap_or(rest);
+                entries.push((name.to_string(), line.to_string()));
+            }
+            _ => {
+                let (_, text) = entries.last_mut().expect("a command line comes first");
+                text.push('\n');
+                text.push_str(line);
+            }
+        }
+    }
+    entries
+}
+
+/// The usage is rendered from the flag tables, so it lists the flags each
+/// command accepts and no others, and a flag that would do nothing is not
+/// accepted: `generate` runs no kernel, so `--engine` is refused there.
+#[test]
+fn usage_lists_exactly_the_flags_each_command_accepts() {
+    let dir = Scratch::new("usage");
+    let out = dir.run(&["help"]);
+    assert!(out.status.success(), "{:?}", out.status);
+    let usage = String::from_utf8_lossy(&out.stdout);
+    let entries = usage_entries(&usage);
+    let entry = |command: &str| {
+        entries
+            .iter()
+            .find(|(name, _)| name == command)
+            .map(|(_, text)| text.as_str())
+            .unwrap_or_else(|| panic!("no usage entry for `{command}`:\n{usage}"))
+    };
+    for (command, flag) in [
+        ("reduce", "--inputs"),
+        ("evolve", "--inputs"),
+        ("generate", "--inputs"),
+        ("reduce", "--config"),
+        ("generate", "--config"),
+        ("campaign", "--engine"),
+        ("shard", "--engine"),
+    ] {
+        assert!(
+            entry(command).contains(flag),
+            "`{command}` accepts {flag} but its usage does not list it:\n{}",
+            entry(command)
+        );
+    }
+    for (command, flag) in [("generate", "--engine"), ("shard", "--catalog")] {
+        assert!(
+            !entry(command).contains(flag),
+            "`{command}` refuses {flag} but its usage lists it:\n{}",
+            entry(command)
+        );
+    }
+    refused(
+        &dir.run(&["generate", "--engine", "tree", "--out", "gen"]),
+        "--engine",
+    );
+    assert!(!dir.has("gen"), "the refused generate wrote its corpus");
 }

@@ -6,7 +6,7 @@ use ompfuzz::backends::{
     standard_backends, BugModels, CompileOptions, OmpBackend, RunOptions, RunStatus, SimBackend,
     Vendor,
 };
-use ompfuzz::exec::{lower, run as exec_run, ExecOptions};
+use ompfuzz::exec::{lower, CompiledKernel, ExecOptions, ExecScratch};
 use ompfuzz::gen::{validate, GeneratorConfig, ProgramGenerator};
 use ompfuzz::harness::{run_campaign, CampaignConfig};
 use ompfuzz::inputs::InputGenerator;
@@ -40,7 +40,7 @@ fn generated_programs_survive_the_whole_pipeline() {
         assert_eq!(cpp.matches('{').count(), cpp.matches('}').count());
 
         // Lowering + interpretation.
-        let kernel = lower(&program).expect("lowers");
+        let code = CompiledKernel::compile(lower(&program).expect("lowers"));
         let input = ig.generate_for(&program);
         let opts = RunOptions {
             max_ops: 20_000_000,
@@ -67,8 +67,7 @@ fn generated_programs_survive_the_whole_pipeline() {
         }
 
         // The interpreter agrees with the backends (backends wrap it).
-        if let Ok(out) = exec_run(
-            &kernel,
+        if let Ok(out) = code.run(
             &input,
             &ExecOptions {
                 limits: ompfuzz::exec::ExecLimits {
@@ -76,6 +75,7 @@ fn generated_programs_survive_the_whole_pipeline() {
                 },
                 ..ExecOptions::default()
             },
+            &mut ExecScratch::new(),
         ) {
             if let Some((_, c)) = intel {
                 assert!(

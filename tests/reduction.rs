@@ -8,7 +8,8 @@
 use ompfuzz::ast::rewrite;
 use ompfuzz::ast::ProgramFeatures;
 use ompfuzz::backends::{oracle, standard_backends, OmpBackend};
-use ompfuzz::harness::{caselib, generate_corpus, run_campaign_on, CampaignConfig};
+use ompfuzz::exec::ProfileCollector;
+use ompfuzz::harness::{caselib, generate_case, run_campaign_generated_with, CampaignConfig};
 use ompfuzz::outlier::{analyze, OutlierKind};
 use ompfuzz::reduce::{ReduceConfig, Reducer, ReductionTarget};
 use std::time::Instant;
@@ -34,10 +35,17 @@ fn hang_campaign_config() -> CampaignConfig {
 #[test]
 fn campaign_outlier_reduces_by_60_percent_deterministically() {
     let cfg = hang_campaign_config();
-    let corpus = generate_corpus(&cfg);
     let backends = standard_backends();
     let dyns: Vec<&dyn OmpBackend> = backends.iter().map(|b| b as &dyn OmpBackend).collect();
-    let result = run_campaign_on(&cfg, &dyns, &corpus, Instant::now());
+    let (result, corpus) = run_campaign_generated_with(
+        &cfg,
+        &dyns,
+        0..cfg.programs,
+        &|i| generate_case(&cfg, i),
+        Instant::now(),
+        &ompfuzz_obs::Obs::off(),
+        &ProfileCollector::off(),
+    );
 
     // The campaign really contains an Intel hang — the modelled
     // critical-section (queuing lock) bug.
