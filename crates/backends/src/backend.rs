@@ -34,9 +34,9 @@ pub trait OmpBackend: Send + Sync {
     ///
     /// Simulated backends lower through `ompfuzz_exec::lower` and flatten
     /// through `ompfuzz_exec::bytecode` as their front-end; when the caller
-    /// already holds the [`PreparedKernel`] (the campaign driver caches one
-    /// per test case, the reducer prepares each candidate exactly once),
-    /// passing it here makes all vendors share one compilation — the
+    /// already holds the [`PreparedKernel`] (the campaign unit and the
+    /// reducer prepare each program they check exactly once), passing it
+    /// here makes all vendors share one compilation — the
     /// constant-folded `-O1`+ bytecode is vendor-independent, so three
     /// simulated compiles collapse into one `Arc` clone each. The default
     /// ignores it — process-based backends compile real source.
@@ -378,7 +378,6 @@ impl SimBinary {
             profile: Default::default(),
             threads: None,
             exec: None,
-            races: Vec::new(),
         }
     }
 
@@ -398,7 +397,6 @@ impl SimBinary {
                 profile: Default::default(),
                 threads: None,
                 exec: None,
-                races: Vec::new(),
             },
             e => RunResult {
                 status: RunStatus::Crash {
@@ -411,7 +409,6 @@ impl SimBinary {
                 profile: Default::default(),
                 threads: None,
                 exec: None,
-                races: Vec::new(),
             },
         }
     }
@@ -455,7 +452,6 @@ impl SimBinary {
                 profile,
                 threads: Some(snapshot),
                 exec: Some(outcome.stats.clone()),
-                races: outcome.races.clone(),
             };
         }
 
@@ -478,7 +474,6 @@ impl SimBinary {
             profile,
             threads: None,
             exec: Some(outcome.stats.clone()),
-            races: outcome.races.clone(),
         }
     }
 }
@@ -810,7 +805,6 @@ mod tests {
         assert_eq!(a.profile, b.profile);
         assert_eq!(a.threads, b.threads);
         assert_eq!(a.exec, b.exec);
-        assert_eq!(a.races, b.races);
     }
 
     #[test]
@@ -944,7 +938,7 @@ mod tests {
                 .unwrap();
                 let before = scratch.profile.as_ref().unwrap().runs();
                 let mut metrics = RunMetricsBatch::new();
-                let shared = set.step(input, opts, &mut scratch, &mut metrics);
+                let (shared, _) = set.step(input, opts, &mut scratch, &mut metrics);
                 for (&i, result) in order.iter().zip(&shared) {
                     assert_same_run(result, &fresh[i]);
                 }

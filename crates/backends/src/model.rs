@@ -93,7 +93,9 @@ pub struct RunOptions {
     pub hang_timeout_us: u64,
     /// Interpreter op budget (safety net for runaway trip counts).
     pub max_ops: u64,
-    /// Enable the dynamic race detector during this run.
+    /// Record data races during this run: an oracle step then returns
+    /// the race reports of its IEEE interpretation
+    /// ([`crate::oracle::CompiledSet::step`]).
     pub detect_races: bool,
     /// Execution engine (flat bytecode by default; the tree interpreter is
     /// the reference — results are bit-identical either way).
@@ -159,8 +161,6 @@ pub struct RunResult {
     pub threads: Option<ThreadSnapshot>,
     /// Raw execution statistics (absent on crash).
     pub exec: Option<ExecStats>,
-    /// Races found (only when `detect_races` was on).
-    pub races: Vec<ompfuzz_exec::RaceReport>,
 }
 
 impl RunResult {

@@ -23,11 +23,20 @@
 //! bitwise equal. The shared outcome lives only for that step, so it needs
 //! no cache key, nothing invalidates it, and it does not depend on the
 //! order of the caller's loops.
+//!
+//! The step is also the only place a race verdict is made (the §IV-E
+//! filter of the campaign and the reducer's race gate): with
+//! [`RunOptions::detect_races`] on, its interpretations record races, and
+//! it returns the reports of its IEEE interpretation. A step with no
+//! simulated IEEE binary, e.g. one of only process-based binaries, makes no
+//! interpretation and gives no verdict, the same as a run that aborts.
 
 use crate::backend::{CompiledTest, OmpBackend};
 use crate::model::{CompileError, CompileOptions, RunOptions, RunResult, RunStatus};
 use ompfuzz_ast::Program;
-use ompfuzz_exec::{BoolSemantics, ExecError, ExecOutcome, ExecScratch, PreparedKernel};
+use ompfuzz_exec::{
+    BoolSemantics, ExecError, ExecOutcome, ExecScratch, PreparedKernel, RaceReport,
+};
 use ompfuzz_inputs::TestInput;
 use ompfuzz_obs::{Counter, Obs};
 use ompfuzz_outlier::{ExecStatus, RunObservation};
@@ -124,7 +133,9 @@ pub fn compile(
 impl CompiledSet {
     /// Run every binary on `input` under `run_opts`, in backend order,
     /// through the caller's scratch, and tally each run and the step's
-    /// interpretations into `metrics`.
+    /// interpretations into `metrics`. Returns the binaries' results and
+    /// the race reports of the step's IEEE interpretation (see
+    /// [`Interpretations::into_ieee_races`]).
     ///
     /// The step interprets the input once, under the branch semantics of
     /// the first binary that asks, and hands that outcome to every binary,
@@ -136,13 +147,19 @@ impl CompiledSet {
     /// nothing, and an op-budget abort is shared like a completed run.
     /// Every result equals the binary's standalone [`CompiledTest::run`],
     /// which is this step with one binary on a fresh scratch.
+    ///
+    /// With `run_opts.detect_races` on, every interpretation of the step
+    /// records races on the kernel the binaries run (the constant-folded
+    /// one at `-O1` and above), so the race verdict costs no run of its
+    /// own. That is exact: folding rewrites only `Const op Const`, so both
+    /// kernel forms make the same memory accesses in the same order.
     pub fn step(
         &self,
         input: &TestInput,
         run_opts: &RunOptions,
         scratch: &mut ExecScratch,
         metrics: &mut RunMetricsBatch,
-    ) -> Vec<RunResult> {
+    ) -> (Vec<RunResult>, Option<Vec<RaceReport>>) {
         let mut shared = Interpretations::new(scratch);
         let results = self
             .binaries
@@ -154,7 +171,7 @@ impl CompiledSet {
             })
             .collect();
         metrics.interpretations += shared.made();
-        results
+        (results, shared.into_ieee_races())
     }
 }
 
@@ -214,6 +231,22 @@ impl<'s> Interpretations<'s> {
     fn made(&self) -> u64 {
         u64::from(self.first.is_some()) + u64::from(self.other.is_some())
     }
+
+    /// The race reports of the step's IEEE interpretation: the IEEE run,
+    /// or the first run when it stands in for both semantics (empty unless
+    /// the run options asked for race detection). `None`, no verdict, when
+    /// that run aborted or the step made no IEEE interpretation: no binary
+    /// interpreted, or only the NaN-absorbing semantics did and its run
+    /// tested a NaN with `!=`.
+    fn into_ieee_races(self) -> Option<Vec<RaceReport>> {
+        let (semantics, first) = self.first?;
+        let ieee = if semantics == BoolSemantics::Ieee || stands_in_for_both(&first) {
+            first
+        } else {
+            self.other?
+        };
+        ieee.ok().map(|outcome| outcome.races)
+    }
 }
 
 /// Whether `run` is also the other branch semantics' run: it made no `!=`
@@ -248,12 +281,12 @@ fn assert_stands_in(shared: &Result<ExecOutcome, ExecError>, own: &Result<ExecOu
 }
 
 /// Compile `program` with every backend and run it once on `input`,
-/// returning one observation per backend (in backend order): [`compile`]
-/// followed by one [`CompiledSet::step`] through `scratch`. Compiles,
-/// compile failures, differential runs, VM ops and budget aborts are
-/// counted through `obs` (nothing on an [`Obs::off`] handle), so the
-/// reducer's candidate checks appear in the same counters as campaign
-/// runs.
+/// returning one observation per backend (in backend order) and the step's
+/// race reports: [`compile`] followed by one [`CompiledSet::step`] through
+/// `scratch`. Compiles, compile failures, differential runs, VM ops and
+/// budget aborts are counted through `obs` (nothing on an [`Obs::off`]
+/// handle), so the reducer's candidate checks appear in the same counters
+/// as campaign runs.
 #[allow(clippy::too_many_arguments)]
 pub fn observe(
     program: &Program,
@@ -264,12 +297,12 @@ pub fn observe(
     run_opts: &RunOptions,
     scratch: &mut ExecScratch,
     obs: &Obs,
-) -> Result<Vec<RunObservation>, CompileError> {
+) -> Result<(Vec<RunObservation>, Option<Vec<RaceReport>>), CompileError> {
     let set = compile(program, backends, prepared, compile_opts, obs)?;
     let mut metrics = RunMetricsBatch::new();
-    let results = set.step(input, run_opts, scratch, &mut metrics);
+    let (results, races) = set.step(input, run_opts, scratch, &mut metrics);
     metrics.flush(obs);
-    Ok(results.iter().map(to_observation).collect())
+    Ok((results.iter().map(to_observation).collect(), races))
 }
 
 #[cfg(test)]
@@ -322,7 +355,7 @@ mod tests {
             values: vec![InputValue::Fp(1.0)],
         };
         let backends = standard_backends();
-        let obs = observe(
+        let (obs, _) = observe(
             &program,
             &input,
             &dyns(&backends),
@@ -381,7 +414,7 @@ mod tests {
         };
         let backends = standard_backends();
         let obs = Obs::metrics_only();
-        let out = observe(
+        let (out, _) = observe(
             &program,
             &input,
             &dyns(&backends),
@@ -399,7 +432,7 @@ mod tests {
         assert_eq!(snap.get(Counter::BudgetAborts), 0);
         assert!(snap.get(Counter::VmOps) > 0, "runs execute ops");
         // Telemetry is out of band: an off handle observes the same.
-        let plain = observe(
+        let (plain, _) = observe(
             &program,
             &input,
             &dyns(&backends),
@@ -411,6 +444,99 @@ mod tests {
         )
         .unwrap();
         assert_eq!(out, plain);
+    }
+
+    /// `if (var_1 != var_1) { two threads add to the shared comp }`: with
+    /// a NaN input the IEEE run enters the region and races, and the
+    /// NaN-absorbing run skips it.
+    fn racy_under_ieee_only() -> Program {
+        use ompfuzz_ast::{BoolExpr, BoolOp, IfBlock, VarRef};
+        Program::new(
+            vec![Param::fp(FpType::F64, "var_1")],
+            Block::of_stmts(vec![Stmt::If(IfBlock {
+                cond: BoolExpr {
+                    lhs: VarRef::Scalar("var_1".into()),
+                    op: BoolOp::Ne,
+                    rhs: Expr::var("var_1"),
+                },
+                body: Block::of_stmts(vec![Stmt::OmpParallel(OmpParallel {
+                    clauses: OmpClauses {
+                        num_threads: Some(2),
+                        ..OmpClauses::default()
+                    },
+                    prelude: vec![],
+                    body_loop: ForLoop {
+                        omp_for: true,
+                        var: "i".into(),
+                        bound: LoopBound::Const(8),
+                        body: Block::of_stmts(vec![Stmt::Assign(Assignment {
+                            target: LValue::Comp,
+                            op: AssignOp::AddAssign,
+                            value: Expr::fp_const(1.0),
+                        })]),
+                    },
+                })]),
+            })]),
+        )
+    }
+
+    /// A step's race reports are its IEEE interpretation's, whichever
+    /// binary made it: the first run when it stands in for both branch
+    /// semantics, or the IEEE binaries' own run when the NaN-absorbing
+    /// GCC-like binary ran first and tested a NaN with `!=`. A step that
+    /// makes no IEEE interpretation gives no verdict, and a step that
+    /// records nothing reports no race.
+    #[test]
+    fn step_reports_the_ieee_interpretations_races() {
+        let program = racy_under_ieee_only();
+        let input = |v: f64| TestInput {
+            comp_init: 0.0,
+            values: vec![InputValue::Fp(v)],
+        };
+        let (nan, one) = (input(f64::NAN), input(1.0));
+        let prepared = PreparedKernel::new(ompfuzz_exec::lower(&program).unwrap());
+        let ieee_races = |input: &TestInput| {
+            let opts = ompfuzz_exec::ExecOptions::with_race_detection();
+            let run = prepared
+                .for_opt(true)
+                .run(input, &opts, &mut ExecScratch::new());
+            run.unwrap().races
+        };
+        // Premise: only the NaN input races under IEEE.
+        assert!(!ieee_races(&nan).is_empty());
+        assert!(ieee_races(&one).is_empty());
+
+        let backends = standard_backends();
+        let recording = RunOptions {
+            detect_races: true,
+            ..RunOptions::default()
+        };
+        let step = |order: &[usize], input: &TestInput, opts: &RunOptions| {
+            let dyns: Vec<&dyn OmpBackend> = order
+                .iter()
+                .map(|&i| &backends[i] as &dyn OmpBackend)
+                .collect();
+            let set = compile(
+                &program,
+                &dyns,
+                Some(&prepared),
+                &CompileOptions::default(),
+                &Obs::off(),
+            )
+            .unwrap();
+            let mut metrics = RunMetricsBatch::new();
+            let (_, races) = set.step(input, opts, &mut ExecScratch::new(), &mut metrics);
+            races
+        };
+        for order in [&[0, 1, 2][..], &[2, 0, 1], &[2, 1]] {
+            assert_eq!(step(order, &nan, &recording), Some(ieee_races(&nan)));
+            assert_eq!(step(order, &one, &recording), Some(Vec::new()));
+            assert_eq!(step(order, &nan, &RunOptions::default()), Some(Vec::new()));
+        }
+        // GCC alone absorbs the NaN test, so no run stands in for IEEE; on
+        // the plain input its run does.
+        assert_eq!(step(&[2], &nan, &recording), None);
+        assert_eq!(step(&[2], &one, &recording), Some(Vec::new()));
     }
 
     #[test]

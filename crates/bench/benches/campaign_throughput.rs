@@ -1,9 +1,10 @@
 //! End-to-end campaign throughput: programs/second through the full
-//! front half (generate → lower/compile → §IV-E race filter → differential
-//! runs) of a sharded round, as the pipelined driver runs it: each shard
-//! generates only its O(slice) of the index-addressed corpus on the pool,
-//! and generation, the race filter and every differential run execute as
-//! one fused per-program worker closure through a reused `ExecScratch`.
+//! front half (generate → lower/compile → differential runs, input 0's
+//! step recording races for the §IV-E filter) of a sharded round, as the
+//! pipelined driver runs it: each shard generates only its O(slice) of the
+//! index-addressed corpus on the pool, and generation and every
+//! differential run execute as one fused per-program worker closure
+//! through a reused `ExecScratch`.
 //!
 //! The same fused campaign is then measured with **full telemetry**
 //! installed (counters + phase timers + latency histograms + a JSONL sink
@@ -68,8 +69,8 @@ fn signature(result: &ompfuzz_harness::CampaignResult) -> Signature {
 
 /// The pipelined driver through the public API: each shard runs a fused
 /// campaign whose worker closures generate their own O(slice)
-/// index-addressed tests, race-filter and run them through one reused
-/// scratch — no pre-materialized corpus anywhere.
+/// index-addressed tests and run them through one reused scratch — no
+/// pre-materialized corpus anywhere.
 fn run_pipelined(cfg: &CampaignConfig, backends: &[&dyn OmpBackend]) -> usize {
     plan_shards(cfg.programs, SHARDS)
         .into_iter()
@@ -166,12 +167,12 @@ fn bench_campaign(c: &mut Criterion) {
     let dyns: Vec<&dyn OmpBackend> = backends.iter().map(|b| b as &dyn OmpBackend).collect();
     let quick = std::env::var_os("OMPFUZZ_BENCH_QUICK").is_some();
     // The sharded rate is reported, not gated — a few samples settle it.
-    // The telemetry guard needs many alternating rounds (see the noise
+    // The telemetry guard needs many interleaved rounds (see the noise
     // discussion at its measurement loop below).
     let (mode, pipe_rounds, ov_rounds) = if quick {
-        ("quick", 3, 48)
+        ("quick", 3, 96)
     } else {
-        ("full", 6, 64)
+        ("full", 6, 128)
     };
 
     // Full telemetry for the overhead guard: counters + timers + latency
@@ -210,89 +211,70 @@ fn bench_campaign(c: &mut Criterion) {
         best_pipe = best_pipe.max(cfg.programs as f64 / t.elapsed().as_secs_f64());
     }
 
-    // The telemetry guard asserts a 3% bound on a host with ~10%
-    // run-to-run noise, so every layer of the measurement defends
+    // The telemetry guard asserts a 3% bound on a shared host where one
+    // 1,920-program run (~50 ms) takes up to 30% longer than the fastest
+    // run of the same work, so every layer of the measurement defends
     // against one noise source:
     //   - the workload is the long fused campaign above, where
     //     per-program work (the thing telemetry adds to) dominates pool
     //     spawn jitter;
-    //   - each measurement is a MIN over inner runs — timing noise is
-    //     one-sided (a run can only be slower than the floor), so the min
-    //     converges on the floor, and both sides' mins come from the same
-    //     time window and hence the same CPU frequency state;
-    //   - rounds alternate which side runs first (back-to-back pool
-    //     campaigns show a consistent position bias on loaded hosts) and
-    //     adjacent even/odd rounds combine geometrically, so the
-    //     multiplicative bias cancels exactly;
-    //   - the asserted overhead is the MEDIAN of those bias-free pair
-    //     ratios, robust to any single bad round.
-    const INNER: usize = 2;
+    //   - each round runs every configuration twice, interleaved in a
+    //     palindrome (off, on, profiled, profiled, on, off; odd rounds
+    //     start from the profiled end), so the three configurations see
+    //     the same stretch of host state and no configuration holds a
+    //     better position on average;
+    //   - each configuration's time in a round is the MIN of its two runs
+    //     — timing noise is one-sided (a run can only be slower than the
+    //     floor), so the min tracks the floor;
+    //   - the asserted overhead is the MEDIAN over rounds of the on/off
+    //     ratio, robust to any single bad round.
+    // Over 400 rounds recorded on a shared 2-core host and cut into
+    // windows, this estimate spread with a standard deviation of 0.35
+    // points per 96 rounds (0.66 per 48): about half the spread of a
+    // median over geometrically paired rounds that run each
+    // configuration's runs back to back.
     let mut best_off = 0f64;
     let mut best_on = 0f64;
     let mut best_prof = 0f64;
-    let mut ratios = Vec::with_capacity(ov_rounds / 2);
-    let mut prof_ratios = Vec::with_capacity(ov_rounds / 2);
-    let mut carry = 1f64;
-    let mut prof_carry = 1f64;
+    let mut ratios = Vec::with_capacity(ov_rounds);
+    let mut prof_ratios = Vec::with_capacity(ov_rounds);
     for round in 0..ov_rounds {
-        let measure_off = |best: &mut f64| {
-            let mut min_secs = f64::INFINITY;
-            for _ in 0..INNER {
-                let t = Instant::now();
-                black_box(run_fused(&ov_cfg, &dyns, ov_range(), &off, &no_profile));
-                min_secs = min_secs.min(t.elapsed().as_secs_f64());
-            }
-            *best = best.max(ov_cfg.programs as f64 / min_secs);
-            min_secs
-        };
-        let measure_on = |best: &mut f64, profile: &ProfileCollector| {
-            let mut min_secs = f64::INFINITY;
-            for _ in 0..INNER {
-                let t = Instant::now();
-                black_box(run_fused(&ov_cfg, &dyns, ov_range(), &obs, profile));
-                min_secs = min_secs.min(t.elapsed().as_secs_f64());
-            }
-            *best = best.max(ov_cfg.programs as f64 / min_secs);
-            min_secs
-        };
-        // Even rounds run off → on → profiled, odd rounds the reverse, so
-        // each config's position bias cancels in the geometric pairing.
-        let (off_secs, on_secs, prof_secs) = if round % 2 == 0 {
-            let off = measure_off(&mut best_off);
-            let on = measure_on(&mut best_on, &no_profile);
-            let prof = measure_on(&mut best_prof, &vm_profile);
-            (off, on, prof)
+        // Index 0 is telemetry off, 1 full telemetry, 2 the VM profiler
+        // stacked on full telemetry.
+        let order = if round % 2 == 0 {
+            [0, 1, 2, 2, 1, 0]
         } else {
-            let prof = measure_on(&mut best_prof, &vm_profile);
-            let on = measure_on(&mut best_on, &no_profile);
-            let off = measure_off(&mut best_off);
-            (off, on, prof)
+            [2, 1, 0, 0, 1, 2]
         };
-        if round % 2 == 0 {
-            carry = on_secs / off_secs;
-            prof_carry = prof_secs / off_secs;
-        } else {
-            ratios.push((carry * on_secs / off_secs).sqrt());
-            prof_ratios.push((prof_carry * prof_secs / off_secs).sqrt());
+        let mut secs = [f64::INFINITY; 3];
+        for config in order {
+            let (telemetry, profile) = match config {
+                0 => (&off, &no_profile),
+                1 => (&obs, &no_profile),
+                _ => (&obs, &vm_profile),
+            };
+            let t = Instant::now();
+            black_box(run_fused(&ov_cfg, &dyns, ov_range(), telemetry, profile));
+            secs[config] = secs[config].min(t.elapsed().as_secs_f64());
         }
+        let rate = |secs: f64| ov_cfg.programs as f64 / secs;
+        best_off = best_off.max(rate(secs[0]));
+        best_on = best_on.max(rate(secs[1]));
+        best_prof = best_prof.max(rate(secs[2]));
+        ratios.push(secs[1] / secs[0]);
+        prof_ratios.push(secs[2] / secs[0]);
     }
     ratios.sort_by(f64::total_cmp);
     prof_ratios.sort_by(f64::total_cmp);
     let overhead_pct = 100.0 * (ratios[ratios.len() / 2] - 1.0);
     let introspection_pct = 100.0 * (prof_ratios[prof_ratios.len() / 2] - 1.0);
+    let quartiles = |sorted: &[f64]| {
+        [1, 2, 3].map(|q| (sorted[q * sorted.len() / 4] * 1000.0).round() / 1000.0)
+    };
     eprintln!(
-        "telemetry on/off pair ratios (sorted): {:?}",
-        ratios
-            .iter()
-            .map(|r| (r * 1000.0).round() / 1000.0)
-            .collect::<Vec<_>>()
-    );
-    eprintln!(
-        "introspection on/off pair ratios (sorted): {:?}",
-        prof_ratios
-            .iter()
-            .map(|r| (r * 1000.0).round() / 1000.0)
-            .collect::<Vec<_>>()
+        "per-round on/off ratio quartiles over {ov_rounds} rounds: telemetry {:?}, introspection {:?}",
+        quartiles(&ratios),
+        quartiles(&prof_ratios)
     );
     println!(
         "campaign front half ({} programs, {SHARDS} shards, {WORKERS} workers): \

@@ -289,48 +289,37 @@ impl CompiledKernel {
     }
 }
 
-/// A lowered kernel plus its lazily shared bytecode compilations — the
-/// artifact the harness caches per test case so the race filter, every
-/// simulated backend and the reducer's candidate checks all reuse one
-/// compilation.
-#[derive(Debug, Clone)]
+/// A lowered kernel plus its lazily shared bytecode compilations: the
+/// artifact a caller prepares once per program so every simulated backend
+/// compiled against it shares one compilation. Each form is compiled on
+/// first use, so an `-O1`+ program never builds the plain bytecode.
+#[derive(Debug)]
 pub struct PreparedKernel {
-    plain: Arc<CompiledKernel>,
+    kernel: Kernel,
+    plain: OnceLock<Arc<CompiledKernel>>,
     folded: OnceLock<Arc<CompiledKernel>>,
 }
 
 impl PreparedKernel {
-    /// Compile the unoptimized form eagerly; the folded form is compiled on
-    /// first use (`OnceLock` makes both fills race-free across workers).
+    /// Hold `kernel`; nothing is compiled until [`PreparedKernel::for_opt`]
+    /// asks (`OnceLock` makes each fill race-free across workers).
     pub fn new(kernel: Kernel) -> PreparedKernel {
         PreparedKernel {
-            plain: Arc::new(CompiledKernel::compile(kernel)),
+            kernel,
+            plain: OnceLock::new(),
             folded: OnceLock::new(),
         }
     }
 
-    /// The lowered kernel (unfolded).
-    pub fn kernel(&self) -> &Kernel {
-        &self.plain.kernel
-    }
-
-    /// Bytecode of the kernel as lowered (what the race filter runs).
-    pub fn plain(&self) -> &Arc<CompiledKernel> {
-        &self.plain
-    }
-
-    /// Bytecode after constant folding (what `-O1`+ backends run).
-    pub fn folded(&self) -> &Arc<CompiledKernel> {
-        self.folded
-            .get_or_init(|| Arc::new(CompiledKernel::compile_folded(self.plain.kernel.clone())))
-    }
-
-    /// The compilation matching an optimization choice.
+    /// The compilation matching an optimization choice: constant-folded
+    /// (what `-O1`+ backends run) or as lowered.
     pub fn for_opt(&self, fold: bool) -> &Arc<CompiledKernel> {
         if fold {
-            self.folded()
+            self.folded
+                .get_or_init(|| Arc::new(CompiledKernel::compile_folded(self.kernel.clone())))
         } else {
-            self.plain()
+            self.plain
+                .get_or_init(|| Arc::new(CompiledKernel::compile(self.kernel.clone())))
         }
     }
 }
@@ -998,13 +987,16 @@ mod tests {
                 ),
             })]),
         );
-        let prepared = PreparedKernel::new(lower(&p).unwrap());
-        assert!(Arc::ptr_eq(prepared.plain(), prepared.for_opt(false)));
-        assert!(Arc::ptr_eq(prepared.folded(), prepared.for_opt(true)));
-        assert_eq!(prepared.plain().folds, 0);
-        assert_eq!(prepared.folded().folds, 1);
-        // Folding never mutates the plain form.
-        assert_eq!(prepared.kernel(), &prepared.plain().kernel);
-        assert_ne!(prepared.plain().kernel, prepared.folded().kernel);
+        let kernel = lower(&p).unwrap();
+        let prepared = PreparedKernel::new(kernel.clone());
+        let folded = prepared.for_opt(true);
+        assert!(Arc::ptr_eq(folded, prepared.for_opt(true)));
+        assert_eq!(folded.folds, 1);
+        // Folding never mutates the kernel the plain form compiles.
+        let plain = prepared.for_opt(false);
+        assert!(Arc::ptr_eq(plain, prepared.for_opt(false)));
+        assert_eq!(plain.folds, 0);
+        assert_eq!(plain.kernel, kernel);
+        assert_ne!(plain.kernel, folded.kernel);
     }
 }

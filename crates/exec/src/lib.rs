@@ -16,7 +16,9 @@
 //!   the VM;
 //! * [`fold`] — the shared `-O1`+ constant-folding pass;
 //! * [`race`] — a dynamic data-race detector that automates the manual
-//!   race filtering of the paper's §IV-E;
+//!   race filtering of the paper's §IV-E; a run records races only when
+//!   [`ExecOptions::detect_races`] asks, which changes nothing else about
+//!   the run;
 //! * [`profile`] — an opt-in VM hot-path profiler: per-opcode dispatch
 //!   counts and per-block hit/cost totals, merged campaign-wide
 //!   (`--profile-out`), with zero cost when not installed;
@@ -25,8 +27,9 @@
 //!
 //! Every run goes through one entry point, [`CompiledKernel::run`]: it
 //! dispatches on [`ExecOptions::engine`] and runs through a caller-held
-//! [`ExecScratch`], so a kernel is compiled once (via [`PreparedKernel`])
-//! and its runs stop reallocating their state vectors.
+//! [`ExecScratch`], so a kernel is compiled once, in the form its
+//! optimization level runs (via [`PreparedKernel`]), and its runs stop
+//! reallocating their state vectors.
 //!
 //! The interpreter executes real numerics — the `comp` value it returns is
 //! the number a compiled binary would print — while *time* is deliberately

@@ -15,10 +15,11 @@
 //! one at a time on a reused [`ExecScratch`]; the tree interpreter stays
 //! beside it as the reference semantics.
 //!
-//! In debug builds every successful run is re-executed on the tree
-//! interpreter and the block-charged statistics are asserted equal to the
-//! per-node counts — the accounting-drift tripwire backing the
-//! `bytecode_equiv` differential suite.
+//! In debug builds every run is re-executed on the tree interpreter: the
+//! block-charged statistics of a completed run are asserted equal to the
+//! per-node counts, and an aborted run must abort there with the same
+//! error — the accounting-drift tripwire backing the `bytecode_equiv`
+//! differential suite.
 
 use crate::bytecode::{BlockCost, CompiledKernel, Instr, Operand};
 use crate::interp::{branch_test, BoolSemantics, ExecError, ExecOptions, ExecOutcome};
@@ -41,29 +42,38 @@ pub(crate) fn run(
     scratch.reset_for(&ck.kernel);
     scratch.reset_blocks(ck.blocks.len());
     let mut vm = Vm::new(ck, opts, scratch);
-    vm.bind_input(input)?;
-    vm.dispatch()?;
-    let outcome = ExecOutcome {
-        comp: vm.comp,
-        stats: vm.stats,
-        races: vm.race.into_reports(),
-    };
+    let run = vm
+        .bind_input(input)
+        .and_then(|()| vm.dispatch())
+        .map(|()| ExecOutcome {
+            comp: vm.comp,
+            stats: vm.stats,
+            races: vm.race.into_reports(),
+        });
     #[cfg(debug_assertions)]
-    parity_check(ck, input, opts, &outcome);
-    Ok(outcome)
+    parity_check(ck, input, opts, &run);
+    run
 }
 
 /// Debug-build tripwire for accounting drift: the per-block charges must
-/// reproduce the tree interpreter's per-node statistics exactly.
+/// reproduce the tree interpreter's per-node statistics exactly, and a run
+/// that aborts must abort on the tree interpreter with the same error
+/// (its `nan_ne_tests` included).
 #[cfg(debug_assertions)]
-fn parity_check(ck: &CompiledKernel, input: &TestInput, opts: &ExecOptions, outcome: &ExecOutcome) {
+fn parity_check(
+    ck: &CompiledKernel,
+    input: &TestInput,
+    opts: &ExecOptions,
+    run: &Result<ExecOutcome, ExecError>,
+) {
     // Race detection never changes charges, so the reference run skips it.
     let reference_opts = ExecOptions {
         detect_races: false,
         ..*opts
     };
-    match crate::interp::run(&ck.kernel, input, &reference_opts, &mut ExecScratch::new()) {
-        Ok(tree) => {
+    let tree = crate::interp::run(&ck.kernel, input, &reference_opts, &mut ExecScratch::new());
+    match (tree, run) {
+        (Ok(tree), Ok(outcome)) => {
             debug_assert_eq!(
                 tree.stats, outcome.stats,
                 "bytecode block-charged statistics drifted from the tree interpreter's per-node counts"
@@ -74,9 +84,15 @@ fn parity_check(ck: &CompiledKernel, input: &TestInput, opts: &ExecOptions, outc
                 "bytecode result diverged from the tree interpreter"
             );
         }
-        Err(e) => debug_assert!(
+        (Err(tree), Err(e)) => debug_assert_eq!(
+            &tree, e,
+            "bytecode aborted with a different error than the tree interpreter"
+        ),
+        (tree, run) => debug_assert!(
             false,
-            "tree interpreter failed ({e}) on a run the bytecode engine completed"
+            "engines disagree on whether the run completes: tree {:?}, bytecode {:?}",
+            tree.err(),
+            run.as_ref().err()
         ),
     }
 }

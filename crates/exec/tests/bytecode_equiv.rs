@@ -12,23 +12,44 @@
 //!   and input mismatches hit both engines on exactly the same runs;
 //! * identity under both branch semantics (IEEE and the modelled GCC
 //!   NaN-absorbing folding) and for the constant-folded `-O1`+ form.
+//!
+//! The campaign's race verdict is read off the run the binaries make (the
+//! constant-folded kernel at `-O1`+), so two more properties pin, on both
+//! engines, over safe and legacy-sharing programs and random budgets:
+//!
+//! * race recording changes no run: `comp` bits, statistics and an abort
+//!   error are the same with it on or off;
+//! * the plain and the folded kernel report equal races whenever both
+//!   runs complete, and the folded run never aborts where the plain one
+//!   completes.
 
 use ompfuzz_exec::{
     lower, BoolSemantics, CompiledKernel, ExecEngine, ExecError, ExecLimits, ExecOptions,
     ExecOutcome, ExecScratch,
 };
-use ompfuzz_gen::{GeneratorConfig, ProgramGenerator};
+use ompfuzz_gen::{GeneratorConfig, ProgramGenerator, SharingMode};
 use ompfuzz_inputs::{InputGenerator, TestInput};
 use proptest::prelude::*;
 
 /// Generate the `seed`-th random program and an input for it.
 fn generate(seed: u64, input_seed: u64) -> (ompfuzz_ast::Program, TestInput) {
+    generate_sharing(seed, input_seed, SharingMode::Safe)
+}
+
+/// [`generate`] under a sharing mode: legacy sharing emits unprotected
+/// `comp` updates, as the paper's Varity did, so many of its programs race.
+fn generate_sharing(
+    seed: u64,
+    input_seed: u64,
+    sharing: SharingMode,
+) -> (ompfuzz_ast::Program, TestInput) {
     // Alternate configs so both size envelopes are exercised.
-    let cfg = if seed.is_multiple_of(2) {
+    let mut cfg = if seed.is_multiple_of(2) {
         GeneratorConfig::small()
     } else {
         GeneratorConfig::paper()
     };
+    cfg.sharing_mode = sharing;
     let mut pg = ProgramGenerator::new(cfg, seed);
     let program = pg.generate("equiv");
     let input = InputGenerator::new(input_seed).generate_for(&program);
@@ -162,6 +183,135 @@ proptest! {
             prop_assert!(false, "{} (nan-absorbing, seed {seed}/{input_seed})", msg);
         }
     }
+}
+
+/// The sharing mode a sampled `0..2` selector picks.
+fn sharing(selector: u8) -> SharingMode {
+    if selector == 0 {
+        SharingMode::Safe
+    } else {
+        SharingMode::Legacy
+    }
+}
+
+/// A budget drawn log-uniformly from `2^exp` up to `2^(exp+1)`, so tiny,
+/// boundary and generous budgets all occur.
+fn budget(exp: u32, fraction: u64) -> u64 {
+    (1u64 << exp) + (fraction % (1u64 << exp))
+}
+
+proptest! {
+    /// Recording races changes no run: with it on, every run has the
+    /// `comp` bits and statistics it has with it off, or aborts with the
+    /// same error — on both engines, both kernel forms and both branch
+    /// semantics. So reading the verdict off the oracle's own
+    /// interpretation cannot change what the binaries observe.
+    #[test]
+    fn race_recording_changes_no_run(
+        seed in 0u64..1_000_000,
+        input_seed in 0u64..1_000_000,
+        selector in 0u8..2,
+        nan_absorbing in 0u8..2,
+        exp in 6u32..21,
+        fraction in 0u64..1_000_000,
+    ) {
+        let (program, input) = generate_sharing(seed, input_seed, sharing(selector));
+        let kernel = lower(&program).map_err(|e| e.to_string())?;
+        let quiet = ExecOptions {
+            bool_semantics: if nan_absorbing == 1 {
+                BoolSemantics::NanAbsorbing
+            } else {
+                BoolSemantics::Ieee
+            },
+            limits: ExecLimits { max_ops: budget(exp, fraction) },
+            ..ExecOptions::default()
+        };
+        let recording = ExecOptions { detect_races: true, ..quiet };
+        let forms = [
+            CompiledKernel::compile(kernel.clone()),
+            CompiledKernel::compile_folded(kernel),
+        ];
+        for (ck, engine) in forms.iter().flat_map(|ck| {
+            [ExecEngine::Tree, ExecEngine::Bytecode].map(|engine| (ck, engine))
+        }) {
+            let off = run_on(engine, ck, &input, &quiet);
+            let on = run_on(engine, ck, &input, &recording);
+            let case = format!("{engine}, {} folds, seed {seed}/{input_seed}", ck.folds);
+            match (&off, &on) {
+                (Ok(off), Ok(on)) => {
+                    prop_assert_eq!(off.comp.to_bits(), on.comp.to_bits());
+                    prop_assert!(off.stats == on.stats, "stats changed ({case})");
+                    prop_assert!(off.races.is_empty(), "races without recording ({case})");
+                }
+                (Err(off), Err(on)) => prop_assert!(off == on, "{off:?} vs {on:?} ({case})"),
+                _ => prop_assert!(false, "recording changed the status ({case})"),
+            }
+        }
+    }
+
+    /// The plain and the constant-folded kernel report equal races
+    /// whenever both runs complete, and the folded run (which charges no
+    /// more ops) never aborts where the plain one completes — on both
+    /// engines, over safe and legacy-sharing programs. Folding rewrites
+    /// only `Const op Const`, so both forms make the same accesses in the
+    /// same order.
+    #[test]
+    fn plain_and_folded_kernels_report_equal_races(
+        seed in 0u64..1_000_000,
+        input_seed in 0u64..1_000_000,
+        selector in 0u8..2,
+        exp in 6u32..21,
+        fraction in 0u64..1_000_000,
+    ) {
+        let (program, input) = generate_sharing(seed, input_seed, sharing(selector));
+        let kernel = lower(&program).map_err(|e| e.to_string())?;
+        let plain = CompiledKernel::compile(kernel.clone());
+        let folded = CompiledKernel::compile_folded(kernel);
+        let opts = ExecOptions {
+            detect_races: true,
+            limits: ExecLimits { max_ops: budget(exp, fraction) },
+            ..ExecOptions::default()
+        };
+        for engine in [ExecEngine::Tree, ExecEngine::Bytecode] {
+            let case = format!("{engine}, seed {seed}/{input_seed}");
+            match (
+                run_on(engine, &plain, &input, &opts),
+                run_on(engine, &folded, &input, &opts),
+            ) {
+                (Ok(p), Ok(f)) => prop_assert!(p.races == f.races, "races differ ({case})"),
+                (Ok(_), Err(e)) => {
+                    prop_assert!(false, "folded aborted ({e}) where plain completed ({case})")
+                }
+                (Err(_), _) => {}
+            }
+        }
+    }
+}
+
+/// Premise of the two race properties: legacy-sharing programs do race,
+/// and the verdicts agree across kernel forms, on a fixed sweep.
+#[test]
+fn legacy_programs_race_on_both_kernel_forms() {
+    let opts = ExecOptions {
+        detect_races: true,
+        limits: ExecLimits { max_ops: 4_000_000 },
+        ..ExecOptions::default()
+    };
+    let mut racy = 0;
+    for seed in 0..40 {
+        let (program, input) = generate_sharing(seed, seed + 1, SharingMode::Legacy);
+        let kernel = lower(&program).unwrap();
+        let forms = [
+            CompiledKernel::compile(kernel.clone()),
+            CompiledKernel::compile_folded(kernel),
+        ];
+        let [plain, folded] = forms.map(|ck| run_on(ExecEngine::Bytecode, &ck, &input, &opts));
+        if let (Ok(plain), Ok(folded)) = (plain, folded) {
+            assert_eq!(plain.races, folded.races, "seed {seed}");
+            racy += usize::from(!folded.races.is_empty());
+        }
+    }
+    assert!(racy > 0, "no legacy-sharing program raced");
 }
 
 /// Non-random pin: the crafted case-study programs (the shapes behind

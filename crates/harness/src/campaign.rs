@@ -6,9 +6,11 @@
 //! The driver parallelizes across *programs* with crossbeam scoped threads,
 //! and the whole per-program unit is **pipelined**: one worker closure
 //! generates the test (when the corpus is not pre-built), lowers and
-//! compiles it once, runs the §IV-E race filter, and performs every
-//! differential run — there is no serial phase between generation and the
-//! fan-out. Each program's work is independent and a pure function of
+//! compiles it once, and performs every differential run — there is no
+//! serial phase between generation and the fan-out. The §IV-E race filter
+//! costs no run of its own: input 0's oracle step records races in the run
+//! the binaries make, and a racy program is dropped before its other
+//! inputs run. Each program's work is independent and a pure function of
 //! `(config, seed, index)`, so worker count never changes any result —
 //! outcomes are collected in corpus order.
 
@@ -16,9 +18,7 @@ use crate::config::CampaignConfig;
 use crate::pool;
 use crate::testcase::{generate_case, TestCase};
 use ompfuzz_backends::{oracle, CompileOptions, OmpBackend, RunOptions};
-use ompfuzz_exec::{
-    CompiledKernel, ExecEngine, ExecOptions, ExecScratch, ProfileCollector, RaceReport,
-};
+use ompfuzz_exec::{ExecScratch, PreparedKernel, ProfileCollector, RaceReport};
 use ompfuzz_obs::{Counter, Obs, Phase, Stopwatch};
 use ompfuzz_outlier::{analyze, Analysis, OutlierKind, RunObservation, Tally};
 use std::sync::Arc;
@@ -155,9 +155,10 @@ pub fn run_campaign(config: &CampaignConfig, backends: &[&dyn OmpBackend]) -> Ca
 
 /// Run a campaign over the global index range `range`, generating test
 /// `i` via `gen(i)` *inside* the per-program worker closure — the fully
-/// pipelined front half: generation, the shared compilation, the §IV-E
-/// race filter and every differential run execute as one per-program unit
-/// on the pool, with no serial phase and no pre-materialized corpus.
+/// pipelined front half: generation, the shared compilation and every
+/// differential run (input 0's carrying the §IV-E race filter) execute as
+/// one per-program unit on the pool, with no serial phase and no
+/// pre-materialized corpus.
 ///
 /// `gen` must be a pure function of its index (the index-addressed corpus
 /// definition), which is what keeps the result identical for every worker
@@ -171,8 +172,8 @@ pub fn run_campaign(config: &CampaignConfig, backends: &[&dyn OmpBackend]) -> Ca
 ///
 /// Each worker closure times its generate section, counts the generated
 /// program, and ticks the periodic progress stream through `obs`; the
-/// per-program unit records its compile/race-filter/differential counters
-/// and timings through the same handle, and — when `profile` is on —
+/// per-program unit records its compile and differential counters and
+/// timings through the same handle, and — when `profile` is on —
 /// harvests the VM hot-path profile of every program it runs into the
 /// shared collector. Telemetry and profiling are strictly out of band:
 /// active handles return exactly what [`Obs::off`] and
@@ -212,8 +213,8 @@ fn campaign_loop<K: Send>(
     let workers = pool::resolve_workers(config.workers);
     let paired = pool::map_parallel(workers, &indices, |&index| {
         // One chained stopwatch across the whole per-program unit:
-        // generate / race-filter / compile / differential share boundary
-        // clock readings (5 reads per program instead of 8).
+        // generate / compile / differential share boundary clock readings
+        // (4 reads per program instead of 6).
         let mut sw = obs.stopwatch();
         let tc = gen(index);
         sw.lap(Phase::Generate);
@@ -228,7 +229,8 @@ fn campaign_loop<K: Send>(
 
 /// Per-program outcome; [`pool::map_parallel`] keeps these in corpus order.
 enum CaseOutcome {
-    /// Excluded by the §IV-E race filter before any differential run.
+    /// Excluded by the §IV-E race filter: input 0's oracle step reported
+    /// these races, so no record is kept and the other inputs never ran.
     Racy(Arc<str>, Vec<RaceReport>),
     /// Failed to compile on some implementation, so not compared.
     CompileFailed,
@@ -238,8 +240,7 @@ enum CaseOutcome {
 
 /// Fold per-program outcomes (in corpus order) into the campaign result:
 /// racy exclusions keep corpus order, records keep `(program, input)`
-/// order, so the result is identical for every worker count — and to the
-/// old driver's serial race-filter pre-pass.
+/// order, so the result is identical for every worker count.
 fn assemble_result(
     config: &CampaignConfig,
     backends: &[&dyn OmpBackend],
@@ -287,13 +288,13 @@ std::thread_local! {
         std::cell::RefCell::new(ExecScratch::new());
 }
 
-/// The fused per-program unit: §IV-E race filter, shared compilation, then
-/// one oracle step per input ([`oracle::CompiledSet::step`]) — all inside
-/// one worker closure, through the worker's reused [`ExecScratch`]. When
-/// `profile` is on, the program's VM hot-path profile is harvested into
-/// the shared collector as the unit finishes (install also strips stale
-/// profiles left in the thread-local scratch by a previous profiled
-/// campaign).
+/// The fused per-program unit: one shared compilation, then one oracle
+/// step per input ([`oracle::CompiledSet::step`]), input 0's carrying the
+/// §IV-E race filter — all inside one worker closure, through the worker's
+/// reused [`ExecScratch`]. When `profile` is on, the program's VM hot-path
+/// profile is harvested into the shared collector as the unit finishes
+/// (install also strips stale profiles left in the thread-local scratch by
+/// a previous profiled campaign).
 fn run_one_case(
     index: usize,
     tc: &TestCase,
@@ -321,45 +322,22 @@ fn run_one_case_with(
     obs: &Obs,
     sw: &mut Stopwatch<'_>,
 ) -> CaseOutcome {
-    // §IV-E mitigation: drop data-racing programs before differential
-    // analysis (the paper filtered them manually; our detector automates
-    // it). Detection interprets with team semantics once per program, and
-    // fills the test case's shared compilation cache that the per-backend
-    // compiles below reuse.
-    if config.filter_races {
-        let reports = detect_races(tc, config, scratch);
-        sw.lap(Phase::RaceFilter);
-        if let Some(reports) = reports {
-            if !reports.is_empty() {
-                obs.count(Counter::RaceFilterHits, 1);
-                return CaseOutcome::Racy(Arc::from(tc.program.name.as_str()), reports);
-            }
-        }
-    }
-
-    // One compilation per program: the cached prepared kernel (possibly
-    // already filled by the race filter) feeds every simulated backend's
-    // compile — the three vendor binaries share one flat bytecode.
+    // One compilation per program: the program is lowered once, and the
+    // bytecode form its optimization level runs is compiled once and fed
+    // to every simulated backend — the three vendor binaries share it.
+    let prepared = ompfuzz_exec::lower(&tc.program)
+        .ok()
+        .map(PreparedKernel::new);
     let compile_opts = CompileOptions {
         opt_level: config.opt_level,
     };
-    let set = oracle::compile(
-        &tc.program,
-        backends,
-        tc.prepared().ok(),
-        &compile_opts,
-        obs,
-    );
+    let set = oracle::compile(&tc.program, backends, prepared.as_ref(), &compile_opts, obs);
     sw.lap(Phase::Compile);
     let Ok(set) = set else {
         // A program that does not compile everywhere cannot be compared.
         return CaseOutcome::CompileFailed;
     };
 
-    let run_opts = RunOptions {
-        detect_races: false,
-        ..config.run
-    };
     // One allocation per program, refcounted into each record.
     let program_name: Arc<str> = Arc::from(tc.program.name.as_str());
     let mut records = Vec::with_capacity(tc.inputs.len());
@@ -368,11 +346,24 @@ fn run_one_case_with(
     // step interprets the input once, and a second time only for the
     // other branch semantics when that run tests a NaN with `!=`.
     for (input_index, input) in tc.inputs.iter().enumerate() {
-        let observations: Vec<RunObservation> = set
-            .step(input, &run_opts, scratch, &mut run_metrics)
-            .iter()
-            .map(oracle::to_observation)
-            .collect();
+        // §IV-E mitigation: drop data-racing programs before differential
+        // analysis (the paper filtered them manually). Input 0's step
+        // records races in the run the binaries make, and a program whose
+        // IEEE run reports one is excluded; an aborted run gives no
+        // verdict and the program stays.
+        let run_opts = RunOptions {
+            detect_races: config.filter_races && input_index == 0,
+            ..config.run
+        };
+        let (results, races) = set.step(input, &run_opts, scratch, &mut run_metrics);
+        if let Some(races) = races.filter(|races| !races.is_empty()) {
+            sw.lap(Phase::Differential);
+            run_metrics.flush(obs);
+            obs.count(Counter::RaceFilterHits, 1);
+            return CaseOutcome::Racy(program_name, races);
+        }
+        let observations: Vec<RunObservation> =
+            results.iter().map(oracle::to_observation).collect();
         let analysis = analyze(&observations, &config.outlier);
         if analysis.correctness.is_some() || analysis.performance.is_some() {
             obs.count(Counter::OutlierRecords, 1);
@@ -388,48 +379,6 @@ fn run_one_case_with(
     sw.lap(Phase::Differential);
     run_metrics.flush(obs);
     CaseOutcome::Ran(records)
-}
-
-/// The core of the §IV-E race filter: run `code` on `input` with the
-/// dynamic race detector, on the selected engine. Returns `None` when the
-/// run fails (op budget) — callers treat that as "no verdict" and keep the
-/// program. Shared by the campaign driver (first input per program) and
-/// the test-case reducer (the pinned outlier input), so the two stay in
-/// sync.
-pub fn detect_kernel_races(
-    code: &CompiledKernel,
-    input: &ompfuzz_inputs::TestInput,
-    max_ops: u64,
-    engine: ExecEngine,
-    scratch: &mut ExecScratch,
-) -> Option<Vec<RaceReport>> {
-    let opts = ExecOptions {
-        detect_races: true,
-        limits: ompfuzz_exec::ExecLimits { max_ops },
-        engine,
-        ..ExecOptions::default()
-    };
-    code.run(input, &opts, scratch).ok().map(|o| o.races)
-}
-
-/// Run the race detector on a test case (first input). Returns `None` when
-/// the program fails to lower or exceeds the budget — such programs stay
-/// in the campaign and fail there uniformly. Runs through the test case's
-/// shared compilation, which the per-backend compiles reuse.
-fn detect_races(
-    tc: &TestCase,
-    config: &CampaignConfig,
-    scratch: &mut ExecScratch,
-) -> Option<Vec<RaceReport>> {
-    let input = tc.inputs.first()?;
-    let prepared = tc.prepared().ok()?;
-    detect_kernel_races(
-        prepared.plain(),
-        input,
-        config.run.max_ops,
-        config.run.engine,
-        scratch,
-    )
 }
 
 #[cfg(test)]
@@ -728,16 +677,16 @@ mod tests {
     #[test]
     fn differential_unit_interprets_once_unless_a_nan_meets_ne() {
         use ompfuzz_backends::OptLevel;
-        use ompfuzz_exec::{ExecError, ExecLimits};
+        use ompfuzz_exec::{lower, ExecError, ExecLimits, ExecOptions};
         use ompfuzz_outlier::ExecStatus;
         let backends = standard_backends();
         let dyns = as_dyn(&backends);
         for opt_level in [OptLevel::O3, OptLevel::O0] {
+            // The race filter is on: it rides input 0's step and adds no
+            // interpretation.
             let mut cfg = CampaignConfig::paper();
             cfg.opt_level = opt_level;
-            // The race filter's own VM run is not part of the differential
-            // loop under test.
-            cfg.filter_races = false;
+            assert!(cfg.filter_races);
             let ieee = ExecOptions {
                 limits: ExecLimits {
                     max_ops: cfg.run.max_ops,
@@ -762,7 +711,8 @@ mod tests {
                 let CaseOutcome::Ran(records) = outcome else {
                     panic!("program {index} skipped the differential loop");
                 };
-                let code = tc.prepared().unwrap().for_opt(opt_level >= OptLevel::O1);
+                let prepared = PreparedKernel::new(lower(&tc.program).unwrap());
+                let code = prepared.for_opt(opt_level >= OptLevel::O1);
                 let expected: u64 = records
                     .iter()
                     .zip(&tc.inputs)
@@ -796,6 +746,111 @@ mod tests {
                 opt_level == OptLevel::O3,
                 "{second_interpretations} second interpretations at {opt_level:?}"
             );
+        }
+    }
+
+    /// Two threads add a 40-term constant sum to the shared `comp`, 500
+    /// times each, with no reduction: a race whose plain kernel costs far
+    /// more ops than the constant-folded one.
+    fn racy_folding_case() -> TestCase {
+        use ompfuzz_ast::{
+            AssignOp, Assignment, BinOp, Block, Expr, ForLoop, LValue, LoopBound, OmpClauses,
+            OmpParallel, Program, Stmt,
+        };
+        use ompfuzz_inputs::TestInput;
+        let sum = (1..40).fold(Expr::fp_const(1.0), |sum, _| {
+            Expr::binary(sum, BinOp::Add, Expr::fp_const(1.0))
+        });
+        let mut program = Program::new(
+            vec![],
+            Block::of_stmts(vec![Stmt::OmpParallel(OmpParallel {
+                clauses: OmpClauses {
+                    num_threads: Some(2),
+                    ..OmpClauses::default()
+                },
+                prelude: vec![],
+                body_loop: ForLoop {
+                    omp_for: true,
+                    var: "i".into(),
+                    bound: LoopBound::Const(1000),
+                    body: Block::of_stmts(vec![Stmt::Assign(Assignment {
+                        target: LValue::Comp,
+                        op: AssignOp::AddAssign,
+                        value: sum,
+                    })]),
+                },
+            })]),
+        );
+        program.name = "racy_folding".into();
+        let input = TestInput {
+            comp_init: 0.0,
+            values: vec![],
+        };
+        TestCase::new(program, vec![input.clone(), input])
+    }
+
+    /// The race verdict is read off the run the binaries make. At `-O3`
+    /// they run the constant-folded kernel, which fits the op budget and
+    /// races, so the program is excluded; a separate check on the plain
+    /// kernel ran out of budget and kept it. At `-O0` the binaries run the
+    /// plain kernel: it aborts, which gives no verdict, and the program
+    /// stays, every binary hanging on the budget alike.
+    #[test]
+    fn racy_program_is_judged_on_the_kernel_its_binaries_run() {
+        use ompfuzz_backends::OptLevel;
+        use ompfuzz_exec::{lower, ExecError, ExecLimits, ExecOptions};
+        use ompfuzz_outlier::ExecStatus;
+        let tc = racy_folding_case();
+        let mut cfg = CampaignConfig::small();
+        cfg.programs = 1;
+        cfg.run.max_ops = 20_000;
+        // Premise: under this budget the plain kernel aborts and the
+        // folded one completes with a race.
+        let prepared = PreparedKernel::new(lower(&tc.program).unwrap());
+        let recording = ExecOptions {
+            detect_races: true,
+            limits: ExecLimits {
+                max_ops: cfg.run.max_ops,
+            },
+            ..ExecOptions::default()
+        };
+        let run = |fold| {
+            prepared
+                .for_opt(fold)
+                .run(&tc.inputs[0], &recording, &mut ExecScratch::new())
+        };
+        assert!(matches!(run(false), Err(ExecError::BudgetExceeded { .. })));
+        let races = run(true).unwrap().races;
+        assert!(!races.is_empty());
+
+        let backends = standard_backends();
+        let dyns = as_dyn(&backends);
+        for opt_level in [OptLevel::O3, OptLevel::O0] {
+            cfg.opt_level = opt_level;
+            let (result, _) = run_campaign_generated_with(
+                &cfg,
+                &dyns,
+                0..1,
+                &|_| tc.clone(),
+                Instant::now(),
+                &Obs::off(),
+                &ProfileCollector::off(),
+            );
+            if opt_level == OptLevel::O3 {
+                assert_eq!(
+                    result.racy_programs,
+                    vec![(Arc::from("racy_folding"), races.clone())]
+                );
+                assert!(result.records.is_empty());
+            } else {
+                assert!(result.racy_programs.is_empty());
+                assert_eq!(result.records.len(), 2);
+                assert!(result
+                    .records
+                    .iter()
+                    .flat_map(|r| &r.observations)
+                    .all(|o| o.status == ExecStatus::Hang));
+            }
         }
     }
 

@@ -15,8 +15,9 @@
 //!    and the Table-I tally.
 //!
 //! Racy programs (the Varity legacy limitation, §IV-E) are detected
-//! dynamically and excluded up front, automating the paper's manual
-//! filtering.
+//! dynamically and excluded, automating the paper's manual filtering: each
+//! program's first input runs with race recording on, in the same oracle
+//! step that runs its binaries.
 //!
 //! ```
 //! use ompfuzz_harness::{run_campaign, CampaignConfig};
@@ -37,9 +38,7 @@ pub mod pool;
 pub mod process;
 pub mod testcase;
 
-pub use campaign::{
-    detect_kernel_races, run_campaign, run_campaign_generated_with, CampaignResult, RunRecord,
-};
+pub use campaign::{run_campaign, run_campaign_generated_with, CampaignResult, RunRecord};
 pub use config::{CampaignConfig, ConfigError};
 pub use process::{ProcessBackend, ProcessBinary};
 pub use testcase::{

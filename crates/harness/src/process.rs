@@ -231,7 +231,6 @@ impl CompiledTest for ProcessBinary {
             profile: Default::default(),
             threads: None,
             exec: None,
-            races: Vec::new(),
         };
         let mut child = match Command::new(&self.path)
             .args(input.to_args())
@@ -296,7 +295,6 @@ impl CompiledTest for ProcessBinary {
                 profile: Default::default(),
                 threads: None,
                 exec: None,
-                races: Vec::new(),
             },
             _ => empty(RunStatus::Crash {
                 signal: "OUTPUT",

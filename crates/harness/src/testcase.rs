@@ -6,64 +6,25 @@ use crate::config::CampaignConfig;
 use crate::pool;
 use ompfuzz_ast::printer::{emit_translation_unit, PrintOptions};
 use ompfuzz_ast::Program;
-use ompfuzz_exec::{Kernel, LowerError, PreparedKernel};
 use ompfuzz_gen::ProgramGenerator;
 use ompfuzz_inputs::{InputGenerator, TestInput};
 use std::fs;
 use std::io;
 use std::ops::Range;
 use std::path::Path;
-use std::sync::OnceLock;
 
-/// One test: a program and its `INPUT_SAMPLES_PER_RUN` inputs.
-///
-/// Invariant: the kernel cache pairs with `program` *as of the first
-/// [`TestCase::kernel`]/[`TestCase::prepared`] call*. Treat a `TestCase` as
-/// immutable once built — to run a mutated program (e.g. a `rewrite`
-/// product), construct a fresh `TestCase::new` rather than assigning
-/// through the public fields, or the cached kernel silently stops matching
-/// the program.
-#[derive(Debug, Clone)]
+/// One test: a program and its `INPUT_SAMPLES_PER_RUN` inputs. Plain
+/// data: whoever runs the test lowers and compiles its program.
+#[derive(Debug, Clone, PartialEq)]
 pub struct TestCase {
     pub program: Program,
     pub inputs: Vec<TestInput>,
-    /// Lazily cached `lower(program)` + bytecode compilation, shared by the
-    /// race filter, every simulated backend's compile, and the reducer's
-    /// candidate checks, so each program is lowered and flattened once per
-    /// campaign instead of once per consumer (`OnceLock` makes the fill
-    /// race-free across campaign workers).
-    lowered: OnceLock<Result<PreparedKernel, LowerError>>,
 }
 
 impl TestCase {
     /// Pair a program with its inputs.
     pub fn new(program: Program, inputs: Vec<TestInput>) -> TestCase {
-        TestCase {
-            program,
-            inputs,
-            lowered: OnceLock::new(),
-        }
-    }
-
-    /// The program's lowered kernel, computed on first use.
-    pub fn kernel(&self) -> Result<&Kernel, &LowerError> {
-        self.prepared().map(|p| p.kernel())
-    }
-
-    /// The program's shared compilation (lowered kernel + flat bytecode),
-    /// computed on first use.
-    pub fn prepared(&self) -> Result<&PreparedKernel, &LowerError> {
-        self.lowered
-            .get_or_init(|| ompfuzz_exec::lower(&self.program).map(PreparedKernel::new))
-            .as_ref()
-    }
-}
-
-impl PartialEq for TestCase {
-    /// Equality over the test's identity (program + inputs); the kernel
-    /// cache is derived state.
-    fn eq(&self, other: &TestCase) -> bool {
-        self.program == other.program && self.inputs == other.inputs
+        TestCase { program, inputs }
     }
 }
 

@@ -37,10 +37,11 @@ pub struct ReduceConfig {
     pub run: RunOptions,
     /// Outlier thresholds for oracle checks.
     pub outlier: OutlierConfig,
-    /// Reject candidates that introduce data races (mirrors the campaign's
-    /// §IV-E pre-analysis filter). Without this, an edit such as dropping a
-    /// `private` clause could keep the verdict while turning the "minimal"
-    /// kernel into a racy program the campaign itself would have excluded.
+    /// Reject candidates that introduce data races (the campaign's §IV-E
+    /// filter): each check's oracle step then records races. Without this,
+    /// an edit such as dropping a `private` clause could keep the verdict
+    /// while turning the "minimal" kernel into a racy program the campaign
+    /// itself would have excluded.
     pub filter_races: bool,
 }
 
@@ -195,24 +196,16 @@ impl<'b> Reducer<'b> {
         // original witness itself races on the pinned input (the campaign's
         // filter only samples each program's first input, so such outliers
         // exist), gating would reject the unmodified program and silently
-        // no-op — allow races for the whole reduction instead.
-        let allow_races = self.config.filter_races
-            && ompfuzz_exec::lower(&target.program).is_ok_and(|kernel| {
-                with_check_scratch(|scratch| {
-                    candidate_races(
-                        &PreparedKernel::new(kernel),
-                        &target.input,
-                        &self.config.run,
-                        scratch,
-                    )
-                })
-            });
+        // no-op. So the entry check records races whenever the gate is on,
+        // and its reports waive the gate for the whole reduction.
+        let (reproduces, races) =
+            self.check(&current, &input, target.verdict, self.config.filter_races);
         let ctx = OracleCtx {
             verdict: target.verdict,
-            allow_races,
+            allow_races: races,
         };
 
-        if self.reproduces(&current, &input, &ctx) {
+        if reproduces {
             for _ in 0..self.config.max_rounds {
                 rounds += 1;
                 let before = (current.clone(), input.clone());
@@ -256,42 +249,53 @@ impl<'b> Reducer<'b> {
 
     // -- oracle ------------------------------------------------------------
 
-    /// Does `program` on `input` still produce the target verdict?
-    /// Candidates that fail to lower/compile simply don't reproduce, and
-    /// (when `filter_races` is on and the original witness was race-free)
-    /// neither do candidates the campaign's dynamic race detector would
-    /// have excluded from analysis.
+    /// Does `program` on `input` still produce the target verdict? When
+    /// `filter_races` is on and the original witness was race-free, a
+    /// candidate whose check reports a race does not: the campaign's §IV-E
+    /// filter would have excluded it from analysis.
     fn reproduces(&self, program: &Program, input: &TestInput, ctx: &OracleCtx) -> bool {
+        let gated = self.config.filter_races && !ctx.allow_races;
+        let (holds, races) = self.check(program, input, ctx.verdict, gated);
+        holds && !races
+    }
+
+    /// One oracle check: lower and compile `program` once (every backend
+    /// shares the compilation) and run one oracle step on `input` through
+    /// the thread's check scratch. Returns whether the step reproduces
+    /// `verdict`, and whether its IEEE run reported a race. Races are
+    /// recorded only when `record_races`, and a run that aborts reports
+    /// none, as in the campaign. A candidate that fails to lower or
+    /// compile reproduces nothing.
+    fn check(
+        &self,
+        program: &Program,
+        input: &TestInput,
+        verdict: Verdict,
+        record_races: bool,
+    ) -> (bool, bool) {
         let Ok(kernel) = ompfuzz_exec::lower(program) else {
-            return false;
+            return (false, false);
         };
-        // One compilation per candidate: every backend run and the race
-        // gate share the same prepared bytecode, and run through the
-        // worker thread's scratch. The check is one oracle step, which
-        // interprets the candidate once, or once per branch semantics when
-        // the first run tests a NaN with `!=`.
-        let prepared = PreparedKernel::new(kernel);
+        let run = RunOptions {
+            detect_races: record_races,
+            ..self.config.run
+        };
         with_check_scratch(|scratch| {
-            let Ok(observations) = oracle::observe(
+            let Ok((observations, races)) = oracle::observe(
                 program,
                 input,
                 self.backends,
-                Some(&prepared),
+                Some(&PreparedKernel::new(kernel)),
                 &self.config.compile,
-                &self.config.run,
+                &run,
                 scratch,
                 &self.obs,
             ) else {
-                return false;
+                return (false, false);
             };
-            // The race gate runs last: both checks are pure functions of
-            // (candidate, input), and most candidates already fail the
-            // verdict.
-            analyze(&observations, &self.config.outlier).primary_outlier()
-                == Some((ctx.verdict.kind, ctx.verdict.backend))
-                && !(self.config.filter_races
-                    && !ctx.allow_races
-                    && candidate_races(&prepared, input, &self.config.run, scratch))
+            let holds = analyze(&observations, &self.config.outlier).primary_outlier()
+                == Some((verdict.kind, verdict.backend));
+            (holds, races.is_some_and(|races| !races.is_empty()))
         })
     }
 
@@ -526,22 +530,6 @@ fn with_check_scratch<R>(f: impl FnOnce(&mut ExecScratch) -> R) -> R {
     CHECK_SCRATCH.with(|scratch| f(&mut scratch.borrow_mut()))
 }
 
-/// Does the compiled candidate race on `input`? Delegates to the campaign
-/// driver's §IV-E detector ([`ompfuzz_harness::detect_kernel_races`]) so
-/// reducer and campaign can never drift — same shared compilation, same
-/// engine. A run that fails (op budget) is treated as race-free, exactly as
-/// the campaign treats it — such programs stay in play and fail uniformly
-/// at the oracle instead.
-fn candidate_races(
-    prepared: &PreparedKernel,
-    input: &TestInput,
-    run: &RunOptions,
-    scratch: &mut ExecScratch,
-) -> bool {
-    ompfuzz_harness::detect_kernel_races(prepared.plain(), input, run.max_ops, run.engine, scratch)
-        .is_some_and(|races| !races.is_empty())
-}
-
 /// Trial trip counts for a loop currently at `trip`, ascending and strictly
 /// smaller: the most aggressive shrink is offered first.
 fn shrink_ladder(trip: u32) -> Vec<u32> {
@@ -606,15 +594,12 @@ mod tests {
         };
         // Premises: the witness is race-free and hangs Intel; the edit
         // races on the pinned input and still hangs Intel.
-        let races = |p: &Program| {
-            candidate_races(
-                &PreparedKernel::new(ompfuzz_exec::lower(p).unwrap()),
-                &input,
-                &reducer.config.run,
-                &mut ExecScratch::new(),
-            )
-        };
-        assert!(!races(&program) && races(&racy));
+        let verdict = gated.verdict;
+        assert_eq!(
+            reducer.check(&program, &input, verdict, true),
+            (true, false)
+        );
+        assert_eq!(reducer.check(&racy, &input, verdict, true), (true, true));
         assert!(reducer.reproduces(&program, &input, &gated));
         assert!(reducer.reproduces(&racy, &input, &waived));
         assert!(

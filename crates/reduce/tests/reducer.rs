@@ -51,7 +51,7 @@ fn oracle_is_preserved_by_reduction() {
     // Independent re-check: run the reduced program through the
     // differential pipeline from scratch and re-derive the verdict.
     let backends = standard_backends();
-    let observations = oracle::observe(
+    let (observations, _) = oracle::observe(
         &out.reduced,
         &out.input,
         &dyns(&backends),

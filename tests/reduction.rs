@@ -87,7 +87,7 @@ fn campaign_outlier_reduces_by_60_percent_deterministically() {
 
     // The verdict is preserved: an independent differential run of the
     // reduced program still hangs Intel and only Intel.
-    let observations = oracle::observe(
+    let (observations, _) = oracle::observe(
         &seq.reduced,
         &seq.input,
         &dyns,
