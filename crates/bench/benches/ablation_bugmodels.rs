@@ -8,6 +8,7 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use ompfuzz_backends::{BugModels, OmpBackend, SimBackend, Vendor};
 use ompfuzz_bench::{bench_campaign_config, print_campaign_config};
 use ompfuzz_harness::run_campaign;
+use ompfuzz_obs::Obs;
 use ompfuzz_outlier::OutlierKind;
 use std::hint::black_box;
 
@@ -21,7 +22,7 @@ fn campaign_counts_with(
         SimBackend::with_bugs(Vendor::GccLike, bugs),
     ];
     let dyns: Vec<&dyn OmpBackend> = backends.iter().map(|b| b as &dyn OmpBackend).collect();
-    let r = run_campaign(config, &dyns);
+    let r = run_campaign(config, &dyns, &Obs::off());
     let idx = |l: &str| r.labels.iter().position(|x| x == l).unwrap();
     (
         r.tally.count(idx("Clang"), OutlierKind::Slow),

@@ -8,6 +8,7 @@
 
 use ompfuzz_backends::{standard_backends, OmpBackend, SimBackend};
 use ompfuzz_harness::{run_campaign, CampaignConfig, CampaignResult};
+use ompfuzz_obs::Obs;
 use ompfuzz_outlier::{analyze, Analysis, OutlierConfig, RunObservation};
 
 /// Campaign scale used inside timed loops: small enough for Criterion,
@@ -35,7 +36,7 @@ pub fn print_campaign_config() -> CampaignConfig {
 pub fn run_standard_campaign(config: &CampaignConfig) -> CampaignResult {
     let backends = standard_backends();
     let dyns: Vec<&dyn OmpBackend> = backends.iter().map(|b| b as &dyn OmpBackend).collect();
-    run_campaign(config, &dyns)
+    run_campaign(config, &dyns, &Obs::off())
 }
 
 /// Re-analyze a campaign's raw observations under different α/β thresholds

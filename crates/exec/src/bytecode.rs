@@ -16,6 +16,32 @@
 //!   interpreter's per-node charges for the same code exactly, so budget
 //!   exhaustion is equivalent: both engines fail iff the run's total charge
 //!   count exceeds `max_ops` (prefix sums agree at block granularity).
+//! * **Priced loop nests**: a run that exhausts its budget inside a loop
+//!   nest is stopped at the nest's entry instead of after the ops it has
+//!   left. The compiler marks which [`Instr::LoopStart`]s price their nest
+//!   (`priced`): a non-bulk loop whose range — `if` bodies, nested loops
+//!   and regions included — holds no `!=` test, unless the floor of its
+//!   nearest priced ancestor already counts it. A floor counts nothing of
+//!   an `if` body, so a loop inside one is judged on its own; a bulk loop
+//!   already charges its whole trip at entry. At a priced entry the VM
+//!   sums the nest's *floor*, a lower bound on the ops it will charge
+//!   (every block charge at each level, `trips × (body block + floor of
+//!   the body)` per nested loop with trips from a constant or an int
+//!   param, a region's fork charge and body per team thread), and returns
+//!   `BudgetExceeded` when the floor exceeds the ops left. The early abort
+//!   is exact:
+//!   1. a started loop always runs to its exit (the grammar has no break
+//!      or return), so every charge the floor counts will be made, and
+//!      both engines fail exactly when the total charge exceeds `max_ops`;
+//!   2. `nan_ne_tests` changes only on a `!=` test with a NaN operand, and
+//!      the range holds none, so the count at the true abort point equals
+//!      the count at the entry;
+//!   3. an aborted run returns only `BudgetExceeded { max_ops,
+//!      nan_ne_tests }` — its `comp`, statistics and race reports are
+//!      dropped — so nothing else about the run is observable.
+//!
+//!   The tree interpreter keeps no floor; it is the reference the VM's
+//!   early aborts are checked against.
 //! * **Pre-resolved race-check flags**: whether an access can be a shared
 //!   access worth reporting — inside a parallel region, not privatized by
 //!   the (lexically outermost) region's clauses, not region-local, not a
@@ -153,6 +179,16 @@ pub enum Instr {
     /// failure at entry and a per-iteration failure mid-loop produce the
     /// same discarded `BudgetExceeded` (the body holds no branch test, so
     /// the `nan_ne_tests` it carries agree too).
+    ///
+    /// When `priced` is set the loop prices its whole nest at entry: the
+    /// VM computes the nest's floor, a lower bound on the ops it will
+    /// charge, and aborts at once when the floor exceeds the ops left. The
+    /// compiler sets it on a non-bulk loop whose range (if bodies, nested
+    /// loops and regions included) holds no `!=` test, unless a priced
+    /// ancestor's floor already counts the loop; a floor counts nothing
+    /// of an `if` body, so a loop inside one is judged on its own. See the
+    /// module doc ("Priced loop nests") for the floor and why the early
+    /// abort is exact.
     LoopStart {
         counter: IntSlotId,
         bound: LBound,
@@ -160,6 +196,7 @@ pub enum Instr {
         exit: u32,
         body_block: u32,
         bulk: bool,
+        priced: bool,
     },
     /// Advance the innermost loop; jump back to `body` (charging
     /// `body_block` for the new iteration unless the loop was
@@ -194,6 +231,9 @@ pub struct RegionMeta {
     pub reduction: Option<ReductionOp>,
     /// The region's loop is a worksharing loop (recorded in the trace).
     pub omp_for: bool,
+    /// Index of the region's `RegionExit` (where a nest floor's walk of
+    /// the region body ends).
+    pub(crate) exit: u32,
 }
 
 /// A kernel compiled to the flat bytecode form.
@@ -267,6 +307,8 @@ impl CompiledKernel {
             c.emit_stmts(&kernel.body);
             c.boundary();
             c.instrs.push(Instr::Halt);
+            let end = c.instrs.len();
+            mark_priced(&mut c.instrs, 0, end, false);
             (c.instrs, c.blocks, c.regions, c.max_stack)
         };
         let slot_ty = kernel.scalars.iter().map(|s| s.ty).collect();
@@ -320,6 +362,35 @@ impl PreparedKernel {
         } else {
             self.plain
                 .get_or_init(|| Arc::new(CompiledKernel::compile(self.kernel.clone())))
+        }
+    }
+}
+
+/// Set `LoopStart::priced` over `instrs[from..to]`. `covered` says a
+/// priced ancestor's floor already counts this range; an `if` body is
+/// counted by no floor, so its loops are judged afresh.
+fn mark_priced(instrs: &mut [Instr], from: usize, to: usize, covered: bool) {
+    let mut ip = from;
+    while ip < to {
+        match instrs[ip] {
+            Instr::BoolTest { if_false, .. } => {
+                mark_priced(instrs, ip + 1, if_false as usize, false);
+                ip = if_false as usize;
+            }
+            Instr::LoopStart { exit, bulk, .. } => {
+                // The body runs from here to the loop's `LoopNext`.
+                let (body, next) = (ip + 1, exit as usize - 1);
+                let ne_free = !instrs[body..next]
+                    .iter()
+                    .any(|i| matches!(i, Instr::BoolTest { op: BoolOp::Ne, .. }));
+                let price = !covered && !bulk && ne_free;
+                if let Instr::LoopStart { priced, .. } = &mut instrs[ip] {
+                    *priced = price;
+                }
+                mark_priced(instrs, body, next, covered || price);
+                ip = exit as usize;
+            }
+            _ => ip += 1,
         }
     }
 }
@@ -605,6 +676,7 @@ impl<'k> Compiler<'k> {
             exit: u32::MAX,
             body_block: u32::MAX,
             bulk: false,
+            priced: false,
         });
         let body_ip = self.instrs.len() as u32;
         // Per-iteration loop increment + test, charged by the body's
@@ -661,6 +733,7 @@ impl<'k> Compiler<'k> {
             firstprivate: p.firstprivate.clone(),
             reduction: p.reduction,
             omp_for: p.body_loop.omp_for,
+            exit: u32::MAX,
         });
         // Race flags inside the region resolve against the *outermost*
         // region's clauses: nested regions run inline on the outer team and
@@ -684,6 +757,7 @@ impl<'k> Compiler<'k> {
         self.emit_stmts(&p.prelude);
         self.emit_loop(&p.body_loop);
         self.boundary();
+        self.regions[region as usize].exit = self.instrs.len() as u32;
         self.instrs.push(Instr::RegionExit {
             region,
             prelude: prelude_ip,

@@ -11,6 +11,12 @@
 //!   (hits, budget ops, weighted cycles), so hot program regions stand out
 //!   across thousands of kernels.
 //!
+//! A run that aborts on the op budget folds no blocks and adds no run:
+//! its opcode counts are exactly what the VM dispatched before the abort.
+//! A nest the VM prices at entry ([`crate::bytecode`], "Priced loop
+//! nests") aborts at its `loop_start`, so such an abort dispatches nothing
+//! inside the nest.
+//!
 //! Profiles merge by plain addition, so per-worker profiles combine into a
 //! campaign-wide one in any order. Profiling is strictly out of band: the
 //! VM consults the profile only to increment it, [`crate::stats::ExecStats`]

@@ -11,6 +11,15 @@
 //! via their precomputed [`crate::bytecode::BlockCost`]), and no dynamic
 //! sharing analysis (race-check flags were resolved at compile time).
 //!
+//! A `LoopStart` the compiler marked `priced` walks its nest's range once
+//! at entry and sums the floor, a lower bound on the ops the nest will
+//! charge; a floor above the ops left returns `BudgetExceeded` before the
+//! nest dispatches anything, which is the error the run's last failing
+//! charge would return (see "Priced loop nests" in [`crate::bytecode`]
+//! for the rule and why it is exact). The walk touches only the compiled
+//! stream and the int slots, allocates nothing, and costs a run that
+//! completes about one static pass over each priced nest it enters.
+//!
 //! This is the only bytecode engine. Callers with several inputs run them
 //! one at a time on a reused [`ExecScratch`]; the tree interpreter stays
 //! beside it as the reference semantics.
@@ -308,6 +317,64 @@ impl<'c, 's> Vm<'c, 's> {
             None => self.stats.serial_cycles += cycles,
         }
         Ok(())
+    }
+
+    /// The floor of `instrs[from..to]` run once on `thread`: a lower bound
+    /// on the ops it charges, summed with saturation. Each `Charge` counts
+    /// its block; an `if` body counts nothing (the test's own charge is
+    /// in the block before it); a nested loop counts its trips times its
+    /// body block plus the floor of its body, with trips from a constant
+    /// bound, an int param's value (params are never assigned) or 0 for
+    /// any other int slot; a region entered from serial code counts, per
+    /// team thread, its fork charge plus the floor of its prelude and loop
+    /// on that thread, and a region entered inside a thread runs inline.
+    fn floor(&self, from: usize, to: usize, thread: Option<(u32, u32)>) -> u64 {
+        let ck = self.ck;
+        let mut sum = 0u64;
+        let mut ip = from;
+        while ip < to {
+            match &ck.instrs[ip] {
+                Instr::Charge(b) => {
+                    sum = sum.saturating_add(ck.blocks[*b as usize].ops);
+                    ip += 1;
+                }
+                Instr::BoolTest { if_false, .. } => ip = *if_false as usize,
+                Instr::LoopStart {
+                    bound,
+                    omp_for,
+                    exit,
+                    body_block,
+                    ..
+                } => {
+                    let n = match *bound {
+                        LBound::Const(n) => n as u64,
+                        LBound::IntSlot(s) if ck.kernel.ints[s as usize].is_param => {
+                            self.s.ints[s as usize].max(0) as u64
+                        }
+                        LBound::IntSlot(_) => 0,
+                    };
+                    let (start, end) = schedule(n, *omp_for, thread);
+                    if start < end {
+                        let body = ck.blocks[*body_block as usize]
+                            .ops
+                            .saturating_add(self.floor(ip + 1, *exit as usize - 1, thread));
+                        sum = sum.saturating_add((end - start).saturating_mul(body));
+                    }
+                    ip = *exit as usize;
+                }
+                Instr::RegionEnter { region } if thread.is_none() => {
+                    let meta = &ck.regions[*region as usize];
+                    let team = meta.num_threads.max(1);
+                    for tid in 0..team {
+                        let body = self.floor(ip + 1, meta.exit as usize, Some((tid, team)));
+                        sum = sum.saturating_add(body.saturating_add(1));
+                    }
+                    ip = meta.exit as usize + 1;
+                }
+                _ => ip += 1,
+            }
+        }
+        sum
     }
 
     #[inline]
@@ -757,6 +824,22 @@ fn h_bool_test(vm: &mut Vm<'_, '_>, ins: &Instr, ip: &mut usize) -> Result<Flow,
     Ok(Flow::Next)
 }
 
+/// The iterations `start..end` a loop of `n` trips runs on `thread`
+/// (`(tid, team)`, or `None` in serial code): an `omp for` inside a team
+/// takes the OpenMP static schedule's contiguous `ceil(n/T)` chunk, any
+/// other loop all of them.
+#[inline]
+fn schedule(n: u64, omp_for: bool, thread: Option<(u32, u32)>) -> (u64, u64) {
+    match thread {
+        Some((tid, team)) if omp_for => {
+            let chunk = n.div_ceil(team.max(1) as u64);
+            let start = tid as u64 * chunk;
+            (start.min(n), (start + chunk).min(n))
+        }
+        _ => (0, n),
+    }
+}
+
 fn h_loop_start(vm: &mut Vm<'_, '_>, ins: &Instr, ip: &mut usize) -> Result<Flow, ExecError> {
     let Instr::LoopStart {
         counter,
@@ -765,6 +848,7 @@ fn h_loop_start(vm: &mut Vm<'_, '_>, ins: &Instr, ip: &mut usize) -> Result<Flow
         exit,
         body_block,
         bulk,
+        priced,
     } = ins
     else {
         unreachable!()
@@ -775,19 +859,23 @@ fn h_loop_start(vm: &mut Vm<'_, '_>, ins: &Instr, ip: &mut usize) -> Result<Flow
         LBound::IntSlot(s) => vm.s.ints[*s as usize],
     }
     .max(0) as u64;
-    let (start, end) = match (&vm.ctx, omp_for) {
-        (Some(c), true) => {
-            // OpenMP static schedule: contiguous ceil(n/T).
-            let team = c.team.max(1) as u64;
-            let chunk = n.div_ceil(team);
-            let start = (c.tid as u64) * chunk;
-            (start.min(n), (start + chunk).min(n))
-        }
-        _ => (0, n),
-    };
+    let thread = vm.ctx.as_ref().map(|c| (c.tid, c.team));
+    let (start, end) = schedule(n, *omp_for, thread);
     if start >= end {
         *ip = *exit as usize;
     } else {
+        if *priced {
+            // The started loop runs to its exit and the nest tests no
+            // `!=`, so a floor above the ops left ends the run with the
+            // very error the last failing charge would give.
+            let idx = *body_block as usize;
+            let body = ck.blocks[idx]
+                .ops
+                .saturating_add(vm.floor(*ip, *exit as usize - 1, thread));
+            if (end - start).saturating_mul(body) > vm.ops_left {
+                return Err(vm.budget_exceeded());
+            }
+        }
         vm.s.ints[*counter as usize] = start as i64;
         vm.s.loops.push(vm.cur_loop);
         vm.cur_loop = LoopFrame {
@@ -879,8 +967,9 @@ mod tests {
     use crate::interp::{ExecEngine, ExecLimits, ExecOptions};
     use crate::lower::lower;
     use ompfuzz_ast::{
-        AssignOp, Assignment, Block, BlockItem, Expr, ForLoop, FpType, LValue, LoopBound,
-        OmpClauses, OmpCritical, OmpParallel, Param, Program, ReductionOp, Stmt, VarRef,
+        AssignOp, Assignment, Block, BlockItem, BoolExpr, BoolOp, Expr, ForLoop, FpType, IfBlock,
+        LValue, LoopBound, OmpClauses, OmpCritical, OmpParallel, Param, Program, ReductionOp, Stmt,
+        VarRef,
     };
 
     /// `ck` on `input` on one engine, through a fresh scratch.
@@ -917,6 +1006,252 @@ mod tests {
             comp_init: 1.5,
             values: values.into_iter().map(InputValue::Fp).collect(),
         }
+    }
+
+    /// The ops a completed VM run of `ck` on `input` charges: the smallest
+    /// budget it completes within.
+    fn total_ops(ck: &CompiledKernel, input: &TestInput) -> u64 {
+        let big = ExecOptions::default();
+        let mut scratch = ExecScratch::new();
+        scratch.reset_for(&ck.kernel);
+        scratch.reset_blocks(ck.blocks.len());
+        let mut vm = Vm::new(ck, &big, &mut scratch);
+        vm.bind_input(input).unwrap();
+        vm.dispatch().unwrap();
+        big.limits.max_ops - vm.ops_left
+    }
+
+    fn budget(max_ops: u64) -> ExecOptions {
+        ExecOptions {
+            limits: ExecLimits { max_ops },
+            ..ExecOptions::default()
+        }
+    }
+
+    /// The `priced` flags of `ck`'s loops, in stream order.
+    fn priced_flags(ck: &CompiledKernel) -> Vec<bool> {
+        ck.instrs
+            .iter()
+            .filter_map(|i| match i {
+                Instr::LoopStart { priced, .. } => Some(*priced),
+                _ => None,
+            })
+            .collect()
+    }
+
+    /// One run of `ck` at `opts`, and the opcodes the VM dispatched in it
+    /// (those dispatched at least once, by name).
+    fn profiled(
+        ck: &CompiledKernel,
+        input: &TestInput,
+        opts: &ExecOptions,
+    ) -> (
+        Result<ExecOutcome, ExecError>,
+        std::collections::BTreeMap<&'static str, u64>,
+    ) {
+        let mut scratch = ExecScratch::new();
+        scratch.profile = Some(Box::default());
+        let run = ck.run(input, opts, &mut scratch);
+        let profile = scratch.profile.expect("installed");
+        let counts = profile.opcode_counts().filter(|&(_, n)| n > 0).collect();
+        (run, counts)
+    }
+
+    fn comp_add(value: Expr) -> Stmt {
+        Stmt::Assign(Assignment {
+            target: LValue::Comp,
+            op: AssignOp::AddAssign,
+            value,
+        })
+    }
+
+    fn for_loop(var: &str, bound: LoopBound, omp_for: bool, body: Block) -> ForLoop {
+        ForLoop {
+            omp_for,
+            var: var.into(),
+            bound,
+            body,
+        }
+    }
+
+    fn if_stmt(lhs: &str, op: BoolOp, rhs: Expr, body: Vec<Stmt>) -> Stmt {
+        Stmt::If(IfBlock {
+            cond: BoolExpr {
+                lhs: VarRef::Scalar(lhs.into()),
+                op,
+                rhs,
+            },
+            body: Block::of_stmts(body),
+        })
+    }
+
+    #[test]
+    fn priced_nest_aborts_before_dispatching_inside_it() {
+        // comp += var_1;
+        // for k < 4 {                        // serial, priced
+        //   parallel num_threads(3) firstprivate(var_1) {
+        //     double t = var_1 * 2.0;
+        //     omp for i < n {                // n = 7: 3 threads, chunks 3/3/1
+        //       for j < 5 { critical { comp += t; } }
+        //     }
+        //   }
+        // }
+        let inner = for_loop(
+            "j",
+            LoopBound::Const(5),
+            false,
+            Block(vec![BlockItem::Critical(OmpCritical {
+                body: Block::of_stmts(vec![comp_add(Expr::var("t"))]),
+            })]),
+        );
+        let region = Stmt::OmpParallel(OmpParallel {
+            clauses: OmpClauses {
+                firstprivate: vec!["var_1".into()],
+                num_threads: Some(3),
+                ..OmpClauses::default()
+            },
+            prelude: vec![Stmt::DeclAssign {
+                ty: FpType::F64,
+                name: "t".into(),
+                value: Expr::binary(
+                    Expr::var("var_1"),
+                    ompfuzz_ast::BinOp::Mul,
+                    Expr::fp_const(2.0),
+                ),
+            }],
+            body_loop: for_loop(
+                "i",
+                LoopBound::Param("n".into()),
+                true,
+                Block::of_stmts(vec![Stmt::For(inner)]),
+            ),
+        });
+        let p = Program::new(
+            vec![Param::fp(FpType::F64, "var_1"), Param::int("n")],
+            Block::of_stmts(vec![
+                comp_add(Expr::var("var_1")),
+                Stmt::For(for_loop(
+                    "k",
+                    LoopBound::Const(4),
+                    false,
+                    Block::of_stmts(vec![region]),
+                )),
+            ]),
+        );
+        let input = TestInput {
+            comp_init: 0.5,
+            values: vec![InputValue::Fp(1.25), InputValue::Int(7)],
+        };
+        let ck = CompiledKernel::compile(lower(&p).unwrap());
+        // Only the outermost loop checks: its floor counts the other two.
+        assert_eq!(priced_flags(&ck), vec![true, false, false]);
+
+        let total = total_ops(&ck, &input);
+        both_engines(&p, &input, &budget(total));
+        assert!(run_on(ExecEngine::Bytecode, &ck, &input, &budget(total)).is_ok());
+
+        // Nothing in the nest is conditional, so its floor is exact: one
+        // op short, the VM aborts at the nest's entry with the tree's error.
+        let short = budget(total - 1);
+        let tree = run_on(ExecEngine::Tree, &ck, &input, &short);
+        let (byte, counts) = profiled(&ck, &input, &short);
+        let expected = ExecError::BudgetExceeded {
+            max_ops: total - 1,
+            nan_ne_tests: 0,
+        };
+        assert_eq!(tree.unwrap_err(), expected);
+        assert_eq!(byte.unwrap_err(), expected);
+        // Dispatched: the leading block's charge and store, then the
+        // priced `LoopStart` — nothing inside the nest.
+        let dispatched: Vec<(&str, u64)> = counts.into_iter().collect();
+        assert_eq!(
+            dispatched,
+            vec![("charge", 1), ("loop_start", 1), ("store_comp", 1)]
+        );
+    }
+
+    #[test]
+    fn nest_testing_a_nan_with_ne_is_not_priced() {
+        // for k < 1000 { if (var_1 != 1.0) { comp += 1.0; } comp += var_1; }
+        // with var_1 = NaN: every iteration tests a NaN with `!=`.
+        let p = Program::new(
+            vec![Param::fp(FpType::F64, "var_1")],
+            Block::of_stmts(vec![Stmt::For(for_loop(
+                "k",
+                LoopBound::Const(1000),
+                false,
+                Block::of_stmts(vec![
+                    if_stmt(
+                        "var_1",
+                        BoolOp::Ne,
+                        Expr::fp_const(1.0),
+                        vec![comp_add(Expr::fp_const(1.0))],
+                    ),
+                    comp_add(Expr::var("var_1")),
+                ]),
+            ))]),
+        );
+        let input = fp_input(vec![f64::NAN]);
+        let ck = CompiledKernel::compile(lower(&p).unwrap());
+        assert_eq!(priced_flags(&ck), vec![false]);
+        // The nest needs far more than 500 ops, so a priced entry would
+        // abort before any test and report no NaN `!=` test.
+        let opts = budget(500);
+        let tree = run_on(ExecEngine::Tree, &ck, &input, &opts).unwrap_err();
+        let byte = run_on(ExecEngine::Bytecode, &ck, &input, &opts).unwrap_err();
+        assert_eq!(byte, tree);
+        let ExecError::BudgetExceeded { nan_ne_tests, .. } = byte else {
+            panic!("expected a budget abort, got {byte:?}");
+        };
+        assert!(nan_ne_tests > 0);
+    }
+
+    #[test]
+    fn loop_in_an_if_body_prices_itself() {
+        // for k < 3 {                              // priced
+        //   if (var_1 < 2.0) {                     // taken for var_1 = 1
+        //     for j < 1000000 {                    // priced on its own
+        //       for m < 2 { comp += 1.0; }         // bulk
+        //     }
+        //   }
+        // }
+        let j = for_loop(
+            "j",
+            LoopBound::Const(1_000_000),
+            false,
+            Block::of_stmts(vec![Stmt::For(for_loop(
+                "m",
+                LoopBound::Const(2),
+                false,
+                Block::of_stmts(vec![comp_add(Expr::fp_const(1.0))]),
+            ))]),
+        );
+        let p = Program::new(
+            vec![Param::fp(FpType::F64, "var_1")],
+            Block::of_stmts(vec![Stmt::For(for_loop(
+                "k",
+                LoopBound::Const(3),
+                false,
+                Block::of_stmts(vec![if_stmt(
+                    "var_1",
+                    BoolOp::Lt,
+                    Expr::fp_const(2.0),
+                    vec![Stmt::For(j)],
+                )]),
+            ))]),
+        );
+        let input = fp_input(vec![1.0]);
+        let ck = CompiledKernel::compile(lower(&p).unwrap());
+        assert_eq!(priced_flags(&ck), vec![true, true, false]);
+        // The outer floor counts nothing of the `if` body and passes; the
+        // inner loop's own floor stops the run at its entry, before any
+        // iteration of either loop completes.
+        let opts = budget(10_000);
+        let tree = run_on(ExecEngine::Tree, &ck, &input, &opts);
+        let (byte, counts) = profiled(&ck, &input, &opts);
+        assert_eq!(byte.unwrap_err(), tree.unwrap_err());
+        assert_eq!(counts["loop_start"], 2);
+        assert!(!counts.contains_key("loop_next"));
     }
 
     #[test]
@@ -978,19 +1313,9 @@ mod tests {
         );
         let input = fp_input(vec![1.0]);
         let ck = CompiledKernel::compile(lower(&p).unwrap());
-        // Probe the exact total with the tree engine, then pin the
-        // boundary: budget == total succeeds on both, total - 1 fails on
-        // both.
-        let big = ExecOptions::default();
-        let total = big.limits.max_ops - {
-            let mut scratch = ExecScratch::new();
-            scratch.reset_for(&ck.kernel);
-            scratch.reset_blocks(ck.blocks.len());
-            let mut vm = Vm::new(&ck, &big, &mut scratch);
-            vm.bind_input(&input).unwrap();
-            vm.dispatch().unwrap();
-            vm.ops_left
-        };
+        // Pin the boundary: budget == total succeeds on both, total - 1
+        // fails on both.
+        let total = total_ops(&ck, &input);
         for (budget, ok) in [(total, true), (total - 1, false), (total / 2, false)] {
             let opts = ExecOptions {
                 limits: ExecLimits { max_ops: budget },

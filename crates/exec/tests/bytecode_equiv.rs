@@ -22,6 +22,13 @@
 //! * the plain and the folded kernel report equal races whenever both
 //!   runs complete, and the folded run never aborts where the plain one
 //!   completes.
+//!
+//! The VM aborts a loop nest at its entry when the nest's floor exceeds
+//! the ops left, so one more property pins, on paper-config programs (safe
+//! and legacy-sharing) and both kernel forms, that both engines complete
+//! at exactly the total a run charges and abort one op short of it with
+//! the same error; a fixed sweep shows that the VM's aborts there include
+//! priced ones.
 
 use ompfuzz_exec::{
     lower, BoolSemantics, CompiledKernel, ExecEngine, ExecError, ExecLimits, ExecOptions,
@@ -312,6 +319,168 @@ fn legacy_programs_race_on_both_kernel_forms() {
         }
     }
     assert!(racy > 0, "no legacy-sharing program raced");
+}
+
+/// Budget ceiling of the boundary checks: runs needing more are covered by
+/// the random-budget properties above.
+const BOUNDARY_CAP: u64 = 1_000_000;
+
+fn limited(max_ops: u64) -> ExecOptions {
+    ExecOptions {
+        limits: ExecLimits { max_ops },
+        ..ExecOptions::default()
+    }
+}
+
+/// A compiled run that completes within [`BOUNDARY_CAP`], measured off
+/// its VM profile: `total` is the ops it charges (every block's charged
+/// ops plus one fork charge per thread of each region entry), `widest`
+/// the most ops any one block charged.
+struct Boundary {
+    ck: CompiledKernel,
+    total: u64,
+    widest: u64,
+}
+
+impl Boundary {
+    /// `None` when the run does not complete within the cap.
+    fn measure(
+        program: &ompfuzz_ast::Program,
+        input: &TestInput,
+        folded: bool,
+    ) -> Result<Option<Boundary>, String> {
+        let kernel = lower(program).map_err(|e| e.to_string())?;
+        let ck = if folded {
+            CompiledKernel::compile_folded(kernel)
+        } else {
+            CompiledKernel::compile(kernel)
+        };
+        let mut scratch = ExecScratch::new();
+        scratch.profile = Some(Box::default());
+        let Ok(complete) = ck.run(input, &limited(BOUNDARY_CAP), &mut scratch) else {
+            return Ok(None);
+        };
+        let profile = scratch.profile.expect("installed");
+        let forks: u64 = complete
+            .stats
+            .regions
+            .iter()
+            .map(|r| r.entries * u64::from(r.num_threads))
+            .sum();
+        let blocks = profile.blocks().iter().map(|b| b.ops);
+        Ok(Some(Boundary {
+            total: blocks.clone().sum::<u64>() + forks,
+            widest: blocks.max().unwrap_or(0).max(1),
+            ck,
+        }))
+    }
+
+    /// Both engines at `budget`: they complete iff it covers `total`, with
+    /// identical outcomes or the identical error.
+    fn check(&self, input: &TestInput, budget: u64) -> Result<(), String> {
+        let opts = limited(budget);
+        let tree = run_on(ExecEngine::Tree, &self.ck, input, &opts);
+        let byte = run_on(ExecEngine::Bytecode, &self.ck, input, &opts);
+        let ok = budget >= self.total;
+        if tree.is_ok() != ok || byte.is_ok() != ok {
+            return Err(format!(
+                "at budget {budget} of total {}: tree completes {}, bytecode {}",
+                self.total,
+                tree.is_ok(),
+                byte.is_ok()
+            ));
+        }
+        assert_outcomes_identical(&tree, &byte).map_err(|e| format!("{e} (budget {budget})"))
+    }
+
+    /// Instructions the VM dispatches at `budget`, read off a fresh profile.
+    fn dispatches(&self, input: &TestInput, budget: u64) -> u64 {
+        let mut scratch = ExecScratch::new();
+        scratch.profile = Some(Box::default());
+        let _ = self.ck.run(input, &limited(budget), &mut scratch);
+        scratch.profile.expect("installed").total_dispatches()
+    }
+
+    /// Whether the VM's abort at `budget < total` was priced at a loop's
+    /// entry. No single charge exceeds `widest`, so a run that fails at a
+    /// charge site dispatches strictly less with `widest` fewer ops; an
+    /// abort that dispatches exactly as much stopped where a floor, not a
+    /// charge, ran out.
+    fn priced_abort(&self, input: &TestInput, budget: u64) -> bool {
+        budget > self.widest
+            && self.dispatches(input, budget) == self.dispatches(input, budget - self.widest)
+    }
+}
+
+/// A paper-config program under a sharing mode, and an input for it.
+fn generate_paper(
+    seed: u64,
+    input_seed: u64,
+    sharing: SharingMode,
+) -> (ompfuzz_ast::Program, TestInput) {
+    let cfg = GeneratorConfig {
+        sharing_mode: sharing,
+        ..GeneratorConfig::paper()
+    };
+    let program = ProgramGenerator::new(cfg, seed).generate("equiv");
+    let input = InputGenerator::new(input_seed).generate_for(&program);
+    (program, input)
+}
+
+proptest! {
+    /// Paper-config programs, safe and legacy-sharing, on the plain and
+    /// the folded kernel: the VM completes at exactly the budget the run
+    /// needs and aborts one op short of it with the tree's exact error. A
+    /// nest floor that overcounts by a single op aborts the VM at `total`.
+    #[test]
+    fn generated_programs_match_at_budget_boundaries(
+        seed in 0u64..1_000_000,
+        input_seed in 0u64..1_000_000,
+        selector in 0u8..2,
+    ) {
+        let (program, input) = generate_paper(seed, input_seed, sharing(selector));
+        for folded in [false, true] {
+            let Some(b) = Boundary::measure(&program, &input, folded)? else {
+                continue;
+            };
+            for budget in [b.total, b.total - 1] {
+                if let Err(msg) = b.check(&input, budget) {
+                    prop_assert!(false, "{} (folded {folded}, seed {seed}/{input_seed})", msg);
+                }
+            }
+        }
+    }
+}
+
+/// Premise of the boundary property: the VM prices aborts on generated
+/// programs. On a fixed sweep, both engines agree one op short of the
+/// total and at budgets between it and the widest block (where a priced
+/// abort is told from a charge's by [`Boundary::priced_abort`]) or half
+/// of it, and some of the VM's aborts there stop at a loop's entry.
+#[test]
+fn boundary_sweep_reaches_priced_aborts() {
+    let mut priced = 0;
+    for seed in 0..48 {
+        let (program, input) = generate_paper(seed, seed + 1, sharing((seed % 2) as u8));
+        for folded in [false, true] {
+            let Some(b) = Boundary::measure(&program, &input, folded).unwrap() else {
+                continue;
+            };
+            for budget in [
+                b.total - 1,
+                (b.total + b.widest) / 2,
+                b.widest + 1,
+                b.total / 2,
+            ] {
+                if budget == 0 {
+                    continue;
+                }
+                b.check(&input, budget).unwrap();
+                priced += usize::from(b.priced_abort(&input, budget));
+            }
+        }
+    }
+    assert!(priced > 0, "no boundary abort was priced");
 }
 
 /// Non-random pin: the crafted case-study programs (the shapes behind

@@ -132,21 +132,27 @@ impl CampaignResult {
     }
 }
 
-/// Run a campaign of `config` against `backends`.
+/// Run a campaign of `config` against `backends`, counting and timing it
+/// through `obs` ([`Obs::off`] for no telemetry).
 ///
 /// The corpus is never materialized: each worker generates its program
 /// from `(config, seed, index)` inside the per-program closure and drops
 /// it when the unit finishes, so peak memory is one test case per worker.
 /// Byte-identical to [`run_campaign_generated_with`] over
-/// [`generate_case`], whose tests equal [`crate::generate_corpus`]'s.
-pub fn run_campaign(config: &CampaignConfig, backends: &[&dyn OmpBackend]) -> CampaignResult {
+/// [`generate_case`], whose tests equal [`crate::generate_corpus`]'s, and
+/// identical whatever `obs` is.
+pub fn run_campaign(
+    config: &CampaignConfig,
+    backends: &[&dyn OmpBackend],
+    obs: &Obs,
+) -> CampaignResult {
     let (result, _) = campaign_loop(
         config,
         backends,
         0..config.programs,
         &|index| generate_case(config, index),
         Instant::now(),
-        &Obs::off(),
+        obs,
         &ProfileCollector::off(),
         drop,
     );
@@ -397,8 +403,8 @@ mod tests {
         let cfg = CampaignConfig::small();
         let backends = standard_backends();
         let dyns = as_dyn(&backends);
-        let a = run_campaign(&cfg, &dyns);
-        let b = run_campaign(&cfg, &dyns);
+        let a = run_campaign(&cfg, &dyns, &Obs::off());
+        let b = run_campaign(&cfg, &dyns, &Obs::off());
         assert_eq!(a.records.len(), b.records.len());
         assert_eq!(a.total_runs, b.total_runs);
         for (ra, rb) in a.records.iter().zip(&b.records) {
@@ -422,8 +428,8 @@ mod tests {
         cfg8.workers = 8;
         let backends = standard_backends();
         let dyns = as_dyn(&backends);
-        let a = run_campaign(&cfg1, &dyns);
-        let b = run_campaign(&cfg8, &dyns);
+        let a = run_campaign(&cfg1, &dyns, &Obs::off());
+        let b = run_campaign(&cfg8, &dyns, &Obs::off());
         assert_eq!(a.records.len(), b.records.len());
         for (ra, rb) in a.records.iter().zip(&b.records) {
             assert_eq!(ra.analysis, rb.analysis);
@@ -440,7 +446,7 @@ mod tests {
         cfg.programs = 30;
         let backends = standard_backends();
         let dyns = as_dyn(&backends);
-        let result = run_campaign(&cfg, &dyns);
+        let result = run_campaign(&cfg, &dyns, &Obs::off());
         assert!(
             !result.racy_programs.is_empty(),
             "legacy campaign should catch races"
@@ -463,7 +469,7 @@ mod tests {
             SimBackend::with_bugs(Vendor::GccLike, BugModels::none()),
         ];
         let dyns = as_dyn(&backends);
-        let result = run_campaign(&cfg, &dyns);
+        let result = run_campaign(&cfg, &dyns, &Obs::off());
         let correctness: u64 = (0..3)
             .map(|i| {
                 result.tally.count(i, ompfuzz_outlier::OutlierKind::Crash)
@@ -552,7 +558,7 @@ mod tests {
         let backends = standard_backends();
         let dyns = as_dyn(&backends);
         for (cfg, racy) in [(CampaignConfig::small(), false), (legacy, true)] {
-            let full = run_campaign(&cfg, &dyns);
+            let full = run_campaign(&cfg, &dyns, &Obs::off());
             assert_eq!(!full.racy_programs.is_empty(), racy);
             let slice = |range| {
                 run_campaign_generated_with(
@@ -601,8 +607,8 @@ mod tests {
         byte_cfg.run.engine = ExecEngine::Bytecode;
         let backends = standard_backends();
         let dyns = as_dyn(&backends);
-        let tree = run_campaign(&tree_cfg, &dyns);
-        let byte = run_campaign(&byte_cfg, &dyns);
+        let tree = run_campaign(&tree_cfg, &dyns, &Obs::off());
+        let byte = run_campaign(&byte_cfg, &dyns, &Obs::off());
         assert_eq!(tree.records.len(), byte.records.len());
         assert_eq!(tree.total_runs, byte.total_runs);
         assert_eq!(tree.tally, byte.tally);
@@ -859,7 +865,7 @@ mod tests {
         let cfg = CampaignConfig::small();
         let backends = standard_backends();
         let dyns = as_dyn(&backends);
-        let result = run_campaign(&cfg, &dyns);
+        let result = run_campaign(&cfg, &dyns, &Obs::off());
         // Every surviving program contributes inputs_per_program records.
         let expected = (cfg.programs - result.racy_programs.len()) * cfg.inputs_per_program;
         assert_eq!(result.records.len(), expected);

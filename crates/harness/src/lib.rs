@@ -22,11 +22,12 @@
 //! ```
 //! use ompfuzz_harness::{run_campaign, CampaignConfig};
 //! use ompfuzz_backends::{standard_backends, OmpBackend};
+//! use ompfuzz_obs::Obs;
 //!
 //! let config = CampaignConfig::small();
 //! let backends = standard_backends();
 //! let dyns: Vec<&dyn OmpBackend> = backends.iter().map(|b| b as &dyn OmpBackend).collect();
-//! let result = run_campaign(&config, &dyns);
+//! let result = run_campaign(&config, &dyns, &Obs::off());
 //! assert_eq!(result.labels, vec!["Intel", "Clang", "GCC"]);
 //! println!("{} outliers in {} runs", result.tally.total_outliers(), result.total_runs);
 //! ```

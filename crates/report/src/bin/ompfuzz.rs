@@ -14,7 +14,7 @@ use ompfuzz_harness::{
     generate_case, generate_corpus, run_campaign, run_campaign_generated_with, save_corpus,
     CampaignConfig,
 };
-use ompfuzz_obs::{stderr_jsonl, HumanSink, JsonlSink, MultiSink, Obs, TraceBuffer};
+use ompfuzz_obs::{stderr_jsonl, Event, HumanSink, JsonlSink, MultiSink, Obs, TraceBuffer};
 use ompfuzz_outlier::OutlierKind;
 use ompfuzz_reduce::{ReduceConfig, Reducer, ReductionTarget};
 use ompfuzz_report::{
@@ -79,10 +79,18 @@ const COMMANDS: &[(&str, &str, Flags, Command)] = &[
     (
         "campaign",
         "run a differential campaign and print Table I; --csv writes every \
-         run record (--engine picks the interpreter; results are \
-         bit-identical, the bytecode VM is the fast default, the tree walk \
-         the reference)",
-        &[CONFIG_FLAGS, ENGINE_FLAGS, &[opt("--csv", None, "FILE")]],
+         run record, --metrics-out writes its counters, phase times and \
+         latency histograms as a JSONL stream for `report --metrics` \
+         (--engine picks the interpreter; results are bit-identical, the \
+         bytecode VM is the fast default, the tree walk the reference)",
+        &[
+            CONFIG_FLAGS,
+            ENGINE_FLAGS,
+            &[
+                opt("--csv", None, "FILE"),
+                opt("--metrics-out", None, "FILE"),
+            ],
+        ],
         cmd_campaign,
     ),
     (
@@ -490,7 +498,31 @@ fn cmd_campaign(opts: &Opts) -> Result<(), String> {
     );
     let backends = standard_backends();
     let dyns: Vec<&dyn OmpBackend> = backends.iter().map(|b| b as &dyn OmpBackend).collect();
-    let result = run_campaign(&cfg, &dyns);
+    // Without --metrics-out the campaign runs on the off handle.
+    let obs = match opts.value_of("--metrics-out") {
+        Some(path) => {
+            let sink = JsonlSink::create(Path::new(path))
+                .map_err(|e| format!("cannot create {path}: {e}"))?;
+            Obs::with_sink(Arc::new(sink))
+        }
+        None => Obs::off(),
+    };
+    obs.emit(Event::CampaignStart {
+        rounds: 1,
+        shards: 1,
+        programs: cfg.programs as u64,
+        seed: cfg.seed,
+    });
+    let result = run_campaign(&cfg, &dyns, &obs);
+    obs.emit(Event::CampaignEnd {
+        rounds: 1,
+        catalog: 0,
+        wall_us: result.wall_time.as_micros() as u64,
+        counters: obs.counters(),
+        phases: obs.phases(),
+        hists: obs.hists(),
+    });
+    obs.flush();
     println!("{}", render_table1(&result));
     eprintln!("campaign wall time: {:.2?}", result.wall_time);
     if let Some(csv_path) = opts.value_of("--csv") {

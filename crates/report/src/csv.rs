@@ -70,6 +70,7 @@ mod tests {
     use super::*;
     use ompfuzz_backends::{standard_backends, OmpBackend};
     use ompfuzz_harness::{run_campaign, CampaignConfig};
+    use ompfuzz_obs::Obs;
 
     #[test]
     fn csv_has_header_and_rows() {
@@ -80,7 +81,7 @@ mod tests {
         };
         let backends = standard_backends();
         let dyns: Vec<&dyn OmpBackend> = backends.iter().map(|b| b as &dyn OmpBackend).collect();
-        let result = run_campaign(&cfg, &dyns);
+        let result = run_campaign(&cfg, &dyns, &Obs::off());
         let csv = campaign_to_csv(&result);
         let lines: Vec<&str> = csv.lines().collect();
         assert_eq!(lines.len(), 1 + result.records.len());

@@ -7,6 +7,7 @@ use ompfuzz_backends::{
     RunOptions, RunStatus, SimBackend, Vendor,
 };
 use ompfuzz_harness::{caselib, run_campaign, CampaignConfig, CampaignResult};
+use ompfuzz_obs::Obs;
 use ompfuzz_outlier::{detect_performance_outlier, OutlierConfig, OutlierKind, PerfOutlier};
 
 /// Campaign scale for the heavier experiments.
@@ -128,7 +129,7 @@ pub fn table1_campaign(scale: Scale) -> CampaignResult {
     };
     let backends = standard_backends();
     let dyns = dyn_backends(&backends);
-    run_campaign(&config, &dyns)
+    run_campaign(&config, &dyns, &Obs::off())
 }
 
 /// Render Table I from a campaign result.

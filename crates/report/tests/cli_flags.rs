@@ -177,6 +177,7 @@ fn usage_lists_exactly_the_flags_each_command_accepts() {
         ("reduce", "--config"),
         ("generate", "--config"),
         ("campaign", "--engine"),
+        ("campaign", "--metrics-out"),
         ("shard", "--engine"),
     ] {
         assert!(
@@ -197,4 +198,57 @@ fn usage_lists_exactly_the_flags_each_command_accepts() {
         "--engine",
     );
     assert!(!dir.has("gen"), "the refused generate wrote its corpus");
+}
+
+/// `campaign --metrics-out` only observes: Table I and the CSV are the
+/// bytes of the run without it, `report --metrics` accepts the stream,
+/// and its final counters count one differential run per program, input
+/// and implementation.
+#[test]
+fn campaign_metrics_out_changes_no_output() {
+    let dir = Scratch::new("campaign-metrics");
+    let (programs, inputs) = (4, 2);
+    let base = [
+        "campaign",
+        "--programs",
+        "4",
+        "--inputs",
+        "2",
+        "--seed",
+        "3",
+    ];
+    let plain = dir.run(&[&base[..], &["--csv", "plain.csv"]].concat());
+    assert!(plain.status.success(), "{:?}", plain.status);
+    let metered = dir.run(
+        &[
+            &base[..],
+            &["--csv", "metered.csv", "--metrics-out", "m.jsonl"],
+        ]
+        .concat(),
+    );
+    assert!(metered.status.success(), "{:?}", metered.status);
+    assert_eq!(plain.stdout, metered.stdout, "Table I changed");
+    let read = |name: &str| std::fs::read(dir.0.join(name)).unwrap();
+    assert_eq!(read("plain.csv"), read("metered.csv"), "the CSV changed");
+
+    let report = dir.run(&["report", "--metrics", "m.jsonl"]);
+    assert!(
+        report.status.success(),
+        "report refused the stream: {}",
+        String::from_utf8_lossy(&report.stderr)
+    );
+    let stream = String::from_utf8(read("m.jsonl")).unwrap();
+    let events: Vec<ompfuzz_obs::Value> = stream
+        .lines()
+        .map(|line| ompfuzz_obs::Value::parse(line).unwrap())
+        .collect();
+    let kind = |e: &ompfuzz_obs::Value| e.get("event").and_then(|k| k.as_str()).map(String::from);
+    assert_eq!(kind(&events[0]).as_deref(), Some("campaign_start"));
+    let end = events.last().unwrap();
+    assert_eq!(kind(end).as_deref(), Some("campaign_end"));
+    let runs = end
+        .get("counters")
+        .and_then(|c| c.get("differential_runs"))
+        .and_then(|v| v.as_u64());
+    assert_eq!(runs, Some(programs * inputs * 3));
 }

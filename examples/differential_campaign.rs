@@ -14,6 +14,7 @@ use ompfuzz::ast::ProgramFeatures;
 use ompfuzz::backends::{standard_backends, OmpBackend};
 use ompfuzz::harness::{generate_corpus, run_campaign, CampaignConfig};
 use ompfuzz::report::{campaign_to_csv, render_table1};
+use ompfuzz_obs::Obs;
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
@@ -34,7 +35,7 @@ fn main() {
 
     let backends = standard_backends();
     let dyns: Vec<&dyn OmpBackend> = backends.iter().map(|b| b as &dyn OmpBackend).collect();
-    let result = run_campaign(&config, &dyns);
+    let result = run_campaign(&config, &dyns, &Obs::off());
 
     println!("{}", render_table1(&result));
     println!("campaign wall time: {:.2?}\n", result.wall_time);

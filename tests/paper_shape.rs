@@ -10,6 +10,7 @@ use ompfuzz::backends::{
 use ompfuzz::harness::{caselib, run_campaign, CampaignConfig};
 use ompfuzz::outlier::OutlierKind;
 use ompfuzz::report::{run_experiment, Scale};
+use ompfuzz_obs::Obs;
 
 fn label_index(labels: &[String], want: &str) -> usize {
     labels.iter().position(|l| l == want).unwrap()
@@ -27,7 +28,7 @@ fn quick_campaign_matches_table1_shape() {
     };
     let backends = standard_backends();
     let dyns: Vec<&dyn OmpBackend> = backends.iter().map(|b| b as &dyn OmpBackend).collect();
-    let result = run_campaign(&config, &dyns);
+    let result = run_campaign(&config, &dyns, &Obs::off());
 
     let gcc = label_index(&result.labels, "GCC");
     let clang = label_index(&result.labels, "Clang");

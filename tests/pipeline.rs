@@ -10,6 +10,7 @@ use ompfuzz::exec::{lower, CompiledKernel, ExecOptions, ExecScratch};
 use ompfuzz::gen::{validate, GeneratorConfig, ProgramGenerator};
 use ompfuzz::harness::{run_campaign, CampaignConfig};
 use ompfuzz::inputs::InputGenerator;
+use ompfuzz_obs::Obs;
 
 /// Every generated program: derives from the grammar, validates, lowers,
 /// prints compilable-looking C++, and runs identically on semantics-sharing
@@ -101,8 +102,8 @@ fn campaign_reproducibility_via_config_file() {
 
     let backends = standard_backends();
     let dyns: Vec<&dyn OmpBackend> = backends.iter().map(|b| b as &dyn OmpBackend).collect();
-    let a = run_campaign(&cfg, &dyns);
-    let b = run_campaign(&reparsed, &dyns);
+    let a = run_campaign(&cfg, &dyns, &Obs::off());
+    let b = run_campaign(&reparsed, &dyns, &Obs::off());
     assert_eq!(a.records.len(), b.records.len());
     assert_eq!(a.tally.total_outliers(), b.tally.total_outliers());
     for (ra, rb) in a.records.iter().zip(&b.records) {
@@ -125,7 +126,7 @@ fn healthy_implementations_agree_everywhere() {
         SimBackend::with_bugs(Vendor::GccLike, BugModels::none()),
     ];
     let dyns: Vec<&dyn OmpBackend> = backends.iter().map(|b| b as &dyn OmpBackend).collect();
-    let result = run_campaign(&cfg, &dyns);
+    let result = run_campaign(&cfg, &dyns, &Obs::off());
     for r in &result.records {
         assert!(r.analysis.correctness.is_none());
         assert!(r.analysis.divergence.is_none(), "{:?}", r.program_name);
