@@ -1,19 +1,19 @@
 //! The simulated backends: compile a generated program against one of the
 //! three modelled OpenMP implementations and run the resulting "binary".
 
-use crate::counters;
+use crate::counters::{self, PerfCounters};
 use crate::hang::ThreadSnapshot;
 use crate::model::{
     BackendInfo, CompileError, CompileOptions, OptLevel, RunOptions, RunResult, RunStatus, Vendor,
 };
 use crate::oracle::Interpretations;
-use crate::profile::{self, ProfileMode};
-use crate::rtmodel::{runtime_model, BugModels, RuntimeModel};
+use crate::profile::{self, ProfileMode, StackProfile};
+use crate::rtmodel::{runtime_model, BugModels};
 use crate::sched::{fnv1a, jitter, time_breakdown, TimeBreakdown};
 use ompfuzz_ast::{Program, ProgramFeatures};
 use ompfuzz_exec::{
     lower, BoolSemantics, CompiledKernel, ExecError, ExecLimits, ExecOptions, ExecOutcome,
-    ExecScratch, PreparedKernel,
+    ExecScratch, ExecStats, PreparedKernel,
 };
 use ompfuzz_inputs::TestInput;
 use std::sync::Arc;
@@ -170,7 +170,8 @@ pub fn standard_backends() -> Vec<SimBackend> {
 
 impl SimBackend {
     /// Compile, returning the concrete binary type (the trait's `compile`
-    /// wraps this; reports use the concrete type for `children_profile`).
+    /// wraps this; reports use the concrete type for
+    /// [`SimBinary::perf_report`]).
     pub fn compile_sim(
         &self,
         program: &Program,
@@ -247,7 +248,9 @@ impl OmpBackend for SimBackend {
 /// Holds the flat compilation behind an `Arc`: the three vendor binaries
 /// of one program share the same bytecode (their semantic differences —
 /// `BoolSemantics`, bug models, cost models — are run options and
-/// post-processing, not code).
+/// post-processing, not code). A run applies the time model and the bug
+/// models only; the `perf` counter and profile models are computed on
+/// demand, by the reports ([`SimBinary::perf_report`]).
 #[derive(Debug, Clone)]
 pub struct SimBinary {
     vendor: Vendor,
@@ -282,10 +285,6 @@ impl SimBinary {
             OptLevel::O2 => 0.95,
             OptLevel::O3 => 1.0,
         }
-    }
-
-    fn runtime(&self) -> RuntimeModel {
-        runtime_model(self.vendor, &self.bugs)
     }
 
     fn salt(&self, input: &TestInput) -> String {
@@ -324,7 +323,7 @@ impl SimBinary {
     /// queue, so a thousand mild entries never livelock).
     fn hang_triggered(
         &self,
-        stats: &ompfuzz_exec::ExecStats,
+        stats: &ExecStats,
         breakdown: &TimeBreakdown,
         input: &TestInput,
     ) -> Option<ThreadSnapshot> {
@@ -365,58 +364,19 @@ impl SimBinary {
         }
     }
 
-    /// The modelled compile-bug crash result (before any output).
-    fn crash_result(&self) -> RunResult {
-        RunResult {
-            status: RunStatus::Crash {
-                signal: "SIGSEGV",
-                reason: "modelled GCC miscompile of reduction + division nest".to_string(),
-            },
-            comp: None,
-            time_us: None,
-            counters: Default::default(),
-            profile: Default::default(),
-            threads: None,
-            exec: None,
-        }
-    }
-
-    /// Map an interpreter error to the run result a driver would observe.
-    fn error_result(&self, e: &ExecError, opts: &RunOptions) -> RunResult {
-        match e {
-            // The binary genuinely runs far beyond the timeout: a hang
-            // from the driver's point of view (all backends will agree,
-            // so this never becomes an outlier by itself).
-            ExecError::BudgetExceeded { .. } => RunResult {
-                status: RunStatus::Hang {
-                    timeout_us: opts.hang_timeout_us,
-                },
-                comp: None,
-                time_us: None,
-                counters: Default::default(),
-                profile: Default::default(),
-                threads: None,
-                exec: None,
-            },
-            e => RunResult {
-                status: RunStatus::Crash {
-                    signal: "SIGABRT",
-                    reason: e.to_string(),
-                },
-                comp: None,
-                time_us: None,
-                counters: Default::default(),
-                profile: Default::default(),
-                threads: None,
-                exec: None,
-            },
-        }
+    /// The time model of a completed interpretation.
+    fn breakdown(&self, stats: &ExecStats) -> TimeBreakdown {
+        time_breakdown(
+            stats,
+            &runtime_model(self.vendor, &self.bugs),
+            self.opt_factor(),
+        )
     }
 
     /// Everything downstream of a completed interpretation: time model,
-    /// modelled livelock, counters, profile, jitter. The outcome fully
-    /// determines the result, so binaries that share an interpretation
-    /// observe exactly what their own would have produced.
+    /// modelled livelock, jitter. The outcome fully determines the result,
+    /// so binaries that share an interpretation observe exactly what their
+    /// own would have produced.
     fn post_process(
         &self,
         outcome: &ExecOutcome,
@@ -424,56 +384,30 @@ impl SimBinary {
         opts: &RunOptions,
     ) -> RunResult {
         // 3. Time model.
-        let model = self.runtime();
-        let breakdown = time_breakdown(&outcome.stats, &model, self.opt_factor());
-        let salt = self.salt(input);
+        let breakdown = self.breakdown(&outcome.stats);
+        let vm_ops = outcome.stats.ops.total();
 
         // 4. Modelled livelock.
         if let Some(snapshot) = self.hang_triggered(&outcome.stats, &breakdown, input) {
-            // Counters reflect a run that spun until the timeout.
-            let team = breakdown.max_team.max(1) as f64;
-            let mut hung = breakdown;
-            hung.wait_thread_us += (opts.hang_timeout_us as f64 - hung.total_us).max(0.0) * team;
-            hung.total_us = opts.hang_timeout_us as f64;
-            let counters = counters::compute(self.vendor, &outcome.stats, &hung, &salt);
-            let profile = profile::build(
-                self.vendor,
-                &hung,
-                &binary_name(&self.program_name),
-                ProfileMode::Flat,
-            );
             return RunResult {
-                status: RunStatus::Hang {
-                    timeout_us: opts.hang_timeout_us,
-                },
-                comp: None,
-                time_us: None,
-                counters,
-                profile,
                 threads: Some(snapshot),
-                exec: Some(outcome.stats.clone()),
+                vm_ops,
+                ..RunResult::no_output(RunStatus::Hang {
+                    timeout_us: opts.hang_timeout_us,
+                })
             };
         }
 
         // 5. Normal completion: apply measurement jitter.
-        let time_us = (breakdown.total_us * jitter(salt.as_bytes(), 0.03))
+        let time_us = (breakdown.total_us * jitter(self.salt(input).as_bytes(), 0.03))
             .max(1.0)
             .round() as u64;
-        let counters = counters::compute(self.vendor, &outcome.stats, &breakdown, &salt);
-        let profile = profile::build(
-            self.vendor,
-            &breakdown,
-            &binary_name(&self.program_name),
-            ProfileMode::Flat,
-        );
         RunResult {
             status: RunStatus::Ok,
             comp: Some(outcome.comp),
             time_us: Some(time_us),
-            counters,
-            profile,
             threads: None,
-            exec: Some(outcome.stats.clone()),
+            vm_ops,
         }
     }
 }
@@ -490,7 +424,10 @@ impl CompiledTest for SimBinary {
     ) -> RunResult {
         // 1. Modelled compile-bug crash (before any output).
         if self.crash_triggered(input) {
-            return self.crash_result();
+            return RunResult::no_output(RunStatus::Crash {
+                signal: "SIGSEGV",
+                reason: "modelled GCC miscompile of reduction + division nest".to_string(),
+            });
         }
         // 2. Interpret under this backend's semantics, on the engine the
         //    run options select (flat bytecode by default).
@@ -501,7 +438,16 @@ impl CompiledTest for SimBinary {
         // 3.–5. Everything downstream of the interpretation.
         match outcome {
             Ok(o) => self.post_process(o, input, opts),
-            Err(e) => self.error_result(e, opts),
+            // The binary genuinely runs far beyond the timeout: a hang
+            // as the campaign observes it (all backends will agree, so
+            // this never becomes an outlier by itself).
+            Err(ExecError::BudgetExceeded { .. }) => RunResult::no_output(RunStatus::Hang {
+                timeout_us: opts.hang_timeout_us,
+            }),
+            Err(e) => RunResult::no_output(RunStatus::Crash {
+                signal: "SIGABRT",
+                reason: e.to_string(),
+            }),
         }
     }
 
@@ -511,22 +457,39 @@ impl CompiledTest for SimBinary {
 }
 
 impl SimBinary {
-    /// Build the `--children` profile (Fig. 7) for a given input.
-    pub fn children_profile(
+    /// The paper's `perf` view of this binary's run on `input`, for the
+    /// §V case-study reports: the `perf stat` counters (Tables II/III) and
+    /// a `perf report` profile in `mode` (Fig. 6 flat, Fig. 7
+    /// `--children`). Interprets the input itself, since a differential
+    /// run keeps no statistics. `None` unless the run completes with
+    /// [`RunStatus::Ok`]: a modelled crash or livelock, a budget abort and
+    /// an interpreter error print no report.
+    pub fn perf_report(
         &self,
         input: &TestInput,
         opts: &RunOptions,
-    ) -> Option<crate::profile::StackProfile> {
+        mode: ProfileMode,
+    ) -> Option<(PerfCounters, StackProfile)> {
+        if self.crash_triggered(input) {
+            return None;
+        }
         let outcome = self
             .code
             .run(input, &self.exec_options(opts), &mut ExecScratch::new())
             .ok()?;
-        let breakdown = time_breakdown(&outcome.stats, &self.runtime(), self.opt_factor());
-        Some(profile::build(
-            self.vendor,
-            &breakdown,
-            &binary_name(&self.program_name),
-            ProfileMode::Children,
+        let breakdown = self.breakdown(&outcome.stats);
+        if self
+            .hang_triggered(&outcome.stats, &breakdown, input)
+            .is_some()
+        {
+            return None;
+        }
+        let counters =
+            counters::compute(self.vendor, &outcome.stats, &breakdown, &self.salt(input));
+        let command = format!("_{}", self.program_name);
+        Some((
+            counters,
+            profile::build(self.vendor, &breakdown, &command, mode),
         ))
     }
 
@@ -534,10 +497,6 @@ impl SimBinary {
     pub fn features(&self) -> &ProgramFeatures {
         &self.features
     }
-}
-
-fn binary_name(program_name: &str) -> String {
-    format!("_{program_name}")
 }
 
 #[cfg(test)]
@@ -615,6 +574,17 @@ mod tests {
             })]),
         );
         p.name = "cs1".into();
+        p
+    }
+
+    /// Case-study-3 shape: case study 1's critical loop made serial, so
+    /// every thread runs all iterations: acquisitions per entry = trip ×
+    /// team = 192k, pressure 6.1M, enough to livelock the Intel-like lock.
+    fn cs3_program() -> Program {
+        let mut p = cs1_program(6000, 32);
+        if let BlockItem::Stmt(Stmt::OmpParallel(par)) = &mut p.body.0[0] {
+            par.body_loop.omp_for = false;
+        }
         p
     }
 
@@ -696,13 +666,7 @@ mod tests {
 
     #[test]
     fn extreme_contention_hangs_intel() {
-        // pressure = acqs × team = (6000 × 32 serial-loop iterations…) —
-        // serial loop in region: every thread runs all iterations.
-        let mut p = cs1_program(6000, 32);
-        // Make the loop serial so acqs = trip × team = 192k; pressure 6.1M.
-        if let BlockItem::Stmt(Stmt::OmpParallel(par)) = &mut p.body.0[0] {
-            par.body_loop.omp_for = false;
-        }
+        let p = cs3_program();
         let input = one_input();
         let result = run_on(&SimBackend::intel(), &p, &input);
         match &result.status {
@@ -719,10 +683,7 @@ mod tests {
 
     #[test]
     fn hang_disappears_with_healthy_intel() {
-        let mut p = cs1_program(6000, 32);
-        if let BlockItem::Stmt(Stmt::OmpParallel(par)) = &mut p.body.0[0] {
-            par.body_loop.omp_for = false;
-        }
+        let p = cs3_program();
         let healthy = SimBackend::with_bugs(Vendor::IntelLike, BugModels::none());
         assert!(run_on(&healthy, &p, &one_input()).status.is_ok());
     }
@@ -795,16 +756,28 @@ mod tests {
         p
     }
 
+    /// An input that triggers the modelled GCC crash on `program`.
+    fn gcc_crash_input(program: &Program) -> TestInput {
+        let gcc = SimBackend::gcc()
+            .compile_sim(program, &CompileOptions::default())
+            .unwrap();
+        (0..10_000)
+            .map(|k| TestInput {
+                comp_init: f64::from(k),
+                values: vec![InputValue::Fp(1.5)],
+            })
+            .find(|input| gcc.crash_triggered(input))
+            .expect("some input triggers the modelled GCC crash")
+    }
+
     /// Field-for-field equality (`RunResult` has no `PartialEq`; `comp`
     /// compares by bits so NaN results match).
     fn assert_same_run(a: &RunResult, b: &RunResult) {
         assert_eq!(a.status, b.status);
         assert_eq!(a.comp.map(f64::to_bits), b.comp.map(f64::to_bits));
         assert_eq!(a.time_us, b.time_us);
-        assert_eq!(a.counters, b.counters);
-        assert_eq!(a.profile, b.profile);
         assert_eq!(a.threads, b.threads);
-        assert_eq!(a.exec, b.exec);
+        assert_eq!(a.vm_ops, b.vm_ops);
     }
 
     #[test]
@@ -866,16 +839,7 @@ mod tests {
         use crate::oracle::{self, RunMetricsBatch};
         use ompfuzz_obs::{Counter, Obs};
         let crashy = crash_prone_program();
-        let probe = SimBackend::gcc()
-            .compile_sim(&crashy, &CompileOptions::default())
-            .unwrap();
-        let crash_input = (0..10_000)
-            .map(|k| TestInput {
-                comp_init: f64::from(k),
-                values: vec![InputValue::Fp(1.5)],
-            })
-            .find(|input| probe.crash_triggered(input))
-            .expect("some input triggers the modelled GCC crash");
+        let crash_input = gcc_crash_input(&crashy);
         let tiny_budget = RunOptions {
             max_ops: 10,
             ..RunOptions::default()
@@ -1010,12 +974,17 @@ mod tests {
         let p = cs1_program(500, 16);
         let input = one_input();
         let backend = SimBackend::clang();
-        let bin = backend.compile(&p, &CompileOptions::default()).unwrap();
+        let bin = backend.compile_sim(&p, &CompileOptions::default()).unwrap();
         let a = bin.run(&input, &RunOptions::default());
         let b = bin.run(&input, &RunOptions::default());
         assert_eq!(a.time_us, b.time_us);
         assert_eq!(a.comp, b.comp);
-        assert_eq!(a.counters, b.counters);
+        let counters = || {
+            bin.perf_report(&input, &RunOptions::default(), ProfileMode::Flat)
+                .unwrap()
+                .0
+        };
+        assert_eq!(counters(), counters());
     }
 
     #[test]
@@ -1023,13 +992,15 @@ mod tests {
         let p = cs1_program(2000, 32);
         let input = one_input();
         for backend in standard_backends() {
-            let r = run_on(&backend, &p, &input);
+            let bin = backend.compile_sim(&p, &CompileOptions::default()).unwrap();
             let lib = backend.info().runtime_lib;
-            if !r.status.is_ok() {
+            let Some((_, profile)) =
+                bin.perf_report(&input, &RunOptions::default(), ProfileMode::Flat)
+            else {
                 continue; // intel may hang at this pressure — fine
-            }
+            };
             assert!(
-                r.profile.entries.iter().any(|e| e.shared_object == lib),
+                profile.entries.iter().any(|e| e.shared_object == lib),
                 "{lib} missing from profile"
             );
         }
@@ -1041,10 +1012,81 @@ mod tests {
         let bin = SimBackend::clang()
             .compile_sim(&p, &CompileOptions::default())
             .unwrap();
-        let prof = bin
-            .children_profile(&one_input(), &RunOptions::default())
+        let (_, prof) = bin
+            .perf_report(&one_input(), &RunOptions::default(), ProfileMode::Children)
             .unwrap();
         assert_eq!(prof.mode, ProfileMode::Children);
         assert!(prof.entries[0].symbol.contains("clone"));
+    }
+
+    /// The report exists only for a run that completes: a modelled GCC
+    /// crash, the modelled Intel livelock and a budget abort print none.
+    #[test]
+    fn perf_report_is_none_unless_the_run_completes() {
+        let report = |backend: SimBackend, p: &Program, input: &TestInput, opts: &RunOptions| {
+            let bin = backend.compile_sim(p, &CompileOptions::default()).unwrap();
+            (
+                bin.run(input, opts),
+                bin.perf_report(input, opts, ProfileMode::Flat),
+            )
+        };
+        let crashy = crash_prone_program();
+        let crash_input = gcc_crash_input(&crashy);
+        let (run, crash) = report(
+            SimBackend::gcc(),
+            &crashy,
+            &crash_input,
+            &RunOptions::default(),
+        );
+        assert!(matches!(run.status, RunStatus::Crash { .. }));
+        assert_eq!(crash, None);
+
+        let (run, hung) = report(
+            SimBackend::intel(),
+            &cs3_program(),
+            &one_input(),
+            &RunOptions::default(),
+        );
+        assert!(
+            run.threads.is_some(),
+            "the modelled livelock: {:?}",
+            run.status
+        );
+        assert_eq!(hung, None);
+
+        let tiny_budget = RunOptions {
+            max_ops: 10,
+            ..RunOptions::default()
+        };
+        let (run, aborted) = report(
+            SimBackend::clang(),
+            &cs2_program(3, 50, 8),
+            &one_input(),
+            &tiny_budget,
+        );
+        assert!(run.is_budget_abort());
+        assert_eq!(aborted, None);
+    }
+
+    /// A completed run has a report in both modes, and asking twice gives
+    /// equal values: the counters do not depend on the mode, and each
+    /// mode's profile is its own.
+    #[test]
+    fn perf_report_of_a_completed_run_is_deterministic() {
+        let p = cs2_program(20, 64, 16);
+        let input = one_input();
+        for backend in standard_backends() {
+            let bin = backend.compile_sim(&p, &CompileOptions::default()).unwrap();
+            assert!(bin.run(&input, &RunOptions::default()).status.is_ok());
+            let report = |mode| bin.perf_report(&input, &RunOptions::default(), mode);
+            let flat = report(ProfileMode::Flat).expect("a completed run has a flat report");
+            let children = report(ProfileMode::Children).expect("and a children report");
+            assert_eq!(report(ProfileMode::Flat), Some(flat.clone()));
+            assert_eq!(report(ProfileMode::Children), Some(children.clone()));
+            assert_eq!(flat.0, children.0);
+            assert_eq!(flat.1.mode, ProfileMode::Flat);
+            assert_eq!(children.1.mode, ProfileMode::Children);
+            assert!(flat.0.instructions > 0, "{}", backend.vendor());
+        }
     }
 }

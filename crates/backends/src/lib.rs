@@ -7,15 +7,19 @@
 //!
 //! Each backend couples:
 //!
-//! * a compile pipeline over the lowered IR ([`compile`]),
 //! * a calibrated runtime cost model ([`rtmodel`]) fed into an analytic
 //!   discrete-event time model ([`sched`]),
-//! * a `perf stat` counter model ([`counters`], Tables II/III),
-//! * a `perf report` profile generator ([`profile`], Figs. 6/7),
 //! * a hang census generator ([`hang`], Figs. 8/9), and
 //! * explicit, individually-toggleable **bug models**
 //!   ([`rtmodel::BugModels`]) reproducing the behaviours behind every
 //!   anomaly class the paper reports.
+//!
+//! A run ([`RunResult`]) carries only what the differential oracle reads:
+//! status, `comp`, time, a hang's thread snapshot and the ops it
+//! interpreted. The `perf stat` counter model ([`counters`], Tables
+//! II/III) and the `perf report` profile generator ([`profile`], Figs.
+//! 6/7) are computed on demand, by the reports, through
+//! [`SimBinary::perf_report`].
 //!
 //! ```
 //! use ompfuzz_backends::{standard_backends, CompileOptions, OmpBackend, RunOptions};
@@ -33,7 +37,6 @@
 //! ```
 
 pub mod backend;
-pub mod compile;
 pub mod counters;
 pub mod hang;
 pub mod model;

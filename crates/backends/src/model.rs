@@ -1,9 +1,6 @@
 //! Public backend model: vendors, compile/run options, run results.
 
-use crate::counters::PerfCounters;
 use crate::hang::ThreadSnapshot;
-use crate::profile::StackProfile;
-use ompfuzz_exec::ExecStats;
 use std::fmt;
 
 /// The three OpenMP implementation families of the paper's evaluation.
@@ -145,7 +142,11 @@ impl RunStatus {
     }
 }
 
-/// Everything one execution of a compiled binary produces.
+/// What one execution of a compiled binary shows the oracle: the exit
+/// status, the printed `comp` and time, the thread snapshot of a modelled
+/// hang, and the interpreter ops behind it. The paper's `perf stat`
+/// counters and `perf report` profiles are not part of a run: the reports
+/// compute them on demand ([`crate::SimBinary::perf_report`]).
 #[derive(Debug, Clone)]
 pub struct RunResult {
     pub status: RunStatus,
@@ -153,17 +154,29 @@ pub struct RunResult {
     pub comp: Option<f64>,
     /// Simulated execution time in microseconds (absent on crash/hang).
     pub time_us: Option<u64>,
-    /// Simulated `perf stat` counters.
-    pub counters: PerfCounters,
-    /// Simulated `perf report` call-stack profile.
-    pub profile: StackProfile,
     /// Thread-state snapshot, present for hangs (the gdb view of Fig. 8/9).
     pub threads: Option<ThreadSnapshot>,
-    /// Raw execution statistics (absent on crash).
-    pub exec: Option<ExecStats>,
+    /// VM/interpreter operations this binary's run models (0 on a crash,
+    /// a budget abort or a process run). A binary that read another
+    /// binary's interpretation reports that run's ops as its own, so
+    /// summing per binary gives the same total whether or not
+    /// interpretations are shared.
+    pub vm_ops: u64,
 }
 
 impl RunResult {
+    /// A run that printed nothing: a crash, a hang or a budget abort, with
+    /// no thread snapshot and no ops.
+    pub fn no_output(status: RunStatus) -> RunResult {
+        RunResult {
+            status,
+            comp: None,
+            time_us: None,
+            threads: None,
+            vm_ops: 0,
+        }
+    }
+
     /// True when the run was stopped by the interpreter's op budget rather
     /// than by a *modelled* hang: budget aborts carry no thread snapshot
     /// (there is no simulated runtime state to inspect), while modelled
@@ -171,15 +184,6 @@ impl RunResult {
     /// separately from the hangs the campaign actually reports.
     pub fn is_budget_abort(&self) -> bool {
         matches!(self.status, RunStatus::Hang { .. }) && self.threads.is_none()
-    }
-
-    /// VM/interpreter operations this binary's run models (0 when the
-    /// engine produced no statistics, i.e. on crash or budget abort). A
-    /// binary that read another binary's interpretation reports that
-    /// run's ops as its own, so summing per binary gives the same total
-    /// whether or not interpretations are shared.
-    pub fn vm_ops(&self) -> u64 {
-        self.exec.as_ref().map_or(0, |e| e.ops.total())
     }
 }
 

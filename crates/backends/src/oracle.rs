@@ -63,7 +63,7 @@ impl RunMetricsBatch {
     #[inline]
     pub fn observe(&mut self, result: &RunResult) {
         self.runs += 1;
-        self.vm_ops += result.vm_ops();
+        self.vm_ops += result.vm_ops;
         self.budget_aborts += u64::from(result.is_budget_abort());
     }
 

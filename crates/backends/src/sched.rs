@@ -195,8 +195,10 @@ pub fn jitter(seed_material: &[u8], amplitude: f64) -> f64 {
     1.0 + (unit * 2.0 - 1.0) * amplitude
 }
 
-/// FNV-1a over bytes, used for all deterministic pseudo-randomness in the
-/// backends (jitter, bug triggers).
+/// 64-bit FNV-1a over bytes: the one copy behind all deterministic
+/// pseudo-randomness in the backends (jitter, bug triggers) and behind the
+/// corpus's campaign fingerprints, checkpoint seals and fault plans and the
+/// serve scheduler's backoff jitter.
 pub fn fnv1a(bytes: &[u8]) -> u64 {
     let mut h: u64 = 0xcbf29ce484222325;
     for &b in bytes {
@@ -204,6 +206,15 @@ pub fn fnv1a(bytes: &[u8]) -> u64 {
         h = h.wrapping_mul(0x100000001b3);
     }
     h
+}
+
+/// One SplitMix64 step: the draws of the corpus's fault plans and the
+/// serve scheduler's backoff jitter.
+pub fn splitmix64(x: u64) -> u64 {
+    let mut z = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
+    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+    z ^ (z >> 31)
 }
 
 #[cfg(test)]

@@ -1,7 +1,7 @@
 //! Fig. 7 — `--children` stack profiles for case study 2.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use ompfuzz_backends::{CompileOptions, RunOptions, SimBackend};
+use ompfuzz_backends::{CompileOptions, ProfileMode, RunOptions, SimBackend};
 use ompfuzz_harness::caselib;
 use ompfuzz_report::{run_experiment, Scale};
 use std::hint::black_box;
@@ -20,7 +20,13 @@ fn bench_fig7(c: &mut Criterion) {
     group.warm_up_time(std::time::Duration::from_secs(1));
     group.measurement_time(std::time::Duration::from_secs(5));
     group.bench_function("children_profile", |b| {
-        b.iter(|| black_box(clang.children_profile(black_box(&input), &RunOptions::default())))
+        b.iter(|| {
+            black_box(clang.perf_report(
+                black_box(&input),
+                &RunOptions::default(),
+                ProfileMode::Children,
+            ))
+        })
     });
     group.finish();
 }

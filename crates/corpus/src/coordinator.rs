@@ -44,6 +44,7 @@ use crate::shard::{
     ShardSummary,
 };
 use crate::store::{self, Node, StoreError};
+use ompfuzz_backends::sched::fnv1a;
 use ompfuzz_backends::OmpBackend;
 use ompfuzz_exec::ProfileCollector;
 use ompfuzz_harness::{CampaignConfig, TestCase};
@@ -194,15 +195,6 @@ pub fn campaign_fingerprint(config: &EvolveConfig, shards: usize, initial: &Trig
         initial.save_to_string(),
     );
     fnv1a(canonical.as_bytes())
-}
-
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
 }
 
 // ---------------------------------------------------------------------------

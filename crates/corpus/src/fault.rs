@@ -22,7 +22,7 @@
 //! site keeps an attempt counter, so a retried operation sees a fresh
 //! decision and forward progress is always possible.
 
-use crate::integrity::fnv1a_bytes;
+use ompfuzz_backends::sched::{fnv1a, splitmix64};
 use std::collections::HashMap;
 use std::fs;
 use std::io;
@@ -140,7 +140,7 @@ impl FaultPlan {
             name(path.parent()),
             name(Some(path))
         );
-        splitmix64(self.seed ^ fnv1a_bytes(key.as_bytes()))
+        splitmix64(self.seed ^ fnv1a(key.as_bytes()))
     }
 
     /// Decide the fault (if any) for a write of `len` bytes at this site.
@@ -246,14 +246,6 @@ impl CheckpointFs for FaultyFs {
             None => RealFs.read(path),
         }
     }
-}
-
-/// SplitMix64 step (same constants as the scheduler's jitter stream).
-fn splitmix64(x: u64) -> u64 {
-    let mut z = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
 }
 
 #[cfg(test)]

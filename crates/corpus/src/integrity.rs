@@ -14,19 +14,10 @@
 //! absent — a shard checkpoint re-runs its shard instead of wedging or
 //! degrading the whole job.
 
+use ompfuzz_backends::sched::fnv1a;
+
 /// Prefix of the checksum trailer line.
 const SEAL_PREFIX: &str = ";fnv1a:";
-
-/// 64-bit FNV-1a over raw bytes (same constants as the campaign
-/// fingerprint in `coordinator.rs`).
-pub fn fnv1a_bytes(bytes: &[u8]) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        hash ^= b as u64;
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
-}
 
 /// Append the checksum trailer to `text`. The trailer covers every byte
 /// before it, so a sealed artifact is self-verifying: any truncation or
@@ -37,7 +28,7 @@ pub fn seal(text: &str) -> String {
     if !text.is_empty() && !text.ends_with('\n') {
         sealed.push('\n');
     }
-    let checksum = fnv1a_bytes(sealed.as_bytes());
+    let checksum = fnv1a(sealed.as_bytes());
     sealed.push_str(SEAL_PREFIX);
     sealed.push_str(&format!("{checksum:016x}\n"));
     sealed
@@ -73,7 +64,7 @@ pub fn unseal(sealed: &str) -> Result<&str, String> {
     let expected = u64::from_str_radix(hex, 16)
         .map_err(|_| format!("malformed checksum trailer {trailer:?}"))?;
     let payload = &sealed[..line_start];
-    let actual = fnv1a_bytes(payload.as_bytes());
+    let actual = fnv1a(payload.as_bytes());
     if actual != expected {
         return Err(format!(
             "checksum mismatch: trailer says {expected:016x}, content hashes to {actual:016x}"

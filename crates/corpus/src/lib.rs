@@ -70,8 +70,11 @@ pub use coordinator::{
 };
 pub use evolve::{round_seed, run_evolution, Evolution, EvolveConfig, RoundSummary};
 pub use fault::{is_fault_abort, CheckpointFs, Fault, FaultPlan, FaultyFs, RealFs};
-pub use integrity::{fnv1a_bytes, seal, unseal};
+pub use integrity::{seal, unseal};
 pub use mutate::{grow_limits, mutant_seed, mutate_kernel};
+/// The hashes behind fingerprints, seals and fault plans, for the serve
+/// scheduler's backoff jitter.
+pub use ompfuzz_backends::sched::{fnv1a, splitmix64};
 pub use shard::{
     plan_shards, read_shard_file, write_shard_file, ShardCoords, ShardOutcome, ShardSummary,
 };

@@ -8,8 +8,7 @@
 //!
 //! The pass lives in `ompfuzz-exec` (it used to sit in `ompfuzz-backends`)
 //! so [`crate::bytecode::CompiledKernel::compile_folded`] can produce the
-//! `-O1`+ bytecode that all three simulated backends share;
-//! `ompfuzz_backends::compile` re-exports it unchanged.
+//! `-O1`+ bytecode that all three simulated backends share.
 
 use crate::kernel::{Kernel, LExpr, LStmt};
 

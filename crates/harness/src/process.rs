@@ -11,8 +11,9 @@
 //! * no exit before the timeout → killed and labelled `HANG` (the paper
 //!   uses SIGINT after ~3 minutes).
 //!
-//! Simulated `perf` counters and profiles are not available for process
-//! runs (they would require the host `perf`), so those fields stay empty.
+//! A process run reports no interpreter ops (`vm_ops` is 0), and the
+//! simulated `perf` report ([`ompfuzz_backends::SimBinary::perf_report`])
+//! has no process counterpart: it would require the host `perf`.
 
 use ompfuzz_ast::printer::{emit_translation_unit, PrintOptions};
 use ompfuzz_ast::Program;
@@ -223,15 +224,6 @@ impl CompiledTest for ProcessBinary {
         opts: &RunOptions,
         _step: &mut Interpretations<'_>,
     ) -> RunResult {
-        let empty = |status: RunStatus| RunResult {
-            status,
-            comp: None,
-            time_us: None,
-            counters: Default::default(),
-            profile: Default::default(),
-            threads: None,
-            exec: None,
-        };
         let mut child = match Command::new(&self.path)
             .args(input.to_args())
             .stdout(Stdio::piped())
@@ -240,7 +232,7 @@ impl CompiledTest for ProcessBinary {
         {
             Ok(c) => c,
             Err(e) => {
-                return empty(RunStatus::Crash {
+                return RunResult::no_output(RunStatus::Crash {
                     signal: "SPAWN",
                     reason: e.to_string(),
                 })
@@ -256,14 +248,14 @@ impl CompiledTest for ProcessBinary {
                     if Instant::now() >= deadline {
                         let _ = child.kill();
                         let _ = child.wait();
-                        return empty(RunStatus::Hang {
+                        return RunResult::no_output(RunStatus::Hang {
                             timeout_us: opts.hang_timeout_us,
                         });
                     }
                     std::thread::sleep(Duration::from_millis(2));
                 }
                 Err(e) => {
-                    return empty(RunStatus::Crash {
+                    return RunResult::no_output(RunStatus::Crash {
                         signal: "WAIT",
                         reason: e.to_string(),
                     })
@@ -278,7 +270,7 @@ impl CompiledTest for ProcessBinary {
 
         if !status.success() {
             let signal = exit_signal_name(&status);
-            return empty(RunStatus::Crash {
+            return RunResult::no_output(RunStatus::Crash {
                 signal,
                 reason: format!("exit status {status}"),
             });
@@ -291,12 +283,10 @@ impl CompiledTest for ProcessBinary {
                 status: RunStatus::Ok,
                 comp: Some(c),
                 time_us: Some(t),
-                counters: Default::default(),
-                profile: Default::default(),
                 threads: None,
-                exec: None,
+                vm_ops: 0,
             },
-            _ => empty(RunStatus::Crash {
+            _ => RunResult::no_output(RunStatus::Crash {
                 signal: "OUTPUT",
                 reason: format!("unparseable output: {stdout:?}"),
             }),

@@ -2,9 +2,10 @@
 //! evaluation, regenerable by id (see DESIGN.md §3 for the index).
 
 use crate::table::{dash_zero, thousands, TextTable};
+use ompfuzz_ast::Program;
 use ompfuzz_backends::{
-    backend_info, standard_backends, CompileOptions, CompiledTest, OmpBackend, ProfileMode,
-    RunOptions, RunStatus, SimBackend, Vendor,
+    backend_info, standard_backends, CompileOptions, CompiledTest, OmpBackend, PerfCounters,
+    ProfileMode, RunOptions, RunStatus, SimBackend, SimBinary, StackProfile, Vendor,
 };
 use ompfuzz_harness::{caselib, run_campaign, CampaignConfig, CampaignResult};
 use ompfuzz_obs::Obs;
@@ -248,75 +249,93 @@ fn run_versions(_scale: Scale) -> String {
     t.render()
 }
 
-/// Case study 1 runs: (Intel result, GCC result).
-fn case_study_1_runs(scale: Scale) -> (ompfuzz_backends::RunResult, ompfuzz_backends::RunResult) {
+/// A case study's program and its two binaries, Intel-like first.
+struct CaseStudy {
+    program: Program,
+    binaries: [SimBinary; 2],
+}
+
+impl CaseStudy {
+    fn new(program: Program, other: SimBackend) -> CaseStudy {
+        let compile = |b: SimBackend| {
+            b.compile_sim(&program, &CompileOptions::default())
+                .expect("a case study compiles")
+        };
+        let binaries = [compile(SimBackend::intel()), compile(other)];
+        CaseStudy { program, binaries }
+    }
+
+    /// Each binary's printed time on the case study's input.
+    fn times(&self) -> [u64; 2] {
+        let input = caselib::case_study_input(&self.program);
+        self.binaries.each_ref().map(|b| {
+            b.run(&input, &RunOptions::default())
+                .time_us
+                .expect("the case study completes")
+        })
+    }
+
+    /// Each binary's `perf` counters and profile in `mode`.
+    fn perf(&self, mode: ProfileMode) -> [(PerfCounters, StackProfile); 2] {
+        let input = caselib::case_study_input(&self.program);
+        self.binaries.each_ref().map(|b| {
+            b.perf_report(&input, &RunOptions::default(), mode)
+                .expect("the case study completes")
+        })
+    }
+}
+
+/// Case study 1 (Table II, Fig. 6): Intel vs GCC.
+fn case_study_1(scale: Scale) -> CaseStudy {
     let trip = match scale {
         Scale::Paper => 20_000,
         Scale::Quick => 2_000,
     };
-    let program = caselib::case_study_1(trip, 32);
-    let input = caselib::case_study_input(&program);
-    let run = |b: SimBackend| {
-        b.compile_sim(&program, &CompileOptions::default())
-            .unwrap()
-            .run(&input, &RunOptions::default())
-    };
-    (run(SimBackend::intel()), run(SimBackend::gcc()))
+    CaseStudy::new(caselib::case_study_1(trip, 32), SimBackend::gcc())
 }
 
-fn run_table2(scale: Scale) -> String {
-    let (intel, gcc) = case_study_1_runs(scale);
-    let mut t = TextTable::new(vec!["Counters", "Intel", "GCC"])
-        .with_title("TABLE II — PERFORMANCE COUNTER STATISTICS FOR CASE STUDY 1");
-    for ((name, iv), (_, gv)) in intel.counters.rows().iter().zip(gcc.counters.rows().iter()) {
-        t.push_row(vec![name.to_string(), thousands(*iv), thousands(*gv)]);
-    }
-    let mut out = t.render();
-    out.push_str(&format!(
-        "\ntime: Intel {} µs vs GCC {} µs (GCC {:.0}% faster)\n",
-        intel.time_us.unwrap_or(0),
-        gcc.time_us.unwrap_or(0),
-        100.0 * (intel.time_us.unwrap_or(1) as f64 / gcc.time_us.unwrap_or(1) as f64 - 1.0),
-    ));
-    out
-}
-
-/// Case study 2 runs: (Intel result, Clang result).
-fn case_study_2_runs(scale: Scale) -> (ompfuzz_backends::RunResult, ompfuzz_backends::RunResult) {
+/// Case study 2 (Table III, Fig. 7): Intel vs Clang.
+fn case_study_2(scale: Scale) -> CaseStudy {
     let (outer, inner) = match scale {
         Scale::Paper => (400, 600),
         Scale::Quick => (60, 200),
     };
-    let program = caselib::case_study_2(outer, inner, 32);
-    let input = caselib::case_study_input(&program);
-    let run = |b: SimBackend| {
-        b.compile_sim(&program, &CompileOptions::default())
-            .unwrap()
-            .run(&input, &RunOptions::default())
+    CaseStudy::new(caselib::case_study_2(outer, inner, 32), SimBackend::clang())
+}
+
+/// A case study's counter table (Tables II/III) and the time line under it.
+fn counter_table(title: &str, study: &CaseStudy) -> String {
+    let other = study.binaries[1].backend_label();
+    let [(intel, _), (others, _)] = study.perf(ProfileMode::Flat);
+    let mut t = TextTable::new(vec!["Counters", "Intel", &other]).with_title(title);
+    for ((name, iv), (_, ov)) in intel.rows().iter().zip(others.rows().iter()) {
+        t.push_row(vec![name.to_string(), thousands(*iv), thousands(*ov)]);
+    }
+    let [ti, to] = study.times();
+    let (verdict, ratio) = if to <= ti {
+        ("faster", ti as f64 / to as f64)
+    } else {
+        ("slower", to as f64 / ti as f64)
     };
-    (run(SimBackend::intel()), run(SimBackend::clang()))
+    t.render()
+        + &format!(
+            "\ntime: Intel {ti} µs vs {other} {to} µs ({other} {:.0}% {verdict})\n",
+            100.0 * (ratio - 1.0)
+        )
+}
+
+fn run_table2(scale: Scale) -> String {
+    counter_table(
+        "TABLE II — PERFORMANCE COUNTER STATISTICS FOR CASE STUDY 1",
+        &case_study_1(scale),
+    )
 }
 
 fn run_table3(scale: Scale) -> String {
-    let (intel, clang) = case_study_2_runs(scale);
-    let mut t = TextTable::new(vec!["Counters", "Intel", "Clang"])
-        .with_title("TABLE III — PERFORMANCE COUNTER STATISTICS FOR CASE STUDY 2");
-    for ((name, iv), (_, cv)) in intel
-        .counters
-        .rows()
-        .iter()
-        .zip(clang.counters.rows().iter())
-    {
-        t.push_row(vec![name.to_string(), thousands(*iv), thousands(*cv)]);
-    }
-    let mut out = t.render();
-    out.push_str(&format!(
-        "\ntime: Intel {} µs vs Clang {} µs (Clang {:.0}% slower)\n",
-        intel.time_us.unwrap_or(0),
-        clang.time_us.unwrap_or(0),
-        100.0 * (clang.time_us.unwrap_or(1) as f64 / intel.time_us.unwrap_or(1) as f64 - 1.0),
-    ));
-    out
+    counter_table(
+        "TABLE III — PERFORMANCE COUNTER STATISTICS FOR CASE STUDY 2",
+        &case_study_2(scale),
+    )
 }
 
 fn run_fig5(_scale: Scale) -> String {
@@ -356,31 +375,17 @@ fn run_fig5(_scale: Scale) -> String {
 }
 
 fn run_fig6(scale: Scale) -> String {
-    let (intel, gcc) = case_study_1_runs(scale);
+    let [(_, intel), (_, gcc)] = case_study_1(scale).perf(ProfileMode::Flat);
     format!(
         "Fig. 6 — call-stack overhead, case study 1\n\nListing 1. Intel stack traces\n{}\n\
          Listing 2. GCC stack traces\n{}",
-        intel.profile.render(),
-        gcc.profile.render()
+        intel.render(),
+        gcc.render()
     )
 }
 
 fn run_fig7(scale: Scale) -> String {
-    let (outer, inner) = match scale {
-        Scale::Paper => (400, 600),
-        Scale::Quick => (60, 200),
-    };
-    let program = caselib::case_study_2(outer, inner, 32);
-    let input = caselib::case_study_input(&program);
-    let mk = |b: SimBackend| {
-        b.compile_sim(&program, &CompileOptions::default())
-            .unwrap()
-            .children_profile(&input, &RunOptions::default())
-            .expect("children profile")
-    };
-    let intel = mk(SimBackend::intel());
-    let clang = mk(SimBackend::clang());
-    debug_assert_eq!(intel.mode, ProfileMode::Children);
+    let [(_, intel), (_, clang)] = case_study_2(scale).perf(ProfileMode::Children);
     format!(
         "Fig. 7 — call-stack overhead (--children), case study 2\n\n\
          Listing 3. Intel stack traces\n{}\nListing 4. Clang stack traces\n{}",

@@ -103,9 +103,11 @@ enum Control {
         job: JobId,
         stream: Sender<String>,
     },
+    /// The daemon writes the reply to `conn` on its own thread before it
+    /// stops, so the process cannot exit with the reply unwritten.
     Shutdown {
         drain: bool,
-        reply: Sender<String>,
+        conn: UnixStream,
     },
 }
 
@@ -340,8 +342,8 @@ fn daemon_loop(
                             stream.send(render_error(&format!("no such job {:?}", job_label(job))));
                     }
                 }
-                Control::Shutdown { drain, reply } => {
-                    let _ = reply.send(render_ok());
+                Control::Shutdown { drain, mut conn } => {
+                    let _ = writeln!(conn, "{}", render_ok());
                     if drain {
                         // Graceful: no new shards spawn, in-flight ones
                         // finish (bounded by the per-shard timeout), the
@@ -655,6 +657,15 @@ fn handle_connection(stream: UnixStream, tx: Sender<Control>) {
         }
     };
     match request {
+        Request::Shutdown { drain } => {
+            let control = Control::Shutdown {
+                drain,
+                conn: writer,
+            };
+            if let Err(mpsc::SendError(Control::Shutdown { mut conn, .. })) = tx.send(control) {
+                let _ = writeln!(conn, "{}", render_error("daemon is shutting down"));
+            }
+        }
         Request::Watch { job } => {
             let (stx, srx) = mpsc::channel::<String>();
             if tx.send(Control::Watch { job, stream: stx }).is_err() {
@@ -675,8 +686,7 @@ fn handle_connection(stream: UnixStream, tx: Sender<Control>) {
                 Request::Submit(spec) => Control::Submit { spec, reply: rtx },
                 Request::Status { job } => Control::Status { job, reply: rtx },
                 Request::Cancel { job } => Control::Cancel { job, reply: rtx },
-                Request::Shutdown { drain } => Control::Shutdown { drain, reply: rtx },
-                Request::Watch { .. } => unreachable!("handled above"),
+                Request::Shutdown { .. } | Request::Watch { .. } => unreachable!("handled above"),
             };
             let reply = if tx.send(control).is_ok() {
                 rrx.recv()

@@ -30,6 +30,7 @@
 //! mid-run left either no checkpoint (it re-runs from scratch) or a
 //! complete one (the re-run loads it and is a no-op).
 
+use ompfuzz_corpus::{fnv1a, splitmix64};
 use std::collections::BTreeSet;
 
 /// Daemon-internal job identifier (dense, starts at 0; the protocol shows
@@ -728,12 +729,16 @@ impl Scheduler {
             .cfg
             .jitter_seed
             .wrapping_mul(0x9e37_79b9_7f4a_7c15)
-            .wrapping_add(fnv1a(&[
-                task.job as u64,
-                task.round as u64,
-                task.shard as u64,
-                attempt as u64,
-            ]));
+            .wrapping_add(fnv1a(
+                &[
+                    task.job as u64,
+                    task.round as u64,
+                    task.shard as u64,
+                    attempt as u64,
+                ]
+                .map(u64::to_le_bytes)
+                .concat(),
+            ));
         delay + splitmix64(key) % jitter_space
     }
 
@@ -771,24 +776,6 @@ impl Scheduler {
     pub fn drain_events(&mut self) -> Vec<ServeEvent> {
         std::mem::take(&mut self.events)
     }
-}
-
-fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    x ^ (x >> 31)
-}
-
-fn fnv1a(words: &[u64]) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for w in words {
-        for b in w.to_le_bytes() {
-            hash ^= u64::from(b);
-            hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    }
-    hash
 }
 
 #[cfg(test)]

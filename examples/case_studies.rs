@@ -48,19 +48,19 @@ fn case_study_1() {
         rg.time_us.unwrap(),
         100.0 * (ri.time_us.unwrap() as f64 / rg.time_us.unwrap() as f64 - 1.0)
     );
+    let (ci, pi) = intel
+        .perf_report(&input, &RunOptions::default(), ProfileMode::Flat)
+        .unwrap();
+    let (cg, pg) = gcc
+        .perf_report(&input, &RunOptions::default(), ProfileMode::Flat)
+        .unwrap();
     println!("perf counters (Table II):");
     println!("{:>20}  {:>13}  {:>13}", "counter", "Intel", "GCC");
-    for ((name, iv), (_, gv)) in ri.counters.rows().iter().zip(rg.counters.rows().iter()) {
+    for ((name, iv), (_, gv)) in ci.rows().iter().zip(cg.rows().iter()) {
         println!("{name:>20}  {iv:>13}  {gv:>13}");
     }
-    println!(
-        "\nIntel flat profile (Fig. 6, top):\n{}",
-        ri.profile.render()
-    );
-    println!(
-        "GCC flat profile (Fig. 6, bottom):\n{}",
-        rg.profile.render()
-    );
+    println!("\nIntel flat profile (Fig. 6, top):\n{}", pi.render());
+    println!("GCC flat profile (Fig. 6, bottom):\n{}", pg.render());
 }
 
 fn case_study_2() {
@@ -83,17 +83,17 @@ fn case_study_2() {
         rc.time_us.unwrap(),
         100.0 * (rc.time_us.unwrap() as f64 / ri.time_us.unwrap() as f64 - 1.0)
     );
+    let (ci, pi) = intel
+        .perf_report(&input, &RunOptions::default(), ProfileMode::Children)
+        .unwrap();
+    let (cc, pc) = clang
+        .perf_report(&input, &RunOptions::default(), ProfileMode::Children)
+        .unwrap();
     println!("perf counters (Table III):");
     println!("{:>20}  {:>13}  {:>13}", "counter", "Intel", "Clang");
-    for ((name, iv), (_, cv)) in ri.counters.rows().iter().zip(rc.counters.rows().iter()) {
+    for ((name, iv), (_, cv)) in ci.rows().iter().zip(cc.rows().iter()) {
         println!("{name:>20}  {iv:>13}  {cv:>13}");
     }
-    let pi = intel
-        .children_profile(&input, &RunOptions::default())
-        .unwrap();
-    let pc = clang
-        .children_profile(&input, &RunOptions::default())
-        .unwrap();
     assert_eq!(pi.mode, ProfileMode::Children);
     println!("\nIntel --children profile (Fig. 7, top):\n{}", pi.render());
     println!(

@@ -4,8 +4,8 @@
 //! regenerated by `ompfuzz reproduce -e table1` / `cargo bench`.
 
 use ompfuzz::backends::{
-    standard_backends, CompileOptions, CompiledTest, OmpBackend, RunOptions, RunStatus, SimBackend,
-    Vendor,
+    standard_backends, CompileOptions, CompiledTest, OmpBackend, ProfileMode, RunOptions,
+    RunStatus, SimBackend, Vendor,
 };
 use ompfuzz::harness::{caselib, run_campaign, CampaignConfig};
 use ompfuzz::outlier::OutlierKind;
@@ -137,13 +137,15 @@ fn counter_tables_shape() {
     // Table II: Intel vs GCC on case study 1.
     let program = caselib::case_study_1(20_000, 32);
     let input = caselib::case_study_input(&program);
-    let run = |b: SimBackend| {
+    let counters = |b: SimBackend| {
         b.compile_sim(&program, &CompileOptions::default())
             .unwrap()
-            .run(&input, &RunOptions::default())
+            .perf_report(&input, &RunOptions::default(), ProfileMode::Flat)
+            .expect("case study 1 completes")
+            .0
     };
-    let intel = run(SimBackend::intel()).counters;
-    let gcc = run(SimBackend::gcc()).counters;
+    let intel = counters(SimBackend::intel());
+    let gcc = counters(SimBackend::gcc());
     assert!(intel.context_switches > gcc.context_switches);
     assert!(intel.cpu_migrations > gcc.cpu_migrations);
     assert!(intel.page_faults > gcc.page_faults);
@@ -154,13 +156,15 @@ fn counter_tables_shape() {
     // Table III: Intel vs Clang on case study 2.
     let program = caselib::case_study_2(400, 600, 32);
     let input = caselib::case_study_input(&program);
-    let run = |b: SimBackend| {
+    let counters = |b: SimBackend| {
         b.compile_sim(&program, &CompileOptions::default())
             .unwrap()
-            .run(&input, &RunOptions::default())
+            .perf_report(&input, &RunOptions::default(), ProfileMode::Flat)
+            .expect("case study 2 completes")
+            .0
     };
-    let intel = run(SimBackend::intel()).counters;
-    let clang = run(SimBackend::clang()).counters;
+    let intel = counters(SimBackend::intel());
+    let clang = counters(SimBackend::clang());
     assert!(
         clang.context_switches > 20 * intel.context_switches,
         "clang {} intel {}",
