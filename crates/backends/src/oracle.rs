@@ -12,11 +12,12 @@
 //!
 //! The two semantics decide only one kind of test differently: `!=` with
 //! a NaN operand. Both engines count those tests
-//! ([`ompfuzz_exec::ExecStats::nan_ne_tests`], also carried by a budget
-//! abort). So one [`CompiledSet::step`] interprets the input once, under
-//! the semantics of the first binary that asks, and every binary
-//! post-processes that outcome, unless the run made such a test. Only then
-//! does the other semantics interpret on its own. A run with no such test
+//! ([`ompfuzz_exec::ExecStats::nan_ne_tests`]), and a budget abort says
+//! whether the run made one (`tested_nan_ne`). So one
+//! [`CompiledSet::step`] interprets the input once, under the semantics of
+//! the first binary that asks, and every binary post-processes that
+//! outcome, unless the run made such a test. Only then does the other
+//! semantics interpret on its own. A run with no such test
 //! took the same path, to the same result, as the other semantics would
 //! have; an input mismatch is raised before any test. Debug builds re-run
 //! the other semantics on every handover and assert that the outcomes are
@@ -135,7 +136,7 @@ impl CompiledSet {
     /// through the caller's scratch, and tally each run and the step's
     /// interpretations into `metrics`. Returns the binaries' results and
     /// the race reports of the step's IEEE interpretation (see
-    /// [`Interpretations::into_ieee_races`]).
+    /// `Interpretations::into_ieee_races`).
     ///
     /// The step interprets the input once, under the branch semantics of
     /// the first binary that asks, and hands that outcome to every binary,
@@ -253,11 +254,13 @@ impl<'s> Interpretations<'s> {
 /// test on a NaN, the only test the semantics decide differently, so the
 /// other semantics would have taken the same path to the same result,
 /// including a budget abort at the same op. An input mismatch is raised
-/// before any test.
+/// before any test. Only whether such a test happened matters, so an
+/// abort carries it as a bool, which lets the VM stop a run that is bound
+/// to abort at its first such test.
 fn stands_in_for_both(run: &Result<ExecOutcome, ExecError>) -> bool {
     match run {
         Ok(outcome) => outcome.stats.nan_ne_tests == 0,
-        Err(ExecError::BudgetExceeded { nan_ne_tests, .. }) => *nan_ne_tests == 0,
+        Err(ExecError::BudgetExceeded { tested_nan_ne, .. }) => !tested_nan_ne,
         Err(ExecError::InputMismatch(_)) => true,
     }
 }

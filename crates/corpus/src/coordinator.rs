@@ -506,7 +506,7 @@ impl Checkpoint {
 
 /// Run a full sharded evolution, checkpointing to (and resuming from)
 /// `checkpoint` when one is given. Per round: plan contiguous shards over
-/// the round corpus, take each shard's [`shard_step`], [`merge_round`] the
+/// the round corpus, take each shard's `shard_step`, [`merge_round`] the
 /// shard catalogs in shard order, and derive the next round's bias from
 /// the merge. The catalog is byte-identical for every shard count and any
 /// kill/resume point: shard results are deterministic and merge order is
@@ -639,7 +639,7 @@ pub fn run_sharded_evolution(
 /// out-of-process worker behind `ompfuzz shard --round R --shard I/N`.
 /// Round 0 starts from `initial` (the `--resume` catalog, or empty); later
 /// rounds start from the previous round's checkpointed merge. The shard
-/// takes the same [`shard_step`] as in the coordinator loop, so a shard
+/// takes the same `shard_step` as in the coordinator loop, so a shard
 /// already complete comes back [`ShardStatus::Cached`] without re-running.
 #[allow(clippy::too_many_arguments)]
 pub fn run_standalone_shard(
@@ -810,7 +810,7 @@ fn check_shard_checkpoint(
 /// over the last shard's recorded end (unchecked while that file is
 /// missing or corrupt). Without a readable manifest the outer verdict says
 /// why; inside, a shard is [`Loaded::Present`] only if it passed
-/// [`check_shard_checkpoint`], and missing or corrupt files come back as
+/// `check_shard_checkpoint`, and missing or corrupt files come back as
 /// such, for the caller to re-run. A valid file of another shard or
 /// campaign is an error.
 pub fn read_round_shards(

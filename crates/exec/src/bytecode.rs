@@ -17,27 +17,34 @@
 //!   exhaustion is equivalent: both engines fail iff the run's total charge
 //!   count exceeds `max_ops` (prefix sums agree at block granularity).
 //! * **Priced loop nests**: a run that exhausts its budget inside a loop
-//!   nest is stopped at the nest's entry instead of after the ops it has
-//!   left. The compiler marks which [`Instr::LoopStart`]s price their nest
-//!   (`priced`): a non-bulk loop whose range — `if` bodies, nested loops
-//!   and regions included — holds no `!=` test, unless the floor of its
-//!   nearest priced ancestor already counts it. A floor counts nothing of
-//!   an `if` body, so a loop inside one is judged on its own; a bulk loop
-//!   already charges its whole trip at entry. At a priced entry the VM
-//!   sums the nest's *floor*, a lower bound on the ops it will charge
-//!   (every block charge at each level, `trips × (body block + floor of
-//!   the body)` per nested loop with trips from a constant or an int
-//!   param, a region's fork charge and body per team thread), and returns
-//!   `BudgetExceeded` when the floor exceeds the ops left. The early abort
-//!   is exact:
+//!   nest is stopped at the nest's entry, or right after its first `!=`
+//!   test on a NaN, instead of after the ops it has left. The compiler
+//!   marks how each [`Instr::LoopStart`] prices its nest ([`Pricing`]): a
+//!   non-bulk loop is priced unless a `!=`-free priced ancestor's floor
+//!   already counts it. A floor counts nothing of an `if` body, so a loop
+//!   inside one is judged on its own; a bulk loop already charges its
+//!   whole trip at entry. At a priced entry the VM sums the nest's
+//!   *floor*, a lower bound on the ops it will charge (every block charge
+//!   at each level, `trips × (body block + floor of the body)` per nested
+//!   loop with trips from a constant or an int param, a region's fork
+//!   charge and body per team thread). A floor above the ops left dooms
+//!   the run to abort inside the nest. The VM returns `BudgetExceeded` at
+//!   once when the nest's range — `if` bodies, nested loops and regions
+//!   included — holds no `!=` test, or when the run has already tested a
+//!   NaN with `!=`. Any other doomed run returns it right after its first
+//!   `!=` test on a NaN, or aborts at its failing charge as it would
+//!   unpriced. The early abort is exact:
 //!   1. a started loop always runs to its exit (the grammar has no break
 //!      or return), so every charge the floor counts will be made, and
-//!      both engines fail exactly when the total charge exceeds `max_ops`;
-//!   2. `nan_ne_tests` changes only on a `!=` test with a NaN operand, and
-//!      the range holds none, so the count at the true abort point equals
-//!      the count at the entry;
+//!      both engines fail exactly when the total charge exceeds `max_ops`:
+//!      the true abort lies inside the nest, after any point the doomed
+//!      run reaches;
+//!   2. `tested_nan_ne` only ever flips from false to true, on a `!=` test
+//!      with a NaN operand. A run that has made such a test carries `true`
+//!      at its true abort, and a `!=`-free nest makes none, so the bool at
+//!      the true abort equals the bool where the VM stops;
 //!   3. an aborted run returns only `BudgetExceeded { max_ops,
-//!      nan_ne_tests }` — its `comp`, statistics and race reports are
+//!      tested_nan_ne }` — its `comp`, statistics and race reports are
 //!      dropped — so nothing else about the run is observable.
 //!
 //!   The tree interpreter keeps no floor; it is the reference the VM's
@@ -178,17 +185,14 @@ pub enum Instr {
     /// straight-line body, every statistic is a sum, and a bulk budget
     /// failure at entry and a per-iteration failure mid-loop produce the
     /// same discarded `BudgetExceeded` (the body holds no branch test, so
-    /// the `nan_ne_tests` it carries agree too).
+    /// the `tested_nan_ne` it carries agrees too).
     ///
-    /// When `priced` is set the loop prices its whole nest at entry: the
-    /// VM computes the nest's floor, a lower bound on the ops it will
-    /// charge, and aborts at once when the floor exceeds the ops left. The
-    /// compiler sets it on a non-bulk loop whose range (if bodies, nested
-    /// loops and regions included) holds no `!=` test, unless a priced
-    /// ancestor's floor already counts the loop; a floor counts nothing
-    /// of an `if` body, so a loop inside one is judged on its own. See the
-    /// module doc ("Priced loop nests") for the floor and why the early
-    /// abort is exact.
+    /// `pricing` says what the VM checks at entry: unless it is
+    /// [`Pricing::Unpriced`], the VM computes the nest's floor, a lower
+    /// bound on the ops it will charge, and when the floor exceeds the ops
+    /// left it ends the run at once or dooms it (see [`Pricing`], and the
+    /// module doc's "Priced loop nests" for the floor and why the early
+    /// abort is exact).
     LoopStart {
         counter: IntSlotId,
         bound: LBound,
@@ -196,7 +200,7 @@ pub enum Instr {
         exit: u32,
         body_block: u32,
         bulk: bool,
-        priced: bool,
+        pricing: Pricing,
     },
     /// Advance the innermost loop; jump back to `body` (charging
     /// `body_block` for the new iteration unless the loop was
@@ -219,6 +223,23 @@ pub enum Instr {
     RegionExit { region: u32, prelude: u32 },
     /// End of the program.
     Halt,
+}
+
+/// What a [`Instr::LoopStart`] checks at entry: whether it prices its
+/// nest, and what a floor above the ops left does to the run.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Pricing {
+    /// No check: a bulk loop, or a loop a `!=`-free priced ancestor's floor
+    /// already counts.
+    Unpriced,
+    /// The range holds no `!=` test: the run aborts at entry. The floor
+    /// counts the nested loops, so they check nothing.
+    NeFree,
+    /// The range holds a `!=` test: the run aborts at entry if it has
+    /// already tested a NaN with `!=`, and is doomed otherwise: it aborts
+    /// right after its first `!=` test on a NaN, or at its failing charge
+    /// if it makes none. The nested loops keep their own checks.
+    HoldsNe,
 }
 
 /// Static description of one parallel region, shared by every entry.
@@ -366,9 +387,9 @@ impl PreparedKernel {
     }
 }
 
-/// Set `LoopStart::priced` over `instrs[from..to]`. `covered` says a
-/// priced ancestor's floor already counts this range; an `if` body is
-/// counted by no floor, so its loops are judged afresh.
+/// Set `LoopStart::pricing` over `instrs[from..to]`. `covered` says a
+/// `!=`-free priced ancestor's floor already counts this range; an `if`
+/// body is counted by no floor, so its loops are judged afresh.
 fn mark_priced(instrs: &mut [Instr], from: usize, to: usize, covered: bool) {
     let mut ip = from;
     while ip < to {
@@ -380,14 +401,18 @@ fn mark_priced(instrs: &mut [Instr], from: usize, to: usize, covered: bool) {
             Instr::LoopStart { exit, bulk, .. } => {
                 // The body runs from here to the loop's `LoopNext`.
                 let (body, next) = (ip + 1, exit as usize - 1);
-                let ne_free = !instrs[body..next]
+                let holds_ne = instrs[body..next]
                     .iter()
                     .any(|i| matches!(i, Instr::BoolTest { op: BoolOp::Ne, .. }));
-                let price = !covered && !bulk && ne_free;
-                if let Instr::LoopStart { priced, .. } = &mut instrs[ip] {
-                    *priced = price;
+                let price = match (covered || bulk, holds_ne) {
+                    (true, _) => Pricing::Unpriced,
+                    (false, false) => Pricing::NeFree,
+                    (false, true) => Pricing::HoldsNe,
+                };
+                if let Instr::LoopStart { pricing, .. } = &mut instrs[ip] {
+                    *pricing = price;
                 }
-                mark_priced(instrs, body, next, covered || price);
+                mark_priced(instrs, body, next, covered || price == Pricing::NeFree);
                 ip = exit as usize;
             }
             _ => ip += 1,
@@ -622,7 +647,7 @@ impl<'k> Compiler<'k> {
             LStmt::If(cond, body) => {
                 // branches + the bool evaluation: lhs load, rhs expr,
                 // compare — all in the block ending at the test. Ending the
-                // block there keeps a budget abort's `nan_ne_tests` equal
+                // block there keeps a budget abort's `tested_nan_ne` equal
                 // to the tree's: a charge that fails stops both engines
                 // before the test.
                 self.block().branches += 1;
@@ -676,7 +701,7 @@ impl<'k> Compiler<'k> {
             exit: u32::MAX,
             body_block: u32::MAX,
             bulk: false,
-            priced: false,
+            pricing: Pricing::Unpriced,
         });
         let body_ip = self.instrs.len() as u32;
         // Per-iteration loop increment + test, charged by the body's

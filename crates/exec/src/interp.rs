@@ -82,8 +82,8 @@ pub enum BoolSemantics {
     /// The modelled GCC `-O3` folding: any comparison with a NaN operand is
     /// false. Diverges from IEEE only on `!=` (and via that, on executed
     /// work and the final `comp`); both engines count those tests in
-    /// [`ExecStats::nan_ne_tests`], and on a budget abort in
-    /// [`ExecError::BudgetExceeded`].
+    /// [`ExecStats::nan_ne_tests`], and a budget abort says whether the
+    /// run made one ([`ExecError::BudgetExceeded`]).
     NanAbsorbing,
 }
 
@@ -128,9 +128,14 @@ impl ExecOptions {
 /// Why a run failed.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ExecError {
-    /// The op budget was exhausted (runaway trip counts). `nan_ne_tests`
-    /// is [`ExecStats::nan_ne_tests`] of the run up to the abort.
-    BudgetExceeded { max_ops: u64, nan_ne_tests: u64 },
+    /// The op budget was exhausted (runaway trip counts). `tested_nan_ne`
+    /// says whether the run made a `!=` test on a NaN
+    /// ([`ExecStats::nan_ne_tests`] above 0) before the abort: whether the
+    /// other [`BoolSemantics`] could have taken another path. A bool, not
+    /// the count, so the VM may stop a doomed run early: once true it stays
+    /// true up to the run's true abort (see "Priced loop nests" in
+    /// [`crate::bytecode`]).
+    BudgetExceeded { max_ops: u64, tested_nan_ne: bool },
     /// The input vector does not match the kernel's parameters.
     InputMismatch(String),
 }
@@ -270,7 +275,7 @@ impl<'k, 's> Interp<'k, 's> {
         if self.ops_left == 0 {
             return Err(ExecError::BudgetExceeded {
                 max_ops: self.max_ops,
-                nan_ne_tests: self.stats.nan_ne_tests,
+                tested_nan_ne: self.stats.nan_ne_tests > 0,
             });
         }
         self.ops_left -= 1;

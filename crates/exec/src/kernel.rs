@@ -1,8 +1,9 @@
 //! The lowered, slot-resolved intermediate representation.
 //!
 //! Interpretation happens over this IR rather than the surface AST: variable
-//! names are resolved to dense slot indices once (in [`crate::lower`]), so
-//! the hot interpreter loop never hashes a string. This is the moral
+//! names are resolved to dense slot indices once (in
+//! [`crate::lower`](mod@crate::lower)), so the hot interpreter loop never
+//! hashes a string. This is the moral
 //! equivalent of the "compile" step of a real OpenMP toolchain and is also
 //! where the simulated backends hook their optimization passes.
 

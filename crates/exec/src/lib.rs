@@ -2,7 +2,7 @@
 //!
 //! Deterministic execution substrate for generated OpenMP test programs:
 //!
-//! * [`lower`] — name resolution from the surface AST to a slot-based IR
+//! * [`lower`](mod@lower) — name resolution from the surface AST to a slot-based IR
 //!   ([`kernel::Kernel`]), the moral equivalent of a compiler front-end;
 //! * [`bytecode`] — a second compilation stage flattening a lowered kernel
 //!   into one linear instruction stream with batched op-budget charging and

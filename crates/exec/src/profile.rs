@@ -15,7 +15,8 @@
 //! its opcode counts are exactly what the VM dispatched before the abort.
 //! A nest the VM prices at entry ([`crate::bytecode`], "Priced loop
 //! nests") aborts at its `loop_start`, so such an abort dispatches nothing
-//! inside the nest.
+//! inside the nest; a run it dooms ends at its first `bool_test` on a NaN
+//! `!=`, or at its failing charge.
 //!
 //! Profiles merge by plain addition, so per-worker profiles combine into a
 //! campaign-wide one in any order. Profiling is strictly out of band: the

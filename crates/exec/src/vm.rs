@@ -11,14 +11,19 @@
 //! via their precomputed [`crate::bytecode::BlockCost`]), and no dynamic
 //! sharing analysis (race-check flags were resolved at compile time).
 //!
-//! A `LoopStart` the compiler marked `priced` walks its nest's range once
-//! at entry and sums the floor, a lower bound on the ops the nest will
-//! charge; a floor above the ops left returns `BudgetExceeded` before the
-//! nest dispatches anything, which is the error the run's last failing
-//! charge would return (see "Priced loop nests" in [`crate::bytecode`]
-//! for the rule and why it is exact). The walk touches only the compiled
-//! stream and the int slots, allocates nothing, and costs a run that
-//! completes about one static pass over each priced nest it enters.
+//! A `LoopStart` the compiler priced walks its nest's range once at entry
+//! and sums the floor, a lower bound on the ops the nest will charge. A
+//! floor above the ops left means the run's true abort lies inside the
+//! nest. If the nest tests no `!=`, or the run has already tested a NaN
+//! with `!=`, the VM returns `BudgetExceeded` before the nest dispatches
+//! anything. Otherwise it marks the run doomed, and the `bool_test`
+//! handler returns the abort right after the run's first `!=` test on a
+//! NaN; a doomed run that makes none aborts at its failing charge. Either
+//! way the VM returns the error the run's last failing charge would (see
+//! "Priced loop nests" in [`crate::bytecode`] for the rule and why it is
+//! exact). The walk touches only the compiled stream and the int slots,
+//! allocates nothing, and costs a run that completes about one static pass
+//! over each priced nest it enters.
 //!
 //! This is the only bytecode engine. Callers with several inputs run them
 //! one at a time on a reused [`ExecScratch`]; the tree interpreter stays
@@ -30,7 +35,7 @@
 //! error — the accounting-drift tripwire backing the `bytecode_equiv`
 //! differential suite.
 
-use crate::bytecode::{BlockCost, CompiledKernel, Instr, Operand};
+use crate::bytecode::{BlockCost, CompiledKernel, Instr, Operand, Pricing};
 use crate::interp::{branch_test, BoolSemantics, ExecError, ExecOptions, ExecOutcome};
 use crate::kernel::{ArrayId, LBound, LIndex, ParamBinding, SlotId};
 use crate::race::{Loc, RaceDetector};
@@ -67,7 +72,7 @@ pub(crate) fn run(
 /// Debug-build tripwire for accounting drift: the per-block charges must
 /// reproduce the tree interpreter's per-node statistics exactly, and a run
 /// that aborts must abort on the tree interpreter with the same error
-/// (its `nan_ne_tests` included).
+/// (its `tested_nan_ne` included).
 #[cfg(debug_assertions)]
 fn parity_check(
     ck: &CompiledKernel,
@@ -153,6 +158,10 @@ struct Vm<'c, 's> {
     stats: ExecStats,
     ops_left: u64,
     max_ops: u64,
+    /// A priced nest's floor exceeded the ops left before the run tested a
+    /// NaN with `!=`: the run aborts inside that nest, so its first such
+    /// test returns the abort.
+    doomed: bool,
     race: RaceDetector,
     /// First entry of a region is being recorded for race analysis.
     recording: bool,
@@ -178,6 +187,7 @@ impl<'c, 's> Vm<'c, 's> {
             stats: ExecStats::default(),
             ops_left: opts.limits.max_ops,
             max_ops: opts.limits.max_ops,
+            doomed: false,
             race: RaceDetector::new(),
             recording: false,
         }
@@ -223,7 +233,7 @@ impl<'c, 's> Vm<'c, 's> {
     fn budget_exceeded(&self) -> ExecError {
         ExecError::BudgetExceeded {
             max_ops: self.max_ops,
-            nan_ne_tests: self.stats.nan_ne_tests,
+            tested_nan_ne: self.stats.nan_ne_tests > 0,
         }
     }
 
@@ -821,6 +831,11 @@ fn h_bool_test(vm: &mut Vm<'_, '_>, ins: &Instr, ip: &mut usize) -> Result<Flow,
     } else {
         *ip = *if_false as usize;
     }
+    if vm.doomed && vm.stats.nan_ne_tests > 0 {
+        // The doomed run's first NaN `!=` test: its true abort lies ahead
+        // and carries `tested_nan_ne: true`, as does this one.
+        return Err(vm.budget_exceeded());
+    }
     Ok(Flow::Next)
 }
 
@@ -848,7 +863,7 @@ fn h_loop_start(vm: &mut Vm<'_, '_>, ins: &Instr, ip: &mut usize) -> Result<Flow
         exit,
         body_block,
         bulk,
-        priced,
+        pricing,
     } = ins
     else {
         unreachable!()
@@ -864,16 +879,26 @@ fn h_loop_start(vm: &mut Vm<'_, '_>, ins: &Instr, ip: &mut usize) -> Result<Flow
     if start >= end {
         *ip = *exit as usize;
     } else {
-        if *priced {
-            // The started loop runs to its exit and the nest tests no
-            // `!=`, so a floor above the ops left ends the run with the
-            // very error the last failing charge would give.
+        // A doomed run is already bound to abort, so a `!=` nest's floor
+        // has nothing left to tell it.
+        let check = match pricing {
+            Pricing::Unpriced => false,
+            Pricing::NeFree => true,
+            Pricing::HoldsNe => !vm.doomed,
+        };
+        if check {
+            // The started loop runs to its exit, so a floor above the ops
+            // left puts the true abort inside the nest. Its error is known
+            // now unless a later NaN `!=` test can still flip the bool.
             let idx = *body_block as usize;
             let body = ck.blocks[idx]
                 .ops
                 .saturating_add(vm.floor(*ip, *exit as usize - 1, thread));
             if (end - start).saturating_mul(body) > vm.ops_left {
-                return Err(vm.budget_exceeded());
+                if *pricing == Pricing::NeFree || vm.stats.nan_ne_tests > 0 {
+                    return Err(vm.budget_exceeded());
+                }
+                vm.doomed = true;
             }
         }
         vm.s.ints[*counter as usize] = start as i64;
@@ -1028,12 +1053,12 @@ mod tests {
         }
     }
 
-    /// The `priced` flags of `ck`'s loops, in stream order.
-    fn priced_flags(ck: &CompiledKernel) -> Vec<bool> {
+    /// The pricing of `ck`'s loops, in stream order.
+    fn pricings(ck: &CompiledKernel) -> Vec<Pricing> {
         ck.instrs
             .iter()
             .filter_map(|i| match i {
-                Instr::LoopStart { priced, .. } => Some(*priced),
+                Instr::LoopStart { pricing, .. } => Some(*pricing),
                 _ => None,
             })
             .collect()
@@ -1144,7 +1169,10 @@ mod tests {
         };
         let ck = CompiledKernel::compile(lower(&p).unwrap());
         // Only the outermost loop checks: its floor counts the other two.
-        assert_eq!(priced_flags(&ck), vec![true, false, false]);
+        assert_eq!(
+            pricings(&ck),
+            vec![Pricing::NeFree, Pricing::Unpriced, Pricing::Unpriced]
+        );
 
         let total = total_ops(&ck, &input);
         both_engines(&p, &input, &budget(total));
@@ -1157,7 +1185,7 @@ mod tests {
         let (byte, counts) = profiled(&ck, &input, &short);
         let expected = ExecError::BudgetExceeded {
             max_ops: total - 1,
-            nan_ne_tests: 0,
+            tested_nan_ne: false,
         };
         assert_eq!(tree.unwrap_err(), expected);
         assert_eq!(byte.unwrap_err(), expected);
@@ -1170,40 +1198,111 @@ mod tests {
         );
     }
 
-    #[test]
-    fn nest_testing_a_nan_with_ne_is_not_priced() {
-        // for k < 1000 { if (var_1 != 1.0) { comp += 1.0; } comp += var_1; }
-        // with var_1 = NaN: every iteration tests a NaN with `!=`.
-        let p = Program::new(
+    /// `lead`, then `for k < 1000 { if (var_1 != 1.0) { comp += 1.0; }
+    /// comp += var_1; }`: a nest testing `!=` on every iteration, which
+    /// needs far more than 500 ops.
+    fn ne_nest(lead: Vec<Stmt>) -> Program {
+        let nest = Stmt::For(for_loop(
+            "k",
+            LoopBound::Const(1000),
+            false,
+            Block::of_stmts(vec![
+                if_stmt(
+                    "var_1",
+                    BoolOp::Ne,
+                    Expr::fp_const(1.0),
+                    vec![comp_add(Expr::fp_const(1.0))],
+                ),
+                comp_add(Expr::var("var_1")),
+            ]),
+        ));
+        Program::new(
             vec![Param::fp(FpType::F64, "var_1")],
-            Block::of_stmts(vec![Stmt::For(for_loop(
-                "k",
-                LoopBound::Const(1000),
-                false,
-                Block::of_stmts(vec![
-                    if_stmt(
-                        "var_1",
-                        BoolOp::Ne,
-                        Expr::fp_const(1.0),
-                        vec![comp_add(Expr::fp_const(1.0))],
-                    ),
-                    comp_add(Expr::var("var_1")),
-                ]),
-            ))]),
-        );
+            Block::of_stmts(lead.into_iter().chain([nest]).collect()),
+        )
+    }
+
+    #[test]
+    fn doomed_nest_aborts_at_its_first_nan_ne_test() {
+        // With var_1 = NaN every iteration tests a NaN with `!=`. The run
+        // has tested none when it enters the nest, so the floor dooms it
+        // there, and it stops right after its first test with the error
+        // the tree reaches at its last failing charge.
+        let p = ne_nest(vec![]);
         let input = fp_input(vec![f64::NAN]);
         let ck = CompiledKernel::compile(lower(&p).unwrap());
-        assert_eq!(priced_flags(&ck), vec![false]);
-        // The nest needs far more than 500 ops, so a priced entry would
-        // abort before any test and report no NaN `!=` test.
+        assert_eq!(pricings(&ck), vec![Pricing::HoldsNe]);
         let opts = budget(500);
         let tree = run_on(ExecEngine::Tree, &ck, &input, &opts).unwrap_err();
-        let byte = run_on(ExecEngine::Bytecode, &ck, &input, &opts).unwrap_err();
-        assert_eq!(byte, tree);
-        let ExecError::BudgetExceeded { nan_ne_tests, .. } = byte else {
-            panic!("expected a budget abort, got {byte:?}");
+        let (byte, counts) = profiled(&ck, &input, &opts);
+        let expected = ExecError::BudgetExceeded {
+            max_ops: 500,
+            tested_nan_ne: true,
         };
-        assert!(nan_ne_tests > 0);
+        assert_eq!(tree, expected);
+        assert_eq!(byte.unwrap_err(), expected);
+        assert_eq!(counts["bool_test"], 1);
+        assert!(!counts.contains_key("loop_next"));
+    }
+
+    #[test]
+    fn doomed_nest_without_a_nan_ne_test_runs_to_its_natural_abort() {
+        // With var_1 = 2.0 no `!=` test sees a NaN: the doomed run keeps
+        // iterating, testing `!=` each time, until a charge fails.
+        let p = ne_nest(vec![]);
+        let input = fp_input(vec![2.0]);
+        let ck = CompiledKernel::compile(lower(&p).unwrap());
+        let opts = budget(500);
+        let tree = run_on(ExecEngine::Tree, &ck, &input, &opts).unwrap_err();
+        let (byte, counts) = profiled(&ck, &input, &opts);
+        let expected = ExecError::BudgetExceeded {
+            max_ops: 500,
+            tested_nan_ne: false,
+        };
+        assert_eq!(tree, expected);
+        assert_eq!(byte.unwrap_err(), expected);
+        assert!(
+            counts["bool_test"] > 1,
+            "stopped at a `!=` test: {counts:?}"
+        );
+    }
+
+    #[test]
+    fn ne_nest_entered_after_a_nan_ne_test_aborts_at_its_entry() {
+        // `if (var_1 != 1.0) { comp += 1.0; }` before the nest: with
+        // var_1 = NaN the run enters the nest having tested a NaN with
+        // `!=`, which no later test can undo, so the floor stops it there.
+        let lead = if_stmt(
+            "var_1",
+            BoolOp::Ne,
+            Expr::fp_const(1.0),
+            vec![comp_add(Expr::fp_const(1.0))],
+        );
+        let p = ne_nest(vec![lead]);
+        let input = fp_input(vec![f64::NAN]);
+        let ck = CompiledKernel::compile(lower(&p).unwrap());
+        assert_eq!(pricings(&ck), vec![Pricing::HoldsNe]);
+        let opts = budget(500);
+        let tree = run_on(ExecEngine::Tree, &ck, &input, &opts).unwrap_err();
+        let (byte, counts) = profiled(&ck, &input, &opts);
+        let expected = ExecError::BudgetExceeded {
+            max_ops: 500,
+            tested_nan_ne: true,
+        };
+        assert_eq!(tree, expected);
+        assert_eq!(byte.unwrap_err(), expected);
+        // Dispatched: the leading test and its taken body, then the
+        // `LoopStart` — nothing inside the nest.
+        let dispatched: Vec<(&str, u64)> = counts.into_iter().collect();
+        assert_eq!(
+            dispatched,
+            vec![
+                ("bool_test", 1),
+                ("charge", 2),
+                ("loop_start", 1),
+                ("store_comp", 1)
+            ]
+        );
     }
 
     #[test]
@@ -1242,7 +1341,10 @@ mod tests {
         );
         let input = fp_input(vec![1.0]);
         let ck = CompiledKernel::compile(lower(&p).unwrap());
-        assert_eq!(priced_flags(&ck), vec![true, true, false]);
+        assert_eq!(
+            pricings(&ck),
+            vec![Pricing::NeFree, Pricing::NeFree, Pricing::Unpriced]
+        );
         // The outer floor counts nothing of the `if` body and passes; the
         // inner loop's own floor stops the run at its entry, before any
         // iteration of either loop completes.

@@ -24,18 +24,20 @@
 //!   completes.
 //!
 //! The VM aborts a loop nest at its entry when the nest's floor exceeds
-//! the ops left, so one more property pins, on paper-config programs (safe
-//! and legacy-sharing) and both kernel forms, that both engines complete
-//! at exactly the total a run charges and abort one op short of it with
-//! the same error; a fixed sweep shows that the VM's aborts there include
-//! priced ones.
+//! the ops left, or, when the nest tests `!=` and the run has tested no
+//! NaN with it yet, right after the run's first such test. So one more
+//! property pins, on paper-config programs (safe and legacy-sharing) and
+//! both kernel forms, that both engines complete at exactly the total a
+//! run charges and abort one op short of it with the same error; a fixed
+//! sweep, over generated and all-NaN inputs, shows that the VM's aborts
+//! there include priced and doomed ones.
 
 use ompfuzz_exec::{
     lower, BoolSemantics, CompiledKernel, ExecEngine, ExecError, ExecLimits, ExecOptions,
     ExecOutcome, ExecScratch,
 };
 use ompfuzz_gen::{GeneratorConfig, ProgramGenerator, SharingMode};
-use ompfuzz_inputs::{InputGenerator, TestInput};
+use ompfuzz_inputs::{InputGenerator, InputValue, TestInput};
 use proptest::prelude::*;
 
 /// Generate the `seed`-th random program and an input for it.
@@ -393,12 +395,29 @@ impl Boundary {
         assert_outcomes_identical(&tree, &byte).map_err(|e| format!("{e} (budget {budget})"))
     }
 
-    /// Instructions the VM dispatches at `budget`, read off a fresh profile.
-    fn dispatches(&self, input: &TestInput, budget: u64) -> u64 {
+    /// The VM's run at `budget` under `bool_semantics`, and how often it
+    /// dispatched each opcode, read off a fresh profile.
+    fn profiled(
+        &self,
+        input: &TestInput,
+        budget: u64,
+        bool_semantics: BoolSemantics,
+    ) -> (Result<ExecOutcome, ExecError>, Vec<u64>) {
         let mut scratch = ExecScratch::new();
         scratch.profile = Some(Box::default());
-        let _ = self.ck.run(input, &limited(budget), &mut scratch);
-        scratch.profile.expect("installed").total_dispatches()
+        let opts = ExecOptions {
+            bool_semantics,
+            ..limited(budget)
+        };
+        let run = self.ck.run(input, &opts, &mut scratch);
+        let profile = scratch.profile.expect("installed");
+        (run, profile.opcode_counts().map(|(_, n)| n).collect())
+    }
+
+    /// Instructions the VM dispatches at `budget`.
+    fn dispatches(&self, input: &TestInput, budget: u64) -> u64 {
+        let (_, opcodes) = self.profiled(input, budget, BoolSemantics::Ieee);
+        opcodes.iter().sum()
     }
 
     /// Whether the VM's abort at `budget < total` was priced at a loop's
@@ -410,6 +429,37 @@ impl Boundary {
         budget > self.widest
             && self.dispatches(input, budget) == self.dispatches(input, budget - self.widest)
     }
+
+    /// Whether the VM's abort at `budget < total` stopped a doomed run
+    /// right after its first `!=` test on a NaN. Such an abort is not at a
+    /// charge ([`Boundary::priced_abort`]) and reports `tested_nan_ne:
+    /// true`; and that test is where the two branch semantics part, so the
+    /// run dispatches the same opcodes under both. An abort at a nest's
+    /// entry that reports a NaN `!=` test comes after such a test, where
+    /// the semantics took different paths, so it dispatches the same
+    /// opcodes under both only when those paths happen to.
+    fn doomed_abort(&self, input: &TestInput, budget: u64) -> bool {
+        let (ieee, opcodes) = self.profiled(input, budget, BoolSemantics::Ieee);
+        matches!(
+            ieee,
+            Err(ExecError::BudgetExceeded {
+                tested_nan_ne: true,
+                ..
+            })
+        ) && self.priced_abort(input, budget)
+            && self.profiled(input, budget, BoolSemantics::NanAbsorbing).1 == opcodes
+    }
+}
+
+/// `input` with every floating-point parameter and array fill forced to
+/// NaN (the all-set mask of the stand-in suite, `semantics_share.rs`).
+fn all_nan(mut input: TestInput) -> TestInput {
+    for value in &mut input.values {
+        if let InputValue::Fp(v) | InputValue::ArrayFill(v) = value {
+            *v = f64::NAN;
+        }
+    }
+    input
 }
 
 /// A paper-config program under a sharing mode, and an input for it.
@@ -453,17 +503,24 @@ proptest! {
 }
 
 /// Premise of the boundary property: the VM prices aborts on generated
-/// programs. On a fixed sweep, both engines agree one op short of the
+/// programs. On a fixed sweep of generated inputs and the same inputs with
+/// every floating-point value NaN, both engines agree one op short of the
 /// total and at budgets between it and the widest block (where a priced
 /// abort is told from a charge's by [`Boundary::priced_abort`]) or half
-/// of it, and some of the VM's aborts there stop at a loop's entry.
+/// of it. Some of the VM's aborts there stop at a loop's entry, and some
+/// on the NaN inputs stop a doomed run at its first NaN `!=` test
+/// ([`Boundary::doomed_abort`]).
 #[test]
 fn boundary_sweep_reaches_priced_aborts() {
-    let mut priced = 0;
+    let (mut priced, mut doomed) = (0, 0);
     for seed in 0..48 {
         let (program, input) = generate_paper(seed, seed + 1, sharing((seed % 2) as u8));
-        for folded in [false, true] {
-            let Some(b) = Boundary::measure(&program, &input, folded).unwrap() else {
+        let masked = all_nan(input.clone());
+        for (input, folded) in [input, masked]
+            .iter()
+            .flat_map(|input| [false, true].map(|folded| (input, folded)))
+        {
+            let Some(b) = Boundary::measure(&program, input, folded).unwrap() else {
                 continue;
             };
             for budget in [
@@ -475,12 +532,14 @@ fn boundary_sweep_reaches_priced_aborts() {
                 if budget == 0 {
                     continue;
                 }
-                b.check(&input, budget).unwrap();
-                priced += usize::from(b.priced_abort(&input, budget));
+                b.check(input, budget).unwrap();
+                priced += usize::from(b.priced_abort(input, budget));
+                doomed += usize::from(b.doomed_abort(input, budget));
             }
         }
     }
     assert!(priced > 0, "no boundary abort was priced");
+    assert!(doomed > 0, "no boundary abort stopped a doomed run");
 }
 
 /// Non-random pin: the crafted case-study programs (the shapes behind

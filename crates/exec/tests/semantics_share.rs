@@ -4,18 +4,19 @@
 //!
 //! `ompfuzz_backends::oracle` interprets each input once and hands that
 //! outcome to the binaries of the other [`BoolSemantics`] whenever the run
-//! reports `nan_ne_tests == 0` (in `ExecStats`, or on a budget abort).
+//! made no such test (`nan_ne_tests == 0` in `ExecStats`, or
+//! `tested_nan_ne: false` on a budget abort).
 //! These properties pin the engine-level fact the rule rests on, over
 //! random `(program, input, budget)` triples whose inputs force some
 //! parameters to NaN, on both engines, for the plain and the
 //! constant-folded kernel:
 //!
-//! * whenever one semantics' run reports a count of 0, the other
+//! * whenever one semantics' run reports no such test, the other
 //!   semantics' run is bitwise identical: `comp` bits, the full
 //!   `ExecStats`, race reports, or an equal error (budget aborts
 //!   midway included);
-//! * the engines agree on every run, the count included, even at an
-//!   abort;
+//! * the engines agree on every run, the count or the bool included,
+//!   even at an abort;
 //! * the premise: the forced NaNs do reach `!=` tests, and some of those
 //!   runs really diverge between the semantics.
 
@@ -50,12 +51,12 @@ fn generate(seed: u64, input_seed: u64, nan_mask: u64) -> (ompfuzz_ast::Program,
     (program, input)
 }
 
-/// The `!=`-on-NaN count a run reports, complete or aborted.
-fn nan_ne_tests(run: &Run) -> u64 {
+/// Whether a run, complete or aborted, reports a `!=` test on a NaN.
+fn tested_nan_ne(run: &Run) -> bool {
     match run {
-        Ok(outcome) => outcome.stats.nan_ne_tests,
-        Err(ExecError::BudgetExceeded { nan_ne_tests, .. }) => *nan_ne_tests,
-        Err(ExecError::InputMismatch(_)) => 0,
+        Ok(outcome) => outcome.stats.nan_ne_tests > 0,
+        Err(ExecError::BudgetExceeded { tested_nan_ne, .. }) => *tested_nan_ne,
+        Err(ExecError::InputMismatch(_)) => false,
     }
 }
 
@@ -135,7 +136,7 @@ fn check_rule(
                 detect_races,
             );
             for (name, stand_in) in [("IEEE", &ieee), ("NaN-absorbing", &absorbing)] {
-                if nan_ne_tests(stand_in) == 0 {
+                if !tested_nan_ne(stand_in) {
                     identical(&ieee, &absorbing).map_err(|e| {
                         format!("{form} {engine}: the {name} run tested no NaN with != yet the semantics differ: {e}")
                     })?;
@@ -155,8 +156,9 @@ fn check_rule(
 }
 
 proptest! {
-    /// Runs that complete: with race detection on or off, a count of 0
-    /// under either semantics makes the two runs bitwise identical.
+    /// Runs that complete: with race detection on or off, a run with no
+    /// NaN `!=` test under either semantics makes the two runs bitwise
+    /// identical.
     #[test]
     fn a_run_without_a_nan_ne_test_stands_in_for_both(
         seed in 0u64..1_000_000,
@@ -170,9 +172,9 @@ proptest! {
         }
     }
 
-    /// Small random budgets abort runs midway: a count of 0 at the abort
-    /// means the other semantics aborts at the same op with the same
-    /// error, and the engines agree on the count there too.
+    /// Small random budgets abort runs midway: an abort with no NaN `!=`
+    /// test means the other semantics aborts at the same op with the same
+    /// error, and the engines agree on the bool there too.
     #[test]
     fn an_abort_without_a_nan_ne_test_stands_in_for_both(
         seed in 0u64..1_000_000,
@@ -188,8 +190,8 @@ proptest! {
 }
 
 /// The premise of the properties above: NaN-forced inputs reach `!=`
-/// tests (nonzero counts, also at aborts), and such runs really diverge
-/// between the semantics, so the rule is not vacuous.
+/// tests (also before aborts), and such runs really diverge between the
+/// semantics, so the rule is not vacuous.
 #[test]
 fn forced_nans_reach_ne_tests_and_diverge() {
     let (mut counted, mut counted_at_abort, mut diverged) = (0, 0, 0);
@@ -198,7 +200,7 @@ fn forced_nans_reach_ne_tests_and_diverge() {
         let budget = if seed % 3 == 0 { 20_000 } else { 2_000_000 };
         let (ieee, absorbing) = check_rule(&program, &input, budget, false)
             .unwrap_or_else(|e| panic!("seed {seed}: {e}"));
-        if nan_ne_tests(&ieee) > 0 {
+        if tested_nan_ne(&ieee) {
             counted += 1;
             counted_at_abort += usize::from(ieee.is_err());
             diverged += usize::from(identical(&ieee, &absorbing).is_err());
@@ -207,7 +209,7 @@ fn forced_nans_reach_ne_tests_and_diverge() {
     assert!(counted >= 10, "only {counted} runs tested a NaN with !=");
     assert!(
         counted_at_abort >= 2,
-        "no aborted run carried a nonzero count"
+        "no aborted run reported a NaN `!=` test"
     );
     assert!(diverged >= 10, "only {diverged} runs diverged");
 }

@@ -723,14 +723,14 @@ mod tests {
                     .iter()
                     .zip(&tc.inputs)
                     .map(|(record, input)| {
-                        let nan_ne_tests = match code.run(input, &ieee, &mut ExecScratch::new()) {
-                            Ok(outcome) => outcome.stats.nan_ne_tests,
-                            Err(ExecError::BudgetExceeded { nan_ne_tests, .. }) => nan_ne_tests,
-                            Err(ExecError::InputMismatch(_)) => 0,
+                        let tested_nan_ne = match code.run(input, &ieee, &mut ExecScratch::new()) {
+                            Ok(outcome) => outcome.stats.nan_ne_tests > 0,
+                            Err(ExecError::BudgetExceeded { tested_nan_ne, .. }) => tested_nan_ne,
+                            Err(ExecError::InputMismatch(_)) => false,
                         };
                         let gcc_interprets = opt_level >= OptLevel::O2
                             && record.observations[2].status != ExecStatus::Crash;
-                        1 + u64::from(nan_ne_tests > 0 && gcc_interprets)
+                        1 + u64::from(tested_nan_ne && gcc_interprets)
                     })
                     .sum();
                 let counters = obs.counters();

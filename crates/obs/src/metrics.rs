@@ -138,8 +138,8 @@ struct CounterStripe {
 
 /// Lock-free counters: per-thread-striped relaxed `AtomicU64` banks, one
 /// slot per [`Counter`]. Workers `add` concurrently on their own stripe;
-/// nobody reads until a quiescent [`snapshot`]
-/// (`MetricsRegistry::snapshot`), so relaxed ordering is sufficient.
+/// nobody reads until a quiescent [`snapshot`](MetricsRegistry::snapshot),
+/// so relaxed ordering is sufficient.
 #[derive(Debug)]
 pub struct MetricsRegistry {
     stripes: [CounterStripe; STRIPES],

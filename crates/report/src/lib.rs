@@ -3,7 +3,7 @@
 //! Rendering and regeneration of every table and figure in the paper's
 //! evaluation, plus the `ompfuzz` command-line interface.
 //!
-//! * [`experiments`] — the per-experiment registry (`table1`, `table2`,
+//! * [`experiments`](mod@experiments) — the per-experiment registry (`table1`, `table2`,
 //!   `table3`, `fig1`, `fig5`–`fig9`, `versions`); each experiment reruns
 //!   its workload and renders paper-style output.
 //! * [`table`] — aligned text tables in the paper's visual style.

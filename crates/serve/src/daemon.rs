@@ -27,13 +27,12 @@
 //! byte-identical to an uninterrupted run.
 //!
 //! The daemon performs the between-round merges through the coordinator's
-//! own round code: the checked round reader
-//! ([`read_round_shards`](ompfuzz_corpus::read_round_shards)) and the
-//! ordered merge ([`merge_round`](ompfuzz_corpus::merge_round)) onto the
-//! previous round's sealed catalog. It keeps no merge state of its own,
-//! so a campaign run through the service produces catalog bytes identical
-//! to `ompfuzz evolve` — the headline invariant, `cmp`-checked in CI — and
-//! a shard file the coordinator would refuse degrades the served job.
+//! own round code: the checked round reader ([`read_round_shards`]) and
+//! the ordered merge ([`merge_round`]) onto the previous round's sealed
+//! catalog. It keeps no merge state of its own, so a campaign run through
+//! the service produces catalog bytes identical to `ompfuzz evolve` — the
+//! headline invariant, `cmp`-checked in CI — and a shard file the
+//! coordinator would refuse degrades the served job.
 
 use crate::protocol::{
     job_label, parse_request, render_error, render_event, render_ok, render_ok_job,
