@@ -231,12 +231,32 @@ pub fn clause_edits(program: &Program) -> Vec<ClauseEdit> {
 /// Apply one clause edit; `None` when the edit does not match the program
 /// (stale region/index).
 pub fn apply_clause_edit(program: &Program, edit: &ClauseEdit) -> Option<Program> {
-    let target_region = match *edit {
+    let region = match *edit {
         ClauseEdit::DropPrivate { region, .. }
         | ClauseEdit::DropFirstprivate { region, .. }
         | ClauseEdit::DropReduction { region }
         | ClauseEdit::DropNumThreads { region } => region,
     };
+    edit_region_clauses(program, region, |clauses| match *edit {
+        ClauseEdit::DropPrivate { index, .. } => (index < clauses.private.len())
+            .then(|| clauses.private.remove(index))
+            .is_some(),
+        ClauseEdit::DropFirstprivate { index, .. } => (index < clauses.firstprivate.len())
+            .then(|| clauses.firstprivate.remove(index))
+            .is_some(),
+        ClauseEdit::DropReduction { .. } => clauses.reduction.take().is_some(),
+        ClauseEdit::DropNumThreads { .. } => clauses.num_threads.take().is_some(),
+    })
+}
+
+/// Rebuild with one region's clauses passed through `f`; `f` returns
+/// whether it changed anything. `None` when the region is missing or `f`
+/// declines.
+fn edit_region_clauses(
+    program: &Program,
+    target_region: usize,
+    mut f: impl FnMut(&mut crate::omp::OmpClauses) -> bool,
+) -> Option<Program> {
     let mut region = 0;
     let mut applied = false;
     let body = map_regions(&program.body, &mut |par| {
@@ -246,29 +266,8 @@ pub fn apply_clause_edit(program: &Program, edit: &ClauseEdit) -> Option<Program
             return par.clone();
         }
         let mut clauses = par.clauses.clone();
-        match *edit {
-            ClauseEdit::DropPrivate { index, .. } => {
-                if index >= clauses.private.len() {
-                    return par.clone();
-                }
-                clauses.private.remove(index);
-            }
-            ClauseEdit::DropFirstprivate { index, .. } => {
-                if index >= clauses.firstprivate.len() {
-                    return par.clone();
-                }
-                clauses.firstprivate.remove(index);
-            }
-            ClauseEdit::DropReduction { .. } => {
-                if clauses.reduction.take().is_none() {
-                    return par.clone();
-                }
-            }
-            ClauseEdit::DropNumThreads { .. } => {
-                if clauses.num_threads.take().is_none() {
-                    return par.clone();
-                }
-            }
+        if !f(&mut clauses) {
+            return par.clone();
         }
         applied = true;
         OmpParallel {
@@ -806,39 +805,6 @@ pub fn apply_grow_edit(program: &Program, edit: &GrowEdit, limits: &GrowLimits) 
             with_loop_trip(program, *site, *trip)
         }
     }
-}
-
-/// Rebuild with one region's clauses passed through `f`; `f` returns
-/// whether it changed anything. `None` when the region is missing or `f`
-/// declines.
-fn edit_region_clauses(
-    program: &Program,
-    target_region: usize,
-    mut f: impl FnMut(&mut crate::omp::OmpClauses) -> bool,
-) -> Option<Program> {
-    let mut region = 0;
-    let mut applied = false;
-    let body = map_regions(&program.body, &mut |par| {
-        let here = region == target_region;
-        region += 1;
-        if !here {
-            return par.clone();
-        }
-        let mut clauses = par.clauses.clone();
-        if !f(&mut clauses) {
-            return par.clone();
-        }
-        applied = true;
-        OmpParallel {
-            clauses,
-            prelude: par.prelude.clone(),
-            body_loop: par.body_loop.clone(),
-        }
-    });
-    applied.then(|| Program {
-        body,
-        ..program.clone()
-    })
 }
 
 // ---------------------------------------------------------------------------

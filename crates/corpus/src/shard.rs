@@ -209,29 +209,39 @@ pub fn write_shard_file(outcome: &ShardOutcome, fingerprint: u64) -> String {
         s.racy,
         s.outlier_records,
         s.reduced,
-        outcome.metrics.to_line(),
+        metrics_line(&outcome.metrics),
         outcome.catalog.save_to_string()
     )
 }
 
-/// Rebuild a counter snapshot from its parsed `(metrics (key value) ...)`
-/// node. Unknown keys are skipped (forward compatibility), matching
-/// [`CounterSnapshot::parse_line`].
-fn metrics_from_node(node: &Node) -> Result<CounterSnapshot, StoreError> {
+/// The checkpoint's counters: `(metrics (programs_generated 3) ...)`, one
+/// keyed pair per counter in slot order, so the line is byte-stable under
+/// write → read → write.
+fn metrics_line(metrics: &CounterSnapshot) -> String {
     let mut line = String::from("(metrics");
+    for (counter, value) in metrics.iter() {
+        line.push_str(&format!(" ({} {value})", counter.key()));
+    }
+    line.push(')');
+    line
+}
+
+/// Read a counter snapshot off its parsed `(metrics (key value) ...)`
+/// node. Unknown keys are skipped (a checkpoint from a later build) and
+/// missing keys read 0 (one from before the counter existed).
+fn metrics_from_node(node: &Node) -> Result<CounterSnapshot, StoreError> {
+    let mut metrics = CounterSnapshot::default();
     for pair in node.tagged("metrics")? {
         let [key, value] = pair.as_list()? else {
             return Err(StoreError("metrics entry needs (key value)".into()));
         };
-        line.push_str(&format!(
-            " ({} {})",
-            key.as_atom()?,
-            value.parse_atom::<u64>("metric value")?
-        ));
+        let key = key.as_atom()?;
+        let value = value.parse_atom::<u64>("metric value")?;
+        if let Some(counter) = Counter::from_key(key) {
+            metrics.set(counter, value);
+        }
     }
-    line.push(')');
-    CounterSnapshot::parse_line(&line)
-        .ok_or_else(|| StoreError("invalid shard metrics line".into()))
+    Ok(metrics)
 }
 
 /// Parse a file written by [`write_shard_file`]; returns the recorded
@@ -361,6 +371,10 @@ mod tests {
             metrics: reg.snapshot(),
         };
         let text = write_shard_file(&outcome, 0xDEAD_BEEF);
+        assert!(
+            text.contains("\n(metrics (programs_generated 10) (mutants_generated 0)"),
+            "{text}"
+        );
         let (fingerprint, back) = read_shard_file(&text).expect("parses");
         assert_eq!(fingerprint, 0xDEAD_BEEF);
         assert_eq!(back.summary, outcome.summary);
@@ -372,7 +386,7 @@ mod tests {
 
     #[test]
     fn malformed_shard_files_are_rejected() {
-        let metrics = CounterSnapshot::default().to_line();
+        let metrics = "(metrics)";
         for bad in [
             String::new(),
             // Header without metrics/catalog.
@@ -388,5 +402,66 @@ mod tests {
         ] {
             assert!(read_shard_file(&bad).is_err(), "`{bad}` should fail");
         }
+    }
+
+    /// A checkpoint with an empty catalog and the given metrics form.
+    fn shard_file_with_metrics(metrics: &str) -> Result<CounterSnapshot, StoreError> {
+        let text = format!("(shard v2 1 0 0 1 0 10 0 0 0 0)\n{metrics}\n(catalog v1 0)");
+        read_shard_file(&text).map(|(_, outcome)| outcome.metrics)
+    }
+
+    #[test]
+    fn metrics_line_round_trips() {
+        let reg = ompfuzz_obs::MetricsRegistry::new();
+        reg.add(Counter::ProgramsGenerated, 40);
+        reg.add(Counter::NewSkeletons, 3);
+        let snap = reg.snapshot();
+        let line = metrics_line(&snap);
+        assert!(
+            line.starts_with("(metrics (programs_generated 40)"),
+            "{line}"
+        );
+        let back = shard_file_with_metrics(&line).expect("parses");
+        assert_eq!(back, snap);
+        // Byte stability: read → write reproduces the line.
+        assert_eq!(metrics_line(&back), line);
+    }
+
+    #[test]
+    fn lines_written_before_a_counter_existed_load_it_as_zero() {
+        // A shard checkpoint's metrics line from before `interpretations`
+        // was added: every other counter loads, the new one reads zero.
+        let old = "(metrics (programs_generated 6) (mutants_generated 1) (compiles 21) \
+                   (compile_failures 0) (race_filter_hits 0) (differential_runs 63) \
+                   (vm_ops 9000) (budget_aborts 2) (outlier_records 3) \
+                   (reducer_candidate_checks 0) (reduced_kernels 0) (new_skeletons 0))";
+        let snap = shard_file_with_metrics(old).expect("older line parses");
+        assert_eq!(snap.get(Counter::Interpretations), 0);
+        assert_eq!(snap.get(Counter::DifferentialRuns), 63);
+        assert_eq!(snap.get(Counter::VmOps), 9000);
+        assert_eq!(snap.get(Counter::BudgetAborts), 2);
+        assert_eq!(snap.get(Counter::MutantsGenerated), 1);
+        // Written back, the line gains the new pair beside its neighbour.
+        assert!(metrics_line(&snap)
+            .contains("(differential_runs 63) (interpretations 0) (vm_ops 9000)"));
+    }
+
+    #[test]
+    fn unknown_keys_are_skipped_and_damage_is_rejected() {
+        let ok = shard_file_with_metrics("(metrics (compiles 4) (future_counter 9))");
+        assert_eq!(ok.expect("unknown key skipped").get(Counter::Compiles), 4);
+        for bad in [
+            "(metrics (compiles x))",
+            "(metrics (compiles))",
+            "(metrics (compiles 4 5))",
+            "(metrics compiles)",
+            "(metrics (compiles 4)",
+            "metrics",
+        ] {
+            assert!(shard_file_with_metrics(bad).is_err(), "`{bad}` should fail");
+        }
+        assert!(shard_file_with_metrics("(metrics)")
+            .expect("empty")
+            .is_zero());
     }
 }

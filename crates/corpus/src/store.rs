@@ -240,7 +240,7 @@ fn write_expr(e: &Expr, out: &mut String) {
             out.push(')');
         }
         Expr::MathCall { func, arg } => {
-            out.push_str(&format!("(m {} ", mathfunc(*func)));
+            out.push_str(&format!("(m {} ", func.c_name()));
             write_expr(arg, out);
             out.push(')');
         }
@@ -274,26 +274,6 @@ fn bop(op: BoolOp) -> &'static str {
         BoolOp::Ne => "ne",
         BoolOp::Ge => "ge",
         BoolOp::Le => "le",
-    }
-}
-
-fn mathfunc(f: MathFunc) -> &'static str {
-    match f {
-        MathFunc::Sin => "sin",
-        MathFunc::Cos => "cos",
-        MathFunc::Tan => "tan",
-        MathFunc::Asin => "asin",
-        MathFunc::Acos => "acos",
-        MathFunc::Atan => "atan",
-        MathFunc::Sinh => "sinh",
-        MathFunc::Cosh => "cosh",
-        MathFunc::Tanh => "tanh",
-        MathFunc::Exp => "exp",
-        MathFunc::Log => "log",
-        MathFunc::Sqrt => "sqrt",
-        MathFunc::Fabs => "fabs",
-        MathFunc::Floor => "floor",
-        MathFunc::Ceil => "ceil",
     }
 }
 
@@ -514,14 +494,6 @@ fn read_params(node: &Node) -> Result<Vec<Param>, StoreError> {
     Ok(params)
 }
 
-fn read_fpty(node: &Node) -> Result<FpType, StoreError> {
-    match node.as_atom()? {
-        "f32" => Ok(FpType::F32),
-        "f64" => Ok(FpType::F64),
-        other => err(format!("unknown fp type `{other}`")),
-    }
-}
-
 fn read_block(node: &Node) -> Result<Block, StoreError> {
     let mut items = Vec::new();
     for item in node.tagged("block")? {
@@ -556,7 +528,7 @@ fn read_stmt(node: &Node) -> Result<Stmt, StoreError> {
             };
             Ok(Stmt::Assign(Assignment {
                 target,
-                op: read_aop(op)?,
+                op: read_tag(op, AssignOp::all(), aop, "assign op")?,
                 value: read_expr(value)?,
             }))
         }
@@ -580,7 +552,7 @@ fn read_stmt(node: &Node) -> Result<Stmt, StoreError> {
             Ok(Stmt::If(IfBlock {
                 cond: BoolExpr {
                     lhs: read_varref(lhs)?,
-                    op: read_bop(op)?,
+                    op: read_tag(op, BoolOp::all(), bop, "bool op")?,
                     rhs: read_expr(rhs)?,
                 },
                 body: read_block(body)?,
@@ -730,7 +702,7 @@ fn read_expr(node: &Node) -> Result<Expr, StoreError> {
                 return err("b needs (b op lhs rhs)");
             };
             Ok(Expr::Binary {
-                op: read_binop(op)?,
+                op: read_tag(op, BinOp::all(), binop, "binary op")?,
                 lhs: Box::new(read_expr(lhs)?),
                 rhs: Box::new(read_expr(rhs)?),
             })
@@ -740,7 +712,7 @@ fn read_expr(node: &Node) -> Result<Expr, StoreError> {
                 return err("m needs (m func arg)");
             };
             Ok(Expr::MathCall {
-                func: read_mathfunc(func)?,
+                func: read_tag(func, MathFunc::all(), MathFunc::c_name, "math function")?,
                 arg: Box::new(read_expr(arg)?),
             })
         }
@@ -748,58 +720,23 @@ fn read_expr(node: &Node) -> Result<Expr, StoreError> {
     }
 }
 
-fn read_aop(node: &Node) -> Result<AssignOp, StoreError> {
-    match node.as_atom()? {
-        "set" => Ok(AssignOp::Assign),
-        "add" => Ok(AssignOp::AddAssign),
-        "sub" => Ok(AssignOp::SubAssign),
-        "mul" => Ok(AssignOp::MulAssign),
-        "div" => Ok(AssignOp::DivAssign),
-        other => err(format!("unknown assign op `{other}`")),
-    }
+fn read_fpty(node: &Node) -> Result<FpType, StoreError> {
+    read_tag(node, FpType::all(), fpty, "fp type")
 }
 
-fn read_binop(node: &Node) -> Result<BinOp, StoreError> {
-    match node.as_atom()? {
-        "add" => Ok(BinOp::Add),
-        "sub" => Ok(BinOp::Sub),
-        "mul" => Ok(BinOp::Mul),
-        "div" => Ok(BinOp::Div),
-        other => err(format!("unknown binary op `{other}`")),
+/// Read a tag that `write` gives one of `all`'s values, so each enum has
+/// one tag table: its writer.
+fn read_tag<E: Copy, const N: usize>(
+    node: &Node,
+    all: [E; N],
+    write: fn(E) -> &'static str,
+    what: &str,
+) -> Result<E, StoreError> {
+    let tag = node.as_atom()?;
+    match all.into_iter().find(|&value| write(value) == tag) {
+        Some(value) => Ok(value),
+        None => err(format!("unknown {what} `{tag}`")),
     }
-}
-
-fn read_bop(node: &Node) -> Result<BoolOp, StoreError> {
-    match node.as_atom()? {
-        "lt" => Ok(BoolOp::Lt),
-        "gt" => Ok(BoolOp::Gt),
-        "eq" => Ok(BoolOp::Eq),
-        "ne" => Ok(BoolOp::Ne),
-        "ge" => Ok(BoolOp::Ge),
-        "le" => Ok(BoolOp::Le),
-        other => err(format!("unknown bool op `{other}`")),
-    }
-}
-
-fn read_mathfunc(node: &Node) -> Result<MathFunc, StoreError> {
-    Ok(match node.as_atom()? {
-        "sin" => MathFunc::Sin,
-        "cos" => MathFunc::Cos,
-        "tan" => MathFunc::Tan,
-        "asin" => MathFunc::Asin,
-        "acos" => MathFunc::Acos,
-        "atan" => MathFunc::Atan,
-        "sinh" => MathFunc::Sinh,
-        "cosh" => MathFunc::Cosh,
-        "tanh" => MathFunc::Tanh,
-        "exp" => MathFunc::Exp,
-        "log" => MathFunc::Log,
-        "sqrt" => MathFunc::Sqrt,
-        "fabs" => MathFunc::Fabs,
-        "floor" => MathFunc::Floor,
-        "ceil" => MathFunc::Ceil,
-        other => return err(format!("unknown math function `{other}`")),
-    })
 }
 
 #[cfg(test)]

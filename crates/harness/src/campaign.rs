@@ -3,7 +3,7 @@
 //! (a) generate programs + inputs → (b) compile with every implementation →
 //! (c) run everything → (d) differential analysis and outlier tallying.
 //!
-//! The driver parallelizes across *programs* with crossbeam scoped threads,
+//! The driver parallelizes across *programs* with [`pool::map_parallel`],
 //! and the whole per-program unit is **pipelined**: one worker closure
 //! generates the test (when the corpus is not pre-built), lowers and
 //! compiles it once, and performs every differential run — there is no
@@ -287,9 +287,10 @@ fn assemble_result(
 
 std::thread_local! {
     /// One [`ExecScratch`] per worker thread, reused across every program
-    /// the worker processes (scratch contents never affect outcomes —
-    /// pinned by the `scratch_reuse` differential suite — so thread
-    /// affinity cannot change any result).
+    /// the worker processes: for one `map_parallel` call on a helper
+    /// thread, for the thread's life on the calling thread (scratch
+    /// contents never affect outcomes — pinned by the `scratch_reuse`
+    /// differential suite — so thread affinity cannot change any result).
     static WORKER_SCRATCH: std::cell::RefCell<ExecScratch> =
         std::cell::RefCell::new(ExecScratch::new());
 }

@@ -3,18 +3,13 @@
 //! collect the results *in item order*, so callers are deterministic for
 //! every worker count.
 //!
-//! Workers are **persistent**: the first pooled call spawns them (growing
-//! to the largest worker count any call has requested) and they survive
-//! for the life of the process, parked on the shared job queue. Sharded
-//! campaigns issue one `map_parallel` per shard — spawning a fresh set of
-//! OS threads per shard used to cost more than a small shard's entire
-//! differential workload, and with reuse that cost is paid once. Each
-//! call still makes progress on its *own* thread as well, so a call never
-//! deadlocks waiting for pool capacity another call is using.
+//! Each call spawns its helper threads inside a [`std::thread::scope`] and
+//! joins them before it returns, so no thread outlives the call and the
+//! helpers borrow the caller's items and closure directly. The calling
+//! thread works alongside them, so a call always makes progress on its own
+//! thread, nested calls included.
 
-use crossbeam::channel;
-use std::cell::Cell;
-use std::sync::{Mutex, OnceLock};
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Resolve a configured worker count (`0` = use the machine's available
 /// parallelism, falling back to 4 when it cannot be queried).
@@ -26,78 +21,16 @@ pub fn resolve_workers(requested: usize) -> usize {
     }
 }
 
-/// A lifetime-erased unit of work on the shared queue. Every job a call
-/// submits is joined (via its completion signal) before that call
-/// returns, which is what makes the erasure sound.
-type Job = Box<dyn FnOnce() + Send + 'static>;
-
-struct SharedPool {
-    tx: channel::Sender<Job>,
-    /// Kept so newly spawned workers can clone the receiving half.
-    rx: channel::Receiver<Job>,
-    /// How many worker threads exist; grown, never shrunk.
-    spawned: Mutex<usize>,
-}
-
-static POOL: OnceLock<SharedPool> = OnceLock::new();
-
-thread_local! {
-    /// Set on pool worker threads. A nested `map_parallel` issued from a
-    /// worker runs serially instead of queueing sub-jobs: a job must never
-    /// block on queue capacity occupied by the very jobs ahead of it.
-    static IS_POOL_WORKER: Cell<bool> = const { Cell::new(false) };
-}
-
-fn shared_pool() -> &'static SharedPool {
-    POOL.get_or_init(|| {
-        let (tx, rx) = channel::unbounded::<Job>();
-        SharedPool {
-            tx,
-            rx,
-            spawned: Mutex::new(0),
-        }
-    })
-}
-
-/// Grow the pool to at least `wanted` worker threads.
-fn ensure_workers(pool: &'static SharedPool, wanted: usize) {
-    let mut spawned = pool.spawned.lock().unwrap_or_else(|e| e.into_inner());
-    while *spawned < wanted {
-        let rx = pool.rx.clone();
-        std::thread::Builder::new()
-            .name(format!("ompfuzz-pool-{}", *spawned))
-            .spawn(move || {
-                IS_POOL_WORKER.with(|flag| flag.set(true));
-                while let Ok(job) = rx.recv() {
-                    // A panic inside a job belongs to the call that
-                    // submitted it (the caller sees the missing result);
-                    // this worker survives for the next job.
-                    let _ = std::panic::catch_unwind(std::panic::AssertUnwindSafe(job));
-                }
-            })
-            .expect("spawn pool worker");
-        *spawned += 1;
-    }
-}
-
-/// Sends its completion signal when dropped, so a job that unwinds still
-/// reports itself finished — the submitting call must never wait forever.
-struct DoneGuard(channel::Sender<()>);
-
-impl Drop for DoneGuard {
-    fn drop(&mut self) {
-        let _ = self.0.send(());
-    }
-}
-
 /// Apply `f` to every item, using up to `workers` threads (the calling
-/// thread plus persistent pool workers), and return the results in item
-/// order.
+/// thread plus `workers - 1` scoped helpers spawned for this call), and
+/// return the results in item order.
 ///
+/// Threads claim items one at a time, so uneven items still balance.
 /// Every item is evaluated — there is no early exit — so the output is
 /// identical whatever the worker count or scheduling. Single-item batches
-/// (and `workers <= 1`) skip the pool: with one item there is nothing to
-/// overlap.
+/// (and `workers <= 1`) spawn nothing: with one item there is nothing to
+/// overlap. A panic in `f` reaches the caller once every helper has
+/// stopped.
 pub fn map_parallel<T, R, F>(workers: usize, items: &[T], f: F) -> Vec<R>
 where
     T: Sync,
@@ -105,71 +38,38 @@ where
     F: Fn(&T) -> R + Sync,
 {
     let workers = workers.min(items.len()).max(1);
-    if workers == 1 || items.len() <= 1 || IS_POOL_WORKER.with(|flag| flag.get()) {
+    if workers == 1 {
         return items.iter().map(f).collect();
     }
 
-    let (work_tx, work_rx) = channel::unbounded::<usize>();
-    for index in 0..items.len() {
-        work_tx.send(index).expect("queue open");
-    }
-    // Dropped before any job runs: `work_rx.recv()` can therefore never
-    // block — it drains the queue and then reports disconnection — so
-    // every job terminates on its own, wherever it runs.
-    drop(work_tx);
-    let (res_tx, res_rx) = channel::unbounded::<(usize, R)>();
-    let (done_tx, done_rx) = channel::unbounded::<()>();
-
-    // The calling thread is one of the `workers`; the rest are pool jobs.
-    let helpers = workers - 1;
-    let pool = shared_pool();
-    ensure_workers(pool, helpers);
-    for _ in 0..helpers {
-        let work_rx = work_rx.clone();
-        let res_tx = res_tx.clone();
-        let done = DoneGuard(done_tx.clone());
-        let f = &f;
-        let job: Box<dyn FnOnce() + Send + '_> = Box::new(move || {
-            let _done = done;
-            while let Ok(index) = work_rx.recv() {
-                if res_tx.send((index, f(&items[index]))).is_err() {
-                    return;
-                }
-            }
-        });
-        // SAFETY: the job borrows `f` and `items` from this frame. It is
-        // joined below — `done_rx` receives one signal per submitted job,
-        // sent by `DoneGuard` even on unwind — before this function
-        // returns, so the borrows outlive every use. The erasure only
-        // widens the lifetime; layout is unchanged.
-        let job: Job = unsafe { std::mem::transmute::<Box<dyn FnOnce() + Send + '_>, Job>(job) };
-        assert!(pool.tx.send(job).is_ok(), "pool queue open");
-    }
-    drop(done_tx);
-
-    // Work the queue here too: even if every pool worker is busy with
-    // other calls' jobs, this call completes on its own thread.
-    while let Ok(index) = work_rx.recv() {
-        if res_tx.send((index, f(&items[index]))).is_err() {
-            break;
+    // The cursor hands out each index exactly once. It publishes nothing
+    // else: the results travel back through each thread's join.
+    let next = AtomicUsize::new(0);
+    let work = || {
+        let mut done = Vec::new();
+        loop {
+            let index = next.fetch_add(1, Ordering::Relaxed);
+            let Some(item) = items.get(index) else {
+                return done;
+            };
+            done.push((index, f(item)));
         }
-    }
-    drop(res_tx);
+    };
 
-    // Join every submitted job before touching the results (and before
-    // the borrows the jobs hold go out of scope).
-    for _ in 0..helpers {
-        done_rx.recv().expect("pool job signals completion");
-    }
-
-    let mut slots: Vec<Option<R>> = (0..items.len()).map(|_| None).collect();
-    for (index, result) in res_rx {
-        slots[index] = Some(result);
-    }
-    slots
-        .into_iter()
-        .map(|r| r.expect("every item produces a result"))
-        .collect()
+    let mut done = std::thread::scope(|scope| {
+        let helpers: Vec<_> = (1..workers).map(|_| scope.spawn(work)).collect();
+        let mut done = work();
+        for helper in helpers {
+            done.extend(
+                helper
+                    .join()
+                    .unwrap_or_else(|panic| std::panic::resume_unwind(panic)),
+            );
+        }
+        done
+    });
+    done.sort_unstable_by_key(|&(index, _)| index);
+    done.into_iter().map(|(_, result)| result).collect()
 }
 
 #[cfg(test)]
@@ -189,7 +89,7 @@ mod tests {
     fn tiny_batches_and_empty_input_work() {
         assert_eq!(map_parallel(8, &[] as &[u8], |&x| x), Vec::<u8>::new());
         assert_eq!(map_parallel(8, &[7], |&x| x + 1), vec![8]);
-        // Two items take the pooled path; order must still hold.
+        // Two items take the threaded path; order must still hold.
         assert_eq!(map_parallel(8, &[1, 2], |&x| x + 1), vec![2, 3]);
     }
 
@@ -201,9 +101,8 @@ mod tests {
 
     #[test]
     fn borrowed_items_and_closure_state_survive_pooling() {
-        // The lifetime erasure must never outlive the call: run many
-        // short pooled maps over stack-owned data, with results that
-        // depend on borrowed closure state.
+        // Run many short threaded maps over stack-owned data, with results
+        // that depend on borrowed closure state.
         let offset = 1000usize;
         for round in 0..50 {
             let items: Vec<usize> = (0..23).map(|i| i + round).collect();
@@ -214,9 +113,8 @@ mod tests {
 
     #[test]
     fn concurrent_calls_share_the_pool() {
-        // Several threads issuing pooled maps at once: each must finish
-        // with correct, ordered results (the calling thread guarantees
-        // progress even when pool workers are busy elsewhere).
+        // Several threads issuing threaded maps at once: each must finish
+        // with correct, ordered results.
         let handles: Vec<_> = (0..4)
             .map(|t| {
                 std::thread::spawn(move || {
@@ -232,9 +130,9 @@ mod tests {
     }
 
     #[test]
-    fn nested_calls_fall_back_to_serial() {
-        // A map inside a map must complete (the inner call detects it is
-        // on a pool worker and runs serially rather than queueing).
+    fn nested_calls_keep_item_order() {
+        // A map inside a map spawns its own helpers and still returns its
+        // results in item order.
         let outer: Vec<usize> = (0..16).collect();
         let out = map_parallel(4, &outer, |&x| {
             let inner: Vec<usize> = (0..8).collect();
@@ -245,5 +143,17 @@ mod tests {
             .map(|&x| (0..8).map(|y| y + x).sum::<usize>())
             .collect();
         assert_eq!(out, expect);
+    }
+
+    #[test]
+    fn a_panicking_item_panics_the_caller() {
+        let items: Vec<usize> = (0..32).collect();
+        let outcome = std::panic::catch_unwind(|| {
+            map_parallel(4, &items, |&x| {
+                assert!(x != 17, "item 17 fails");
+                x
+            })
+        });
+        assert!(outcome.is_err());
     }
 }

@@ -216,44 +216,9 @@ impl CounterSnapshot {
         self.values.iter().all(|&v| v == 0)
     }
 
-    /// The checkpoint form: `(metrics (programs_generated 3) ...)` — one
-    /// keyed pair per counter, in slot order, so the line is deterministic
-    /// and byte-stable under write → read → write.
-    pub fn to_line(&self) -> String {
-        let mut out = String::from("(metrics");
-        for (counter, value) in self.iter() {
-            out.push_str(&format!(" ({} {value})", counter.key()));
-        }
-        out.push(')');
-        out
-    }
-
-    /// Parse [`CounterSnapshot::to_line`]. Unknown keys are skipped
-    /// (forward compatibility); missing keys stay zero. Returns `None`
-    /// only on structural damage.
-    pub fn parse_line(line: &str) -> Option<CounterSnapshot> {
-        let body = line
-            .trim()
-            .strip_prefix("(metrics")?
-            .strip_suffix(')')?
-            .trim();
-        let mut snapshot = CounterSnapshot::default();
-        let mut rest = body;
-        while !rest.is_empty() {
-            let open = rest.strip_prefix('(')?;
-            let close = open.find(')')?;
-            let mut pair = open[..close].split_whitespace();
-            let key = pair.next()?;
-            let value: u64 = pair.next()?.parse().ok()?;
-            if pair.next().is_some() {
-                return None;
-            }
-            if let Some(counter) = Counter::from_key(key) {
-                snapshot.values[counter as usize] = value;
-            }
-            rest = open[close + 1..].trim_start();
-        }
-        Some(snapshot)
+    /// Set one counter's value, as a snapshot read back from a checkpoint.
+    pub fn set(&mut self, counter: Counter, value: u64) {
+        self.values[counter as usize] = value;
     }
 }
 
@@ -301,51 +266,5 @@ mod tests {
         b.merge(&x);
         assert_eq!(a, b);
         assert_eq!(a.get(Counter::DifferentialRuns), 14);
-    }
-
-    #[test]
-    fn line_round_trips() {
-        let reg = MetricsRegistry::new();
-        reg.add(Counter::ProgramsGenerated, 40);
-        reg.add(Counter::NewSkeletons, 3);
-        let snap = reg.snapshot();
-        let line = snap.to_line();
-        assert!(
-            line.starts_with("(metrics (programs_generated 40)"),
-            "{line}"
-        );
-        assert_eq!(CounterSnapshot::parse_line(&line), Some(snap));
-        // Byte stability: parse → render reproduces the line.
-        assert_eq!(CounterSnapshot::parse_line(&line).unwrap().to_line(), line);
-    }
-
-    #[test]
-    fn lines_written_before_a_counter_existed_load_it_as_zero() {
-        // A shard checkpoint's metrics line from before `interpretations`
-        // was added: every other counter loads, the new one reads zero.
-        let old = "(metrics (programs_generated 6) (mutants_generated 1) (compiles 21) \
-                   (compile_failures 0) (race_filter_hits 0) (differential_runs 63) \
-                   (vm_ops 9000) (budget_aborts 2) (outlier_records 3) \
-                   (reducer_candidate_checks 0) (reduced_kernels 0) (new_skeletons 0))";
-        let snap = CounterSnapshot::parse_line(old).expect("older line parses");
-        assert_eq!(snap.get(Counter::Interpretations), 0);
-        assert_eq!(snap.get(Counter::DifferentialRuns), 63);
-        assert_eq!(snap.get(Counter::VmOps), 9000);
-        assert_eq!(snap.get(Counter::BudgetAborts), 2);
-        assert_eq!(snap.get(Counter::MutantsGenerated), 1);
-        // Written back, the line gains the new pair beside its neighbour.
-        assert!(snap
-            .to_line()
-            .contains("(differential_runs 63) (interpretations 0) (vm_ops 9000)"));
-    }
-
-    #[test]
-    fn unknown_keys_are_skipped_and_damage_is_rejected() {
-        let ok = CounterSnapshot::parse_line("(metrics (compiles 4) (future_counter 9))");
-        assert_eq!(ok.unwrap().get(Counter::Compiles), 4);
-        assert_eq!(CounterSnapshot::parse_line("(metrics (compiles x))"), None);
-        assert_eq!(CounterSnapshot::parse_line("(metrics (compiles 4"), None);
-        assert_eq!(CounterSnapshot::parse_line("metrics"), None);
-        assert!(CounterSnapshot::parse_line("(metrics)").unwrap().is_zero());
     }
 }

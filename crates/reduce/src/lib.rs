@@ -19,8 +19,8 @@
 //!    [`ompfuzz_outlier::analyze`]) and keeps the edit only if the original
 //!    verdict still reproduces on the same backend.
 //!
-//! Candidate oracle checks run in parallel on a worker pool (the same
-//! crossbeam pattern as the campaign driver), but acceptance uses a
+//! Candidate oracle checks run in parallel on scoped threads (the campaign
+//! driver's `pool::map_parallel`), but acceptance uses a
 //! deterministic first-success tiebreak — the lowest-index reproducing
 //! candidate wins — so the reduced program is identical for any worker
 //! count.

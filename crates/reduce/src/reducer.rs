@@ -515,7 +515,9 @@ struct OracleCtx {
 
 std::thread_local! {
     /// One [`ExecScratch`] per thread that runs reducer checks, reused
-    /// across every candidate it checks (scratch contents never affect
+    /// across every candidate it checks: for one `map_parallel` call on a
+    /// helper thread, for the thread's life on the calling thread (scratch
+    /// contents never affect
     /// outcomes, as the `scratch_reuse` suite pins, so which thread
     /// checks a candidate cannot change any result). Kept apart from the
     /// campaign's worker scratch, which may carry an installed VM profile.
@@ -524,7 +526,7 @@ std::thread_local! {
 
 /// Run `f` on this thread's reducer scratch. The borrow lasts one check,
 /// and a check never calls back into the worker pool, so the thread that
-/// calls `pool::map_parallel` (which also works the queue) never borrows
+/// calls `pool::map_parallel` (which also checks candidates) never borrows
 /// the scratch twice.
 fn with_check_scratch<R>(f: impl FnOnce(&mut ExecScratch) -> R) -> R {
     CHECK_SCRATCH.with(|scratch| f(&mut scratch.borrow_mut()))

@@ -273,17 +273,16 @@ fn valid_shard_outcome(m: &mut Mix) -> ShardOutcome {
         outlier_records: field(),
         reduced: field(),
     };
-    let mut line = String::from("(metrics");
+    let mut metrics = CounterSnapshot::default();
     for counter in Counter::ALL {
         if m.coin() {
-            line.push_str(&format!(" ({} {})", counter.key(), m.next()));
+            metrics.set(counter, m.next());
         }
     }
-    line.push(')');
     ShardOutcome {
         summary,
         catalog: valid_catalog(m),
-        metrics: CounterSnapshot::parse_line(&line).expect("well-formed metrics line"),
+        metrics,
     }
 }
 
